@@ -4,11 +4,14 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve
 
+import hexnls.solver
 from hexnls.analytic import soliton_params, soliton_profile
 from hexnls.calculus import GraphFunction, integrate_power
 from hexnls.solver import (INITIALIZERS, BracketError, ResolutionError, SolverConfig,
-                           bisect_critical_mass, demonstrate_unbounded,
+                           _beats, _Descent, bisect_critical_mass, demonstrate_unbounded,
                            euler_lagrange_residual, initial_function,
                            make_discretization, minimize, outcome_to_json,
                            squeezed_profile, trace_to_csv)
@@ -88,7 +91,55 @@ class TestDescentInvariants:
         assert out.classification == "GroundState"
 
 
+class TestCondensedPreconditioner:
+    @pytest.mark.parametrize("n", [2, 3, 9, 33])
+    @pytest.mark.parametrize("graph", [build_honeycomb(3, 1.0), build_line(2.5)],
+                             ids=["honeycomb", "unequal-line"])
+    def test_matches_direct_solve(self, monkeypatch, graph, n):
+        factored = []
+
+        def spy(A):
+            factored.append(A.shape)
+            return hexnls.solver.splu(A).solve
+
+        monkeypatch.setattr(hexnls.solver, "factorized", spy)
+        dz = make_discretization(graph, n)
+        solve = _Descent(dz, 3.0, 1.0, SolverConfig()).precondition
+        A = (sp.diags(dz.mass_vec) + dz.stiffness).tocsc()
+        rng = np.random.default_rng(n)
+        for r in (rng.standard_normal(dz.n_dofs), dz.mass_vec * rng.uniform(0, 1, dz.n_dofs)):
+            x = solve(r)
+            ref = spsolve(A, r)
+            assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+        V = dz.graph.num_vertices
+        assert factored == [(V, V)]
+
+
+class TestMultiStartRanking:
+    def test_lower_energy_wins(self):
+        assert _beats(-2.0, 1e-3, -1.0, 1e-9, 1.0, 1e-6)
+        assert not _beats(-1.0, 1e-12, -2.0, 1e-3, 1.0, 1e-6)
+
+    def test_converged_tie_keeps_earlier_start(self):
+        assert not _beats(-1.0 - 1e-12, 1e-9, -1.0, 5e-7, 1.0, 1e-6)
+
+    def test_unconverged_tie_ranked_by_residual(self):
+        assert _beats(-1.0, 1e-7, -1.0 - 1e-12, 1e-5, 1.0, 1e-6)
+        assert _beats(-1.0, 2e-5, -1.0, 3e-5, 1.0, 1e-6)
+        assert not _beats(-1.0, 2e-5, -1.0, 1e-5, 1.0, 1e-6)
+        assert not _beats(-1.0, 2e-5, -1.0, 1e-7, 1.0, 1e-6)
+
+
 class TestEulerLagrangeResidual:
+    def test_does_not_factorize(self, monkeypatch, lat):
+        def refuse(A):
+            raise AssertionError("residual evaluation factorized a matrix")
+
+        monkeypatch.setattr(hexnls.solver, "factorized", refuse)
+        u = initial_function(lat, "trial-eps", 3.0, 1.0, 9)
+        lam, res = euler_lagrange_residual(u, 3.0)
+        assert np.isfinite(lam) and res > 0
+
     def test_converged_minimizer_stationary(self, line_outcome):
         lam, res = euler_lagrange_residual(line_outcome.minimizer, 4.0)
         assert res < 1e-6
