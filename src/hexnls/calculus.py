@@ -163,10 +163,6 @@ class Discretization:
         d0 = dof_of[:, :-1].ravel()
         d1 = dof_of[:, 1:].ravel()
         w = np.repeat(1.0 / h, n - 1)
-        self.mass_vec = np.zeros(self.n_dofs)
-        hw = np.repeat(h / 2.0, n - 1)
-        np.add.at(self.mass_vec, d0, hw)
-        np.add.at(self.mass_vec, d1, hw)
         rows = np.concatenate([d0, d1, d0, d1])
         cols = np.concatenate([d0, d1, d1, d0])
         vals = np.concatenate([w, w, -w, -w])
@@ -176,7 +172,16 @@ class Discretization:
         if boundary_vertices is None:
             boundary_vertices = graph.leaves()
         self.boundary_vertices = list(boundary_vertices)
-        self._near_boundary_edges = self._edges_near_boundary(depth=2)
+        self.mass_vec = self._lumped_mass(np.ones(E, dtype=bool))
+        self.boundary_mass_vec = self._lumped_mass(self._edges_near_boundary(depth=2))
+
+    def _lumped_mass(self, edges: np.ndarray) -> np.ndarray:
+        """Trapezoid weights of the sample cells on the masked edges, per DOF."""
+        hw = np.repeat(self.h[edges] / 2.0, self.n - 1)
+        vec = np.zeros(self.n_dofs)
+        np.add.at(vec, self.dof_of[edges, :-1].ravel(), hw)
+        np.add.at(vec, self.dof_of[edges, 1:].ravel(), hw)
+        return vec
 
     def _edges_near_boundary(self, depth: int) -> np.ndarray:
         if not self.boundary_vertices:
@@ -207,14 +212,13 @@ class Discretization:
     def kinetic(self, dofs: np.ndarray) -> float:
         return float(dofs @ (self.stiffness @ dofs))
 
-    def boundary_mass_fraction(self, u: GraphFunction) -> float:
-        h = self.h
-        a = u.values ** 2
-        per_edge = (a.sum(axis=1) - 0.5 * (a[:, 0] + a[:, -1])) * h
-        total = per_edge.sum()
+    def boundary_mass_fraction(self, dofs: np.ndarray) -> float:
+        """Share of the mass on edges within two steps of the boundary."""
+        sq = dofs ** 2
+        total = float(self.mass_vec @ sq)
         if total <= 0:
             return 0.0
-        return float(per_edge[self._near_boundary_edges].sum() / total)
+        return float(self.boundary_mass_vec @ sq) / total
 
     def boundary_dof_mask(self) -> np.ndarray:
         mask = np.zeros(self.n_dofs, dtype=bool)

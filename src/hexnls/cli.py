@@ -44,7 +44,7 @@ DEFAULTS: dict[str, dict] = {
         "mu_list": [0.5, 1.0, 2.0], "samples_per_edge": 65, "tolerance": 1e-3,
     },
     "phase-diagram": {
-        "radius": 20, "edge_length": 1.0, "seed": 0,
+        "radius": 20, "edge_length": 1.0,
         "p_list": [3.0, 5.0], "mu_list": [0.01, 1.0, 100.0],
     },
     "critical-mass": {
@@ -57,7 +57,7 @@ DEFAULTS: dict[str, dict] = {
         "width_list": [2.0, 1.0, 0.5, 0.25],
     },
     "soliton-check": {
-        "half_length": 30, "p": 4.0, "mu": 2.0, "seed": 0,
+        "half_length": 30, "p": 4.0, "mu": 2.0,
         "samples_per_edge": 17, "profile_tolerance": 1e-2, "energy_tolerance": 1e-3,
     },
 }
@@ -171,12 +171,11 @@ def render_phase_csv(points: list[dict]) -> str:
 
 def run_phase_diagram(cfg: dict, outdir: Path) -> list[str]:
     lat = build_honeycomb(cfg["radius"], cfg["edge_length"])
-    scfg = SolverConfig(seed=cfg["seed"])
     points = []
     for p in cfg["p_list"]:
         for mu in cfg["mu_list"]:
             t0 = time.perf_counter()
-            out = minimize(lat, p, mu, scfg)
+            out = minimize(lat, p, mu)
             points.append({"p": p, "mu": mu, "classification": out.classification,
                            "energy": out.final_energy,
                            "runtime_ms": int(1000 * (time.perf_counter() - t0))})
@@ -198,11 +197,10 @@ def run_phase_diagram(cfg: dict, outdir: Path) -> list[str]:
 
 def run_critical_mass(cfg: dict, outdir: Path) -> list[str]:
     lat = build_honeycomb(cfg["radius"], cfg["edge_length"])
-    scfg = SolverConfig(seed=cfg["seed"])
     p = cfg["p"]
-    mid, (lo, hi) = bisect_critical_mass(lat, p, cfg["mu_lo"], cfg["mu_hi"], scfg,
+    mid, (lo, hi) = bisect_critical_mass(lat, p, cfg["mu_lo"], cfg["mu_hi"],
                                          tol=cfg["tolerance"])
-    dz = make_discretization(lat, scfg.samples_per_edge)
+    dz = make_discretization(lat, SolverConfig().samples_per_edge)
     c_hat, _ = estimate_sharp_constant("gn_interp", p, lat, budget=cfg["ascent_budget"],
                                        seed=cfg["seed"], num_starts=cfg["ascent_starts"],
                                        dz=dz)
@@ -239,7 +237,7 @@ def run_unbounded_p6(cfg: dict, outdir: Path) -> list[str]:
 def run_soliton_check(cfg: dict, outdir: Path) -> list[str]:
     graph = build_line(cfg["half_length"])
     p, mu = cfg["p"], cfg["mu"]
-    scfg = SolverConfig(seed=cfg["seed"], samples_per_edge=cfg["samples_per_edge"])
+    scfg = SolverConfig(samples_per_edge=cfg["samples_per_edge"])
     out = minimize(graph, p, mu, scfg, init="soliton-bump")
     failures = []
     if out.classification != "GroundState":
@@ -248,7 +246,6 @@ def run_soliton_check(cfg: dict, outdir: Path) -> list[str]:
     else:
         u = out.minimizer
         params = soliton_params(p, mu)
-        dz = make_discretization(graph, scfg.samples_per_edge)
         # Center the reference profile on the numerical maximizer.
         pos = np.array([[v.x, v.y] for v in graph.vertices])
         vv = np.abs(u.vertex_values())

@@ -7,6 +7,11 @@ flow, which converges orders of magnitude faster than raw descent while
 keeping the projected-descent structure: monotone energy via backtracking,
 exact mass conservation, Armijo-style step control.
 
+One loop runs the descent.  When it stalls short of the residual tolerance,
+damped Newton on the stationarity system is the fallback; descent then
+resumes, up to MAX_POLISHES times.  Every iteration of either kind is one
+trace row.
+
 (M + K)^{-1} is applied exactly by static condensation.  The interior
 samples of an edge form a tridiagonal chain coupled only to the edge's two
 end vertices, and every chain diagonalizes in the same sine basis, so the
@@ -18,8 +23,8 @@ diagonal), the one matrix that is factorized.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
-from functools import cached_property
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,6 +37,8 @@ from .graph_core import MetricGraph
 from .honeycomb import HoneycombLattice, path_coordinate
 
 INITIALIZERS = ("soliton-bump", "trial-eps", "uniform")
+MAX_POLISHES = 8         # Newton polishes per descent
+MAX_NEWTON_STEPS = 40    # accepted Newton steps per polish
 
 
 class ResolutionError(ValueError):
@@ -49,7 +56,6 @@ class SolverConfig:
     energy_tol: float = 1e-8
     residual_tol: float = 1e-6
     spread_threshold: float = 0.05
-    seed: int = 0
     samples_per_edge: int = 9
     divergence_floor: float = -1e12
 
@@ -95,6 +101,23 @@ def make_discretization(graph, samples_per_edge: int) -> Discretization:
 
 # --- initializers -----------------------------------------------------------
 
+def _path_profile(lat: HoneycombLattice, f, n: int) -> GraphFunction:
+    """f of the arclength coordinate on the path L_0 through the center, every
+    other edge linear between its end-vertex values."""
+    path = [eid for eid, (kind, i, _) in enumerate(lat.edge_roles)
+            if kind != "down" and i == 0]
+    t = np.linspace(0.0, 1.0, n)
+    profiles = [f(lat.edge_length * (path_coordinate(lat, eid, 0.0)[1] + t)) for eid in path]
+    vertex_val = np.zeros(lat.graph.num_vertices)
+    for eid, vals in zip(path, profiles):
+        e = lat.graph.edges[eid]
+        vertex_val[e.tail], vertex_val[e.head] = vals[0], vals[-1]
+    # C order, so that quadrature sums (rescale_mass) run in the row order.
+    vals = np.ascontiguousarray(from_vertex_values(lat.graph, vertex_val, n).values)
+    vals[path] = profiles
+    return GraphFunction(lat.graph, vals)
+
+
 def soliton_bump(graph, p: float, mu: float, samples_per_edge: int) -> GraphFunction:
     """Discretized line soliton transplanted along a path through the center:
     L_0 on a honeycomb lattice, the whole graph otherwise (by arc distance)."""
@@ -105,24 +128,8 @@ def soliton_bump(graph, p: float, mu: float, samples_per_edge: int) -> GraphFunc
         vv = soliton_profile(params, dist)
         u = from_vertex_values(bare, vv, samples_per_edge)
         return rescale_mass(u, mu)
-    n = samples_per_edge
-    t = np.linspace(0.0, 1.0, n)
-    vals = np.zeros((bare.num_edges, n))
-    vertex_val = np.zeros(bare.num_vertices)
-    for eid, (kind, i, j) in enumerate(lat.edge_roles):
-        if kind != "down" and i == 0:
-            _, x0 = path_coordinate(lat, eid, 0.0)
-            x = lat.edge_length * (x0 + t)
-            vals[eid] = soliton_profile(params, x)
-            e = bare.edges[eid]
-            vertex_val[e.tail] = vals[eid, 0]
-            vertex_val[e.head] = vals[eid, -1]
-    for eid, (kind, i, j) in enumerate(lat.edge_roles):
-        if kind == "down" or i != 0:
-            e = bare.edges[eid]
-            vals[eid] = np.outer(1 - t, [vertex_val[e.tail]]).ravel() \
-                + np.outer(t, [vertex_val[e.head]]).ravel()
-    return rescale_mass(GraphFunction(bare, vals), mu)
+    return rescale_mass(_path_profile(lat, partial(soliton_profile, params),
+                                      samples_per_edge), mu)
 
 
 def initial_function(graph, tag: str, p: float, mu: float,
@@ -219,9 +226,14 @@ class _Descent:
         _, lam, res = self.tangent_gradient(v)
         return lam, res
 
-    def newton_polish(self, v: np.ndarray, E: float, cfg: SolverConfig,
-                      trace: list[dict] | None = None, max_polish: int = 40,
-                      it0: int = 0) -> tuple[np.ndarray, float, float, float, int]:
+    def record(self, trace: list[dict] | None, it: int, E: float, res: float,
+               step: float, v: np.ndarray) -> None:
+        if trace is not None:
+            trace.append({"iteration": it, "energy": E, "residual": res, "step": step,
+                          "boundary_mass_fraction": self.dz.boundary_mass_fraction(v)})
+
+    def newton_polish(self, v: np.ndarray, E: float, trace: list[dict] | None = None,
+                      it0: int = 0) -> tuple[np.ndarray, float, float, int]:
         """Damped Newton iteration on the stationarity system near a minimizer.
 
         Solves the bordered linearization (Jacobian of the projected gradient
@@ -231,8 +243,8 @@ class _Descent:
         dz = self.dz
         r, lam, res = self.tangent_gradient(v)
         done = 0
-        for _ in range(max_polish):
-            if res <= cfg.residual_tol:
+        for _ in range(MAX_NEWTON_STEPS):
+            if res <= self.cfg.residual_tol:
                 break
             mv = dz.mass_vec * v
             # Regularize |v|^{p-2} near zeros of v (singular for p < 3); the
@@ -261,12 +273,8 @@ class _Descent:
             if not improved:
                 break
             done += 1
-            if trace is not None:
-                trace.append({"iteration": it0 + done, "energy": E, "residual": res,
-                              "step": step,
-                              "boundary_mass_fraction": dz.boundary_mass_fraction(
-                                  dz.to_function(v))})
-        return v, E, lam, res, done
+            self.record(trace, it0 + done, E, res, step, v)
+        return v, E, res, done
 
 
 def euler_lagrange_residual(u: GraphFunction, p: float,
@@ -283,70 +291,52 @@ def euler_lagrange_residual(u: GraphFunction, p: float,
     return d.multiplier_residual(v)
 
 
-def _descend(d: _Descent, v0: np.ndarray, cfg: SolverConfig,
+def _descend(d: _Descent, v0: np.ndarray,
              trace: list[dict] | None = None) -> tuple[np.ndarray, float, float, float, int]:
+    """Preconditioned, mass-projected Armijo descent from v0.
+
+    First-order descent flattens out along nearly-neutral modes.  When a
+    stretch of descent ends short of residual_tol (no step accepted, or 25
+    steps in a row with negligible energy decrease), damped Newton on the
+    stationarity system takes over, then descent resumes with a fresh step.
+    Gives up after MAX_POLISHES polishes or a stretch without energy progress.
+    """
+    cfg = d.cfg
     v = d.project(v0)
     E = d.energy(v)
-    tau = cfg.step
-    lam = res = np.inf
-    stall = 0
+    tau, stall, polishes, E_polished = cfg.step, 0, 0, np.inf
     it = 0
-    for it in range(1, cfg.max_iters + 1):
-        r, lam, res = d.tangent_gradient(v)
-        if trace is not None:
-            trace.append({"iteration": it, "energy": E, "residual": res, "step": tau,
-                          "boundary_mass_fraction": d.dz.boundary_mass_fraction(
-                              d.dz.to_function(v))})
+    while it < cfg.max_iters:
+        it += 1
+        r, _, res = d.tangent_gradient(v)
+        d.record(trace, it, E, res, tau, v)
         if res <= cfg.residual_tol or E < cfg.divergence_floor:
             break
         direction = d.precondition(r)
-        accepted = False
+        dE = None
         while tau > 1e-13:
             cand = d.project(v - tau * direction)
             cE = d.energy(cand)
             if cE <= E + 1e-14 * max(abs(E), d.mu):
-                accepted, v = True, cand
-                dE, E = E - cE, cE
+                v, dE, E = cand, E - cE, cE
                 tau = min(tau * 1.4, 64.0)
                 break
             tau *= 0.4
-        if not accepted:
+        if dE is not None:
+            stall = stall + 1 if dE <= cfg.energy_tol * max(abs(E), d.mu) else 0
+            if stall < 25:
+                continue
+        # The stretch ended short of residual_tol: no step accepted, or stalled.
+        if (polishes == MAX_POLISHES or E >= E_polished or E < cfg.divergence_floor
+                or it >= cfg.max_iters):
             break
-        stall = stall + 1 if dE <= cfg.energy_tol * max(abs(E), d.mu) else 0
-        if stall >= 25:
-            break
-    # First-order descent flattens out along nearly-neutral modes; damped
-    # Newton on the stationarity system finishes the job.  Alternate the two
-    # when either stalls short of tolerance but still makes progress.
-    for _ in range(8):
-        if res <= cfg.residual_tol or E < cfg.divergence_floor or it >= cfg.max_iters:
-            break
-        v, E, lam, res, extra = d.newton_polish(v, E, cfg, trace, it0=it)
-        it += extra
+        v, E, res, done = d.newton_polish(v, E, trace, it0=it)
+        it += done
         if res <= cfg.residual_tol:
             break
-        tau, made_progress = cfg.step, False
-        for _ in range(it, min(it + 400, cfg.max_iters)):
-            r, lam, res = d.tangent_gradient(v)
-            if res <= cfg.residual_tol:
-                break
-            direction = d.precondition(r)
-            accepted = False
-            while tau > 1e-13:
-                cand = d.project(v - tau * direction)
-                cE = d.energy(cand)
-                if cE <= E + 1e-14 * max(abs(E), d.mu):
-                    accepted, v = True, cand
-                    made_progress = made_progress or (E - cE) > 0
-                    E = cE
-                    tau = min(tau * 1.4, 64.0)
-                    break
-                tau *= 0.4
-            it += 1
-            if not accepted:
-                break
-        if not made_progress:
-            break
+        tau, stall, polishes, E_polished = cfg.step, 0, polishes + 1, E
+    # Stopping right after an accepted step leaves (lam, res) one iterate behind.
+    lam, res = d.multiplier_residual(v)
     return v, E, lam, res, it
 
 
@@ -357,7 +347,7 @@ def _classify(d: _Descent, v: np.ndarray, E: float, res: float, p: float,
         return "UnboundedBelow"
     total_len = float(np.sum(dz.h) * (dz.n - 1))
     flat_energy = -(d.mu / total_len) ** (p / 2.0) * total_len / p
-    boundary_frac = dz.boundary_mass_fraction(dz.to_function(v))
+    boundary_frac = dz.boundary_mass_fraction(v)
     near_zero = E >= -max(10.0 * cfg.energy_tol * d.mu, 1e-12)
     # A spreading run ends at (or near) the mass-mu constant function, whose
     # energy vanishes as the truncation grows; a ground state, even a broad
@@ -417,7 +407,7 @@ def minimize(graph, p: float, mu: float, cfg: SolverConfig | None = None,
     best = None
     for tag, v0 in inits:
         trace: list[dict] = []
-        v, E, lam, res, it = _descend(d, v0, cfg, trace)
+        v, E, lam, res, it = _descend(d, v0, trace)
         if best is None or _beats(E, res, best[1], best[4], mu, cfg.residual_tol):
             best = (tag, E, v, lam, res, it, trace)
     tag, E, v, lam, res, it, trace = best
@@ -476,23 +466,7 @@ def squeezed_profile(lat: HoneycombLattice, mu: float, width: float,
         raise ResolutionError(
             f"width {width} unresolvable with {n} samples per edge "
             f"(spacing {h:.3g}); refine the sampling")
-    bare = lat.graph
-    t = np.linspace(0.0, 1.0, n)
-    vals = np.zeros((bare.num_edges, n))
-    vertex_val = np.zeros(bare.num_vertices)
-    for eid, (kind, i, j) in enumerate(lat.edge_roles):
-        if kind != "down" and i == 0:
-            _, x0 = path_coordinate(lat, eid, 0.0)
-            x = lat.edge_length * (x0 + t)
-            vals[eid] = 1.0 / np.cosh(x / width)
-            e = bare.edges[eid]
-            vertex_val[e.tail] = vals[eid, 0]
-            vertex_val[e.head] = vals[eid, -1]
-    for eid, (kind, i, j) in enumerate(lat.edge_roles):
-        if kind == "down" or i != 0:
-            e = bare.edges[eid]
-            vals[eid] = (1 - t) * vertex_val[e.tail] + t * vertex_val[e.head]
-    return rescale_mass(GraphFunction(bare, vals), mu)
+    return rescale_mass(_path_profile(lat, lambda x: 1.0 / np.cosh(x / width), n), mu)
 
 
 def demonstrate_unbounded(lat: HoneycombLattice, mu: float,
@@ -533,5 +507,5 @@ def outcome_to_json(out: SolveOutcome, cfg: SolverConfig, p: float, mu: float) -
         "mu": mu,
         "config": {k: getattr(cfg, k) for k in (
             "step", "max_iters", "energy_tol", "residual_tol", "spread_threshold",
-            "seed", "samples_per_edge", "divergence_floor")},
+            "samples_per_edge", "divergence_floor")},
     }, indent=1)

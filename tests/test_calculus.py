@@ -180,6 +180,22 @@ class TestDiscretization:
         dz = Discretization(g, 7)
         assert dz.n_dofs == g.num_vertices + g.num_edges * 5
 
+    def test_boundary_mass_fraction_matches_edge_quadrature(self):
+        lat = build_honeycomb(4, 1.0)
+        g = lat.graph
+        dz = Discretization(g, 9, boundary_vertices=lat.boundary_vertices())
+        u = build_trial_function(lat, 0.3, 9)
+        # Edges with an end at most one step from the boundary.
+        ring = set(lat.boundary_vertices())
+        ring |= {w for v in list(ring) for eid, _ in g.adjacency[v]
+                 for w in (g.edges[eid].tail, g.edges[eid].head)}
+        near = np.array([e.tail in ring or e.head in ring for e in g.edges])
+        part = GraphFunction(g, np.where(near[:, None], u.values, 0.0))
+        expected = integrate_power(part, 2) / integrate_power(u, 2)
+        assert 0 < expected < 1
+        assert dz.boundary_mass_fraction(dz.to_dofs(u)) == pytest.approx(expected, rel=1e-13)
+        assert dz.boundary_mass_fraction(np.zeros(dz.n_dofs)) == 0.0
+
 
 class TestCsvExport:
     def test_header_and_shape(self):

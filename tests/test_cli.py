@@ -136,6 +136,17 @@ class TestPhaseDiagram:
         assert (tmp_path / "phase_diagram.csv").exists()
         assert (tmp_path / "manifest.json").exists()
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="At the default radius 20, p=3, mass 0.01 ends SpreadToZero at "
+               "the flat-state energy (-4.69e-6), so the default sweep's "
+               "'GroundState at every mass for p < 4' assertion fails.  It is "
+               "the small-mass truncation artifact of the free boundary behind "
+               "the acceptance xfails; the defaults are not changed to hide it.")
+    def test_default_radius_small_subcritical_mass(self, tmp_path):
+        assert main(["phase-diagram", "--p", "3", "--mu", "0.01",
+                     "--out", str(tmp_path)]) == 0
+
 
 class TestUnboundedP6:
     def test_pass_and_artifact(self, tmp_path):

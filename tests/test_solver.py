@@ -9,14 +9,14 @@ from scipy.sparse.linalg import spsolve
 
 import hexnls.solver
 from hexnls.analytic import soliton_params, soliton_profile
-from hexnls.calculus import GraphFunction, integrate_power
+from hexnls.calculus import GraphFunction, integrate_power, rescale_mass
 from hexnls.solver import (INITIALIZERS, BracketError, ResolutionError, SolverConfig,
-                           _beats, _Descent, bisect_critical_mass, demonstrate_unbounded,
-                           euler_lagrange_residual, initial_function,
-                           make_discretization, minimize, outcome_to_json,
-                           squeezed_profile, trace_to_csv)
+                           _beats, _descend, _Descent, bisect_critical_mass,
+                           demonstrate_unbounded, euler_lagrange_residual,
+                           initial_function, make_discretization, minimize,
+                           outcome_to_json, soliton_bump, squeezed_profile, trace_to_csv)
 from hexnls.graph_core import build_line
-from hexnls.honeycomb import build_honeycomb
+from hexnls.honeycomb import build_honeycomb, path_coordinate
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +89,77 @@ class TestDescentInvariants:
         out = minimize(lat, 3.0, 10.0, init=u0)
         assert out.init_used == "custom"
         assert out.classification == "GroundState"
+
+
+@pytest.fixture(scope="module")
+def polished_twice():
+    """A start whose descent stalls twice short of tolerance, so Newton polish
+    runs twice with descent between and after; returns (outcome, polishes)."""
+    polishes = []
+    polish = _Descent.newton_polish
+
+    def counting(self, *args, **kwargs):
+        polishes.append(1)
+        return polish(self, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Descent, "newton_polish", counting)
+        out = minimize(build_honeycomb(6, 1.0), 2.25, 30.0, init="trial-eps")
+    return out, len(polishes)
+
+
+class TestDescentLoop:
+    def test_every_iteration_traced_across_polishes(self, polished_twice):
+        out, polishes = polished_twice
+        assert polishes >= 2
+        assert [r["iteration"] for r in out.trace] == list(range(1, out.iterations + 1))
+
+    def test_newton_fallback_converges(self, polished_twice):
+        out, _ = polished_twice
+        assert out.classification == "GroundState"
+        assert out.residual <= SolverConfig().residual_tol
+
+    def test_residual_describes_returned_iterate_at_max_iters(self, lat):
+        cfg = SolverConfig(max_iters=5)
+        d = _Descent(make_discretization(lat, 9), 3.0, 10.0, cfg)
+        v0 = d.dz.to_dofs(initial_function(lat, "trial-eps", 3.0, 10.0, 9))
+        v, E, lam, res, it = _descend(d, v0)
+        assert it == cfg.max_iters and res > cfg.residual_tol
+        assert (lam, res) == d.multiplier_residual(v)
+        out = minimize(lat, 3.0, 10.0, cfg, init="trial-eps")
+        assert (out.lagrange_multiplier, out.residual) == (lam, res)
+
+
+def _two_pass_path_profile(lat, f, n, mu):
+    """The L_0 builder as first written (profile per path edge, then a linear
+    fill of the other edges): the bit-level reference for both builders."""
+    bare = lat.graph
+    t = np.linspace(0.0, 1.0, n)
+    vals = np.zeros((bare.num_edges, n))
+    vertex_val = np.zeros(bare.num_vertices)
+    for eid, (kind, i, _) in enumerate(lat.edge_roles):
+        if kind != "down" and i == 0:
+            vals[eid] = f(lat.edge_length * (path_coordinate(lat, eid, 0.0)[1] + t))
+            e = bare.edges[eid]
+            vertex_val[e.tail], vertex_val[e.head] = vals[eid, 0], vals[eid, -1]
+    for eid, (kind, i, _) in enumerate(lat.edge_roles):
+        if kind == "down" or i != 0:
+            e = bare.edges[eid]
+            vals[eid] = (1 - t) * vertex_val[e.tail] + t * vertex_val[e.head]
+    return rescale_mass(GraphFunction(bare, vals), mu).values
+
+
+class TestPathProfiles:
+    @pytest.mark.parametrize("n", [9, 17, 33])
+    @pytest.mark.parametrize("R", [3, 10])
+    def test_bit_identical_to_two_pass_builder(self, R, n):
+        lat = build_honeycomb(R, 1.0)
+        for p in (3.0, 6.0):
+            params = soliton_params(min(p, 5.9), 1.5)
+            ref = _two_pass_path_profile(lat, lambda x: soliton_profile(params, x), n, 1.5)
+            assert np.array_equal(soliton_bump(lat, p, 1.5, n).values, ref)
+        ref = _two_pass_path_profile(lat, lambda x: 1.0 / np.cosh(x / 0.5), n, 2.0)
+        assert np.array_equal(squeezed_profile(lat, 2.0, 0.5, n).values, ref)
 
 
 class TestCondensedPreconditioner:
