@@ -109,10 +109,11 @@ def _path_profile(lat: HoneycombLattice, f, n: int) -> GraphFunction:
     t = np.linspace(0.0, 1.0, n)
     profiles = [f(lat.edge_length * (path_coordinate(lat, eid, 0.0)[1] + t)) for eid in path]
     vertex_val = np.zeros(lat.graph.num_vertices)
-    for eid, vals in zip(path, profiles):
+    for eid, prof in zip(path, profiles):
         e = lat.graph.edges[eid]
-        vertex_val[e.tail], vertex_val[e.head] = vals[0], vals[-1]
-    # C order, so that quadrature sums (rescale_mass) run in the row order.
+        vertex_val[e.tail], vertex_val[e.head] = prof[0], prof[-1]
+    # from_vertex_values returns F order, in which the row sums of
+    # rescale_mass round differently; C order keeps the masses bit-stable.
     vals = np.ascontiguousarray(from_vertex_values(lat.graph, vertex_val, n).values)
     vals[path] = profiles
     return GraphFunction(lat.graph, vals)
