@@ -81,6 +81,8 @@ def _load_config(args: argparse.Namespace) -> dict:
     if args.radius is not None:
         cfg["radius"] = args.radius
     if args.seed is not None:
+        if "seed" not in cfg:
+            raise ValueError(f"{args.kind} draws no random numbers; --seed does not apply")
         cfg["seed"] = args.seed
     return cfg
 
@@ -299,7 +301,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _load_config(args)
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     t0 = time.perf_counter()

@@ -39,6 +39,7 @@ from .honeycomb import HoneycombLattice, path_coordinate
 INITIALIZERS = ("soliton-bump", "trial-eps", "uniform")
 MAX_POLISHES = 8         # Newton polishes per descent
 MAX_NEWTON_STEPS = 40    # accepted Newton steps per polish
+STRETCH_STEPS = 400      # descent steps after a polish before the next one
 
 
 class ResolutionError(ValueError):
@@ -297,16 +298,20 @@ def _descend(d: _Descent, v0: np.ndarray,
     """Preconditioned, mass-projected Armijo descent from v0.
 
     First-order descent flattens out along nearly-neutral modes.  When a
-    stretch of descent ends short of residual_tol (no step accepted, or 25
-    steps in a row with negligible energy decrease), damped Newton on the
+    stretch of descent ends short of residual_tol, damped Newton on the
     stationarity system takes over, then descent resumes with a fresh step.
-    Gives up after MAX_POLISHES polishes or a stretch without energy progress.
+    The first stretch ends when no step is accepted or after 25 steps in a
+    row with negligible energy decrease.  Later stretches start near a
+    critical point, where steps are small against max(|E|, mu) yet still
+    make progress, so they end only when no step is accepted or after
+    STRETCH_STEPS steps.  Gives up after MAX_POLISHES polishes or a stretch
+    without energy progress.
     """
     cfg = d.cfg
     v = d.project(v0)
     E = d.energy(v)
-    tau, stall, polishes, E_polished = cfg.step, 0, 0, np.inf
-    it = 0
+    tau, stall, polishes, it = cfg.step, 0, 0, 0
+    it_polished, progressed = 0, False
     while it < cfg.max_iters:
         it += 1
         r, _, res = d.tangent_gradient(v)
@@ -324,18 +329,23 @@ def _descend(d: _Descent, v0: np.ndarray,
                 break
             tau *= 0.4
         if dE is not None:
-            stall = stall + 1 if dE <= cfg.energy_tol * max(abs(E), d.mu) else 0
-            if stall < 25:
-                continue
-        # The stretch ended short of residual_tol: no step accepted, or stalled.
-        if (polishes == MAX_POLISHES or E >= E_polished or E < cfg.divergence_floor
-                or it >= cfg.max_iters):
+            if polishes:
+                progressed = progressed or dE > 0
+                if it - it_polished < STRETCH_STEPS:
+                    continue
+            else:
+                stall = stall + 1 if dE <= cfg.energy_tol * max(abs(E), d.mu) else 0
+                if stall < 25:
+                    continue
+        # The stretch ended short of residual_tol.
+        if (polishes == MAX_POLISHES or (polishes and not progressed)
+                or E < cfg.divergence_floor or it >= cfg.max_iters):
             break
         v, E, res, done = d.newton_polish(v, E, trace, it0=it)
         it += done
         if res <= cfg.residual_tol:
             break
-        tau, stall, polishes, E_polished = cfg.step, 0, polishes + 1, E
+        tau, polishes, it_polished, progressed = cfg.step, polishes + 1, it, False
     # Stopping right after an accepted step leaves (lam, res) one iterate behind.
     lam, res = d.multiplier_residual(v)
     return v, E, lam, res, it

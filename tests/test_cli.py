@@ -57,6 +57,12 @@ class TestUsageErrors:
         assert main(["trial-forms", "--config", str(bad),
                      "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("kind", ["phase-diagram", "soliton-check"])
+    def test_seed_rejected_where_unused(self, tmp_path, capsys, kind):
+        assert main([kind, "--seed", "5", "--out", str(tmp_path)]) == 2
+        assert "--seed does not apply" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
+
 
 class TestTrialForms:
     def test_pass_and_artifacts(self, tmp_path):

@@ -91,10 +91,7 @@ class TestDescentInvariants:
         assert out.classification == "GroundState"
 
 
-@pytest.fixture(scope="module")
-def polished_twice():
-    """A start whose descent stalls twice short of tolerance, so Newton polish
-    runs twice with descent between and after; returns (outcome, polishes)."""
+def _minimize_counting_polishes(R, p, mu, init):
     polishes = []
     polish = _Descent.newton_polish
 
@@ -104,20 +101,38 @@ def polished_twice():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_Descent, "newton_polish", counting)
-        out = minimize(build_honeycomb(6, 1.0), 2.25, 30.0, init="trial-eps")
+        out = minimize(build_honeycomb(R, 1.0), p, mu, init=init)
     return out, len(polishes)
 
 
+@pytest.fixture(scope="module")
+def polished():
+    """A start that leaves the flat state only through repeated Newton polish
+    and descent between polishes; returns (outcome, polishes)."""
+    return _minimize_counting_polishes(7, 5.0, 10.0, "trial-eps")
+
+
 class TestDescentLoop:
-    def test_every_iteration_traced_across_polishes(self, polished_twice):
-        out, polishes = polished_twice
+    def test_every_iteration_traced_across_polishes(self, polished):
+        out, polishes = polished
         assert polishes >= 2
         assert [r["iteration"] for r in out.trace] == list(range(1, out.iterations + 1))
 
-    def test_newton_fallback_converges(self, polished_twice):
-        out, _ = polished_twice
+    def test_newton_fallback_converges(self, polished):
+        # Stretches after a polish start with |E| << mu, where a 25-step stall
+        # exit scaled by max(|E|, mu) would end them while E still falls and
+        # leave this start near the flat state (E ~ -3.6e-3).
+        out, _ = polished
         assert out.classification == "GroundState"
         assert out.residual <= SolverConfig().residual_tol
+        assert out.final_energy == pytest.approx(-3427.964389135137, rel=1e-9)
+
+    def test_stretches_after_polish_reach_tolerance(self):
+        # Under a stall exit after each polish this start stops at residual 1e-4.
+        out, polishes = _minimize_counting_polishes(3, 3.0, 0.1, "soliton-bump")
+        assert polishes >= 2
+        assert out.residual <= SolverConfig().residual_tol
+        assert out.final_energy == pytest.approx(-8.94457429956535e-4, rel=1e-9)
 
     def test_residual_describes_returned_iterate_at_max_iters(self, lat):
         cfg = SolverConfig(max_iters=5)
