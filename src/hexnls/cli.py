@@ -27,8 +27,7 @@ from .functionals import (energy, estimate_sharp_constant, inequality_ratio,
                           random_corpus)
 from .graph_core import build_line
 from .honeycomb import build_honeycomb
-from .solver import (SolverConfig, bisect_critical_mass, demonstrate_unbounded,
-                     make_discretization, minimize, squeezed_profile)
+from .solver import SolverConfig, bisect_critical_mass, demonstrate_unbounded, minimize
 
 KINDS = ("inequalities", "trial-forms", "phase-diagram", "critical-mass",
          "unbounded-p6", "soliton-check")
@@ -202,10 +201,8 @@ def run_critical_mass(cfg: dict, outdir: Path) -> list[str]:
     p = cfg["p"]
     mid, (lo, hi) = bisect_critical_mass(lat, p, cfg["mu_lo"], cfg["mu_hi"],
                                          tol=cfg["tolerance"])
-    dz = make_discretization(lat, SolverConfig().samples_per_edge)
     c_hat, _ = estimate_sharp_constant("gn_interp", p, lat, budget=cfg["ascent_budget"],
-                                       seed=cfg["seed"], num_starts=cfg["ascent_starts"],
-                                       dz=dz)
+                                       seed=cfg["seed"], num_starts=cfg["ascent_starts"])
     analytic_lo = critical_mass_from_constant(p, c_hat)
     doc = {"p": p, "critical_mass": mid, "bracket": [lo, hi],
            "interp_constant": c_hat, "analytic_lower_bound": analytic_lo}

@@ -10,11 +10,37 @@ from scipy.sparse.csgraph import dijkstra
 
 from .analytic import build_trial_function
 from .calculus import (Discretization, GraphFunction, edge_lengths, from_vertex_values,
-                       gradient_norms, integrate_power)
+                       norm_report)
 from .graph_core import MetricGraph
 from .honeycomb import HoneycombLattice
 
-RATIO_NAMES = ("sobolev2d", "sobolev1d", "gn1d", "gn2d", "gn_interp")
+# Each ratio, LHS / (RHS without its constant), is a product of norm terms
+# raised to these exponents: mass = |u|_2^2, lp = int |u|^p, linf = |u|_inf,
+# grad_l1 = |u'|_1, grad_l2sq = |u'|_2^2.  The sobolev ratios take p = 2; the
+# Gagliardo-Nirenberg ratios need p > 2.
+_EXPONENTS = {
+    "sobolev2d": lambda p: {"mass": 0.5, "grad_l1": -1.0},
+    "sobolev1d": lambda p: {"linf": 1.0, "grad_l1": -1.0},
+    "gn1d": lambda p: {"lp": 1.0, "mass": -(p / 4 + 0.5), "grad_l2sq": -(p / 4 - 0.5)},
+    "gn2d": lambda p: {"lp": 1.0, "mass": -1.0, "grad_l2sq": -(p / 2 - 1)},
+    "gn_interp": lambda p: {"lp": 1.0, "grad_l2sq": -1.0, "mass": -(p / 2 - 1)},
+}
+RATIO_NAMES = tuple(_EXPONENTS)
+_ENVELOPE_GAMMAS = (0.05, 0.2, 1.0)
+
+
+def _bare_graph(graph) -> tuple[MetricGraph, HoneycombLattice | None]:
+    if isinstance(graph, HoneycombLattice):
+        return graph.graph, graph
+    return graph, None
+
+
+def make_discretization(graph, samples_per_edge: int) -> Discretization:
+    """DOF view of a lattice or bare graph.  The boundary is the truncation
+    boundary of a lattice, the leaves of a bare graph."""
+    bare, lat = _bare_graph(graph)
+    boundary = lat.boundary_vertices() if lat is not None else bare.leaves()
+    return Discretization(bare, samples_per_edge, boundary_vertices=boundary)
 
 
 @dataclass(slots=True)
@@ -29,11 +55,11 @@ class EnergyReport:
 def energy(u: GraphFunction, p: float) -> EnergyReport:
     if not (2 < p <= 6):
         raise ValueError(f"nonlinearity power must be in (2, 6], got {p}")
-    _, grad_l2sq = gradient_norms(u)
-    kinetic = 0.5 * grad_l2sq
-    potential = integrate_power(u, p) / p
+    rep = norm_report(u, [p])
+    kinetic = 0.5 * rep.grad_l2sq
+    potential = rep.lp[p] / p
     return EnergyReport(kinetic=kinetic, potential=potential, total=kinetic - potential,
-                        mass=integrate_power(u, 2), p=p)
+                        mass=rep.mass, p=p)
 
 
 @dataclass(slots=True)
@@ -43,49 +69,32 @@ class InequalityRatio:
     witness: dict
 
 
-def _witness_summary(u: GraphFunction) -> dict:
-    grad_l1, grad_l2sq = gradient_norms(u)
-    flat = np.abs(u.values)
-    eid, k = np.unravel_index(int(flat.argmax()), flat.shape)
-    return {
-        "mass": integrate_power(u, 2),
-        "linf": float(flat.max()),
-        "grad_l1": grad_l1,
-        "grad_l2sq": grad_l2sq,
-        "argmax_edge": int(eid),
-        "argmax_sample": int(k),
-    }
+def _ratio_exponents(name: str, p: float) -> dict[str, float]:
+    if name not in _EXPONENTS:
+        raise ValueError(f"unknown inequality {name!r}")
+    exponents = _EXPONENTS[name](p)
+    if "lp" in exponents and p <= 2:
+        raise ValueError(f"Gagliardo-Nirenberg ratios need p > 2, got {p}")
+    return exponents
 
 
 def inequality_ratio(u: GraphFunction, name: str, p: float = 2.0) -> InequalityRatio:
     """Ratio LHS / (RHS without its constant) for one of the inequalities."""
-    if name not in RATIO_NAMES:
-        raise ValueError(f"unknown inequality {name!r}")
-    grad_l1, grad_l2sq = gradient_norms(u)
-    l2 = np.sqrt(integrate_power(u, 2))
-    grad_l2 = np.sqrt(grad_l2sq)
-    if name == "sobolev2d":
-        if grad_l1 == 0:
-            raise ZeroDivisionError("sobolev2d ratio undefined for constant functions")
-        value = l2 / grad_l1
-    elif name == "sobolev1d":
-        if grad_l1 == 0:
-            raise ZeroDivisionError("sobolev1d ratio undefined for constant functions")
-        value = float(np.abs(u.values).max()) / grad_l1
-    else:
-        if p <= 2:
-            raise ValueError(f"Gagliardo-Nirenberg ratios need p > 2, got {p}")
-        lpp = integrate_power(u, p)
-        if name == "gn1d":
-            denom = l2 ** (p / 2 + 1) * grad_l2 ** (p / 2 - 1)
-        elif name == "gn2d":
-            denom = l2 ** 2 * grad_l2 ** (p - 2)
-        else:  # gn_interp
-            denom = grad_l2 ** 2 * l2 ** (p - 2)
-        if denom == 0:
-            raise ZeroDivisionError(f"{name} ratio undefined (zero denominator)")
-        value = lpp / denom
-    return InequalityRatio(name=name, value=float(value), witness=_witness_summary(u))
+    exponents = _ratio_exponents(name, p)
+    rep = norm_report(u, [p] if "lp" in exponents else [])
+    num = den = 1.0
+    for term, e in exponents.items():
+        x = rep.lp[p] if term == "lp" else getattr(rep, term)
+        if e > 0:
+            num *= x ** e
+        else:
+            den *= x ** -e
+    if den == 0:
+        raise ZeroDivisionError(f"{name} ratio undefined (zero denominator)")
+    eid, k = np.unravel_index(int(np.abs(u.values).argmax()), u.values.shape)
+    witness = {"mass": rep.mass, "linf": rep.linf, "grad_l1": rep.grad_l1,
+               "grad_l2sq": rep.grad_l2sq, "argmax_edge": int(eid), "argmax_sample": int(k)}
+    return InequalityRatio(name=name, value=num / den, witness=witness)
 
 
 # --- randomized corpus ------------------------------------------------------
@@ -99,116 +108,103 @@ def vertex_distances(graph: MetricGraph, source: int) -> np.ndarray:
     return dijkstra((adj + adj.T).tocsr(), indices=source)
 
 
+def _random_envelope(graph: MetricGraph, dist: np.ndarray, rng: np.random.Generator,
+                     gamma: float, samples_per_edge: int) -> GraphFunction:
+    """I.i.d. uniform vertex values times exp(-gamma * dist), linear on edges."""
+    vv = rng.uniform(-1.0, 1.0, graph.num_vertices) * np.exp(-gamma * dist)
+    return from_vertex_values(graph, vv, samples_per_edge)
+
+
 def random_corpus(lat: HoneycombLattice, count: int, seed: int,
                   samples_per_edge: int = 9,
-                  gammas: tuple[float, ...] = (0.05, 0.2, 1.0)) -> list[GraphFunction]:
+                  gammas: tuple[float, ...] = _ENVELOPE_GAMMAS) -> list[GraphFunction]:
     """Randomized test functions: i.i.d. uniform vertex values modulated by an
     exponential envelope around the origin, piecewise linear on edges."""
     dist = vertex_distances(lat.graph, lat.origin_vertex)
-    out = []
     streams = np.random.SeedSequence(seed).spawn(count)
-    for idx in range(count):
-        rng = np.random.default_rng(streams[idx])
-        gamma = gammas[idx % len(gammas)]
-        vv = rng.uniform(-1.0, 1.0, lat.graph.num_vertices) * np.exp(-gamma * dist)
-        out.append(from_vertex_values(lat.graph, vv, samples_per_edge))
-    return out
+    return [_random_envelope(lat.graph, dist, np.random.default_rng(stream),
+                             gammas[idx % len(gammas)], samples_per_edge)
+            for idx, stream in enumerate(streams)]
 
 
 # --- empirical sharp constants by ratio ascent ------------------------------
 
 class _RatioObjective:
-    """Log of an inequality ratio and its DOF-space (sub)gradient."""
+    """Log of an inequality ratio and its DOF-space (sub)gradient, summed over
+    the ratio's exponent table."""
 
     def __init__(self, dz: Discretization, name: str, p: float):
         self.dz = dz
-        self.name = name
         self.p = p
+        self.exponents = _ratio_exponents(name, p)
         self.d0 = dz.dof_of[:, :-1].ravel()
         self.d1 = dz.dof_of[:, 1:].ravel()
-        self.hinv = np.repeat(1.0 / dz.h, dz.n - 1)
-
-    def _terms(self, v: np.ndarray) -> dict:
-        dz = self.dz
-        diffs = v[self.d1] - v[self.d0]
-        return {
-            "mass": float(dz.mass_vec @ v ** 2),
-            "grad_l1": float(np.abs(diffs).sum()),
-            "grad_l2sq": float(diffs ** 2 @ self.hinv),
-            "diffs": diffs,
-        }
 
     def value(self, v: np.ndarray) -> float:
-        t = self._terms(v)
-        name, p = self.name, self.p
-        if name == "sobolev2d":
-            return 0.5 * np.log(t["mass"]) - np.log(t["grad_l1"])
-        if name == "sobolev1d":
-            return np.log(np.abs(v).max()) - np.log(t["grad_l1"])
-        lpp = self.dz.lp(v, p)
-        if name == "gn1d":
-            return np.log(lpp) - (p / 4 + 0.5) * np.log(t["mass"]) \
-                - (p / 4 - 0.5) * np.log(t["grad_l2sq"])
-        if name == "gn2d":
-            return np.log(lpp) - np.log(t["mass"]) - (p / 2 - 1) * np.log(t["grad_l2sq"])
-        return np.log(lpp) - np.log(t["grad_l2sq"]) - (p / 2 - 1) * np.log(t["mass"])
+        dz = self.dz
+        total = 0.0
+        for term, e in self.exponents.items():
+            if term == "mass":
+                x = dz.mass(v)
+            elif term == "lp":
+                x = dz.lp(v, self.p)
+            elif term == "linf":
+                x = np.abs(v).max()
+            elif term == "grad_l1":
+                x = np.abs(v[self.d1] - v[self.d0]).sum()
+            else:  # grad_l2sq
+                x = dz.kinetic(v)
+            total += e * np.log(x)
+        return total
 
     def grad(self, v: np.ndarray) -> np.ndarray:
-        dz = self.dz
-        t = self._terms(v)
-        name, p = self.name, self.p
-        g_mass = 2.0 * dz.mass_vec * v / t["mass"]
-        s = np.sign(t["diffs"])
-        g_l1 = np.zeros_like(v)
-        np.add.at(g_l1, self.d1, s)
-        np.add.at(g_l1, self.d0, -s)
-        g_l1 /= max(t["grad_l1"], 1e-300)
-        if name == "sobolev2d":
-            return 0.5 * g_mass - g_l1
-        if name == "sobolev1d":
-            g_inf = np.zeros_like(v)
-            i = int(np.abs(v).argmax())
-            g_inf[i] = np.sign(v[i]) / abs(v[i])
-            return g_inf - g_l1
-        lpp = dz.lp(v, p)
-        g_lp = p * dz.mass_vec * np.abs(v) ** (p - 2) * v / lpp
-        sv = dz.stiffness @ v
-        g_kin = 2.0 * sv / t["grad_l2sq"]
-        if name == "gn1d":
-            return g_lp - (p / 4 + 0.5) * g_mass - (p / 4 - 0.5) * g_kin
-        if name == "gn2d":
-            return g_lp - g_mass - (p / 2 - 1) * g_kin
-        return g_lp - g_kin - (p / 2 - 1) * g_mass
+        dz, p = self.dz, self.p
+        g = np.zeros_like(v)
+        for term, e in self.exponents.items():
+            if term == "mass":
+                dlog = 2.0 * dz.mass_vec * v / dz.mass(v)
+            elif term == "lp":
+                dlog = p * dz.mass_vec * np.abs(v) ** (p - 2) * v / dz.lp(v, p)
+            elif term == "linf":
+                i = int(np.abs(v).argmax())
+                dlog = np.zeros_like(v)
+                dlog[i] = np.sign(v[i]) / abs(v[i])
+            elif term == "grad_l1":
+                diffs = v[self.d1] - v[self.d0]
+                s = np.sign(diffs)
+                dlog = np.bincount(self.d1, s, v.size) - np.bincount(self.d0, s, v.size)
+                dlog /= max(np.abs(diffs).sum(), 1e-300)
+            else:  # grad_l2sq
+                sv = dz.stiffness @ v
+                dlog = 2.0 * sv / (v @ sv)
+            g += e * dlog
+        return g
 
 
-def _ascent_starts(lat_or_graph, dz: Discretization, num_starts: int, seed: int):
+def _ascent_starts(graph, dz: Discretization, num_starts: int, seed: int):
     """Mixed start vectors: random envelopes, exponential trial profiles,
     centered bumps.  All normalized later; boundary DOFs zeroed by caller."""
-    graph = lat_or_graph.graph if isinstance(lat_or_graph, HoneycombLattice) else lat_or_graph
-    origin = lat_or_graph.origin_vertex if isinstance(lat_or_graph, HoneycombLattice) else 0
-    dist = vertex_distances(graph, origin)
+    bare, lat = _bare_graph(graph)
+    dist = vertex_distances(bare, lat.origin_vertex if lat is not None else 0)
     streams = np.random.SeedSequence(seed).spawn(num_starts)
     starts = []
     for idx in range(num_starts):
         rng = np.random.default_rng(streams[idx])
         mode = idx % 3
         if mode == 0:
-            gamma = (0.05, 0.2, 1.0)[(idx // 3) % 3]
-            vv = rng.uniform(-1.0, 1.0, graph.num_vertices) * np.exp(-gamma * dist)
-            starts.append(dz.to_dofs(from_vertex_values(graph, vv, dz.n)))
-        elif mode == 1 and isinstance(lat_or_graph, HoneycombLattice):
-            eps = float(rng.uniform(0.1, 0.8))
-            starts.append(dz.to_dofs(build_trial_function(lat_or_graph, eps, dz.n)))
+            gamma = _ENVELOPE_GAMMAS[(idx // 3) % 3]
+            u = _random_envelope(bare, dist, rng, gamma, dz.n)
+        elif mode == 1 and lat is not None:
+            u = build_trial_function(lat, float(rng.uniform(0.1, 0.8)), dz.n)
         else:
             width = float(rng.uniform(0.5, 4.0))
-            vv = 1.0 / np.cosh(dist / width)
-            starts.append(dz.to_dofs(from_vertex_values(graph, vv, dz.n)))
+            u = from_vertex_values(bare, 1.0 / np.cosh(dist / width), dz.n)
+        starts.append(dz.to_dofs(u))
     return starts
 
 
 def estimate_sharp_constant(name: str, p: float, graph, budget: int, seed: int,
-                            samples_per_edge: int = 9, num_starts: int = 50,
-                            dz: Discretization | None = None
+                            samples_per_edge: int = 9, num_starts: int = 50
                             ) -> tuple[float, GraphFunction]:
     """Certified lower bound on the discrete sharp constant of an inequality.
 
@@ -219,14 +215,7 @@ def estimate_sharp_constant(name: str, p: float, graph, budget: int, seed: int,
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    if isinstance(graph, HoneycombLattice):
-        boundary = graph.boundary_vertices()
-        bare = graph.graph
-    else:
-        bare = graph
-        boundary = bare.leaves()
-    if dz is None:
-        dz = Discretization(bare, samples_per_edge, boundary_vertices=boundary)
+    dz = make_discretization(graph, samples_per_edge)
     obj = _RatioObjective(dz, name, p)
     bmask = dz.boundary_dof_mask()
 

@@ -32,7 +32,7 @@ from scipy.sparse.linalg import factorized, splu
 
 from .analytic import build_trial_function, soliton_params, soliton_profile
 from .calculus import Discretization, GraphFunction, from_vertex_values, rescale_mass
-from .functionals import energy, vertex_distances
+from .functionals import _bare_graph, energy, make_discretization, vertex_distances
 from .graph_core import MetricGraph
 from .honeycomb import HoneycombLattice, path_coordinate
 
@@ -79,25 +79,9 @@ class SolveOutcome:
     trace: list[dict] = field(default_factory=list)
 
 
-def _bare_graph(graph) -> tuple[MetricGraph, HoneycombLattice | None]:
-    if isinstance(graph, HoneycombLattice):
-        return graph.graph, graph
-    return graph, None
-
-
-def _boundary(graph) -> list[int]:
-    bare, lat = _bare_graph(graph)
-    return lat.boundary_vertices() if lat is not None else bare.leaves()
-
-
 def _center_vertex(bare: MetricGraph) -> int:
     # Builders place the natural center at the coordinate origin.
     return int(np.argmin([v.x ** 2 + v.y ** 2 for v in bare.vertices]))
-
-
-def make_discretization(graph, samples_per_edge: int) -> Discretization:
-    bare, _ = _bare_graph(graph)
-    return Discretization(bare, samples_per_edge, boundary_vertices=_boundary(graph))
 
 
 # --- initializers -----------------------------------------------------------

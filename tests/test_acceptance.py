@@ -22,8 +22,7 @@ from hexnls.functionals import (energy, estimate_sharp_constant, inequality_rati
                                 random_corpus)
 from hexnls.graph_core import build_line
 from hexnls.honeycomb import build_honeycomb, decompose_bridges, decompose_paths
-from hexnls.solver import (SolverConfig, bisect_critical_mass, demonstrate_unbounded,
-                           make_discretization, minimize)
+from hexnls.solver import bisect_critical_mass, demonstrate_unbounded, minimize
 
 SOBOLEV2D_BOUND = 2.0 * math.sqrt(2.0)
 
@@ -180,9 +179,8 @@ class TestSupercriticalStructure:
                           and tags[-1] == "GroundState")
         mid, (lo, hi) = bisect_critical_mass(lat20, 5.0, 1e-3, 100.0, tol=0.05)
         width_rel = (hi - lo) / (0.5 * (hi + lo))
-        dz = make_discretization(lat20, SolverConfig().samples_per_edge)
         c_hat, _ = estimate_sharp_constant("gn_interp", 5.0, lat20, budget=60,
-                                           seed=0, num_starts=12, dz=dz)
+                                           seed=0, num_starts=12)
         analytic_lo = critical_mass_from_constant(5.0, c_hat)
         ok = one_transition and width_rel < 0.05 and lo >= 0.95 * analytic_lo
         pattern = "".join(t[0] for t in tags)

@@ -8,8 +8,9 @@ import pytest
 from hexnls.analytic import build_trial_function, trial_energy, trial_truncation_radius
 from hexnls.calculus import (constant_function, gradient_norms, integrate_power,
                              rescale_mass)
-from hexnls.functionals import (RATIO_NAMES, energy, estimate_sharp_constant,
-                                inequality_ratio, random_corpus, vertex_distances)
+from hexnls.functionals import (RATIO_NAMES, _RatioObjective, energy,
+                                estimate_sharp_constant, inequality_ratio, make_discretization,
+                                random_corpus, vertex_distances)
 from hexnls.graph_core import build_line, build_star
 from hexnls.honeycomb import build_honeycomb
 
@@ -78,10 +79,9 @@ class TestInequalityRatio:
 
     def test_constant_function_rejected(self):
         u = constant_function(build_line(2), 1.0)
-        with pytest.raises(ZeroDivisionError):
-            inequality_ratio(u, "sobolev2d")
-        with pytest.raises(ZeroDivisionError):
-            inequality_ratio(u, "sobolev1d")
+        for name in RATIO_NAMES:
+            with pytest.raises(ZeroDivisionError):
+                inequality_ratio(u, name, 3.0)
 
     def test_invalid_name_and_power(self, corpus):
         with pytest.raises(ValueError):
@@ -94,6 +94,40 @@ class TestInequalityRatio:
         assert set(r.witness) == {"mass", "linf", "grad_l1", "grad_l2sq",
                                   "argmax_edge", "argmax_sample"}
         assert r.witness["linf"] > 0
+
+
+RATIO_CASES = [("sobolev2d", 2.0), ("sobolev1d", 2.0)] + [
+    (name, p) for name in ("gn1d", "gn2d", "gn_interp") for p in (3.0, 5.0)]
+
+
+class TestRatioObjective:
+    """The ascent's DOF-space log-ratio against the sampled-function ratio."""
+
+    @pytest.fixture(scope="class")
+    def dz(self, lat):
+        return make_discretization(lat, 9)
+
+    @pytest.mark.parametrize("name,p", RATIO_CASES)
+    def test_value_is_log_of_inequality_ratio(self, dz, corpus, name, p):
+        obj = _RatioObjective(dz, name, p)
+        for u in corpus[:3]:
+            v = dz.to_dofs(u)
+            expected = math.log(inequality_ratio(dz.to_function(v), name, p).value)
+            assert obj.value(v) == pytest.approx(expected, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("name,p", RATIO_CASES)
+    def test_grad_matches_central_differences(self, dz, corpus, name, p):
+        obj = _RatioObjective(dz, name, p)
+        v = dz.to_dofs(corpus[0])
+        g = obj.grad(v)
+        rng = np.random.default_rng(0)
+        h = 1e-6
+        for _ in range(3):
+            d = rng.standard_normal(v.size)
+            d /= np.linalg.norm(d)
+            fd = (obj.value(v + h * d) - obj.value(v - h * d)) / (2 * h)
+            # Relative to |g|: a unit direction can be nearly orthogonal to g.
+            assert abs(g @ d - fd) <= 1e-6 * np.linalg.norm(g)
 
 
 class TestCorpusBounds:
