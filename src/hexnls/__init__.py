@@ -1,11 +1,11 @@
 """Numerical toolkit for focusing NLS energy minimization on metric graphs.
 
 Builds truncated hexagonal grids (plus line/star/square-grid comparison
-graphs), represents functions as per-edge uniform samples, evaluates and
-minimizes the mass-constrained NLS energy, checks the Sobolev and
-Gagliardo-Nirenberg inequalities empirically, reproduces the closed-form
-exponential trial-family identities, and maps the dimensional-crossover
-phase diagram in (p, mass).
+graphs), stores each function as its vertex values plus uniform interior
+samples per edge, evaluates and minimizes the mass-constrained NLS energy,
+checks the Sobolev and Gagliardo-Nirenberg inequalities empirically,
+reproduces the closed-form exponential trial-family identities, and maps
+the dimensional-crossover phase diagram in (p, mass).
 """
 
 from .analytic import (SolitonParams, build_trial_function, critical_mass_from_constant,
@@ -13,8 +13,8 @@ from .analytic import (SolitonParams, build_trial_function, critical_mass_from_c
                        trial_kinetic_integral, trial_lp_integral, trial_normalization,
                        trial_truncation_radius)
 from .calculus import (Discretization, GraphFunction, NormReport, constant_function,
-                       edge_lengths, from_vertex_values, gradient_norms, integrate_power,
-                       norm_report, rescale_mass)
+                       edge_lengths, from_edge_samples, from_vertex_values, gradient_norms,
+                       integrate_power, norm_report, rescale_mass)
 from .functionals import (RATIO_NAMES, EnergyReport, InequalityRatio, energy,
                           estimate_sharp_constant, inequality_ratio, random_corpus,
                           vertex_distances)
@@ -40,8 +40,8 @@ __all__ = [
     "build_line", "build_square_grid", "build_star", "build_trial_function",
     "constant_function", "critical_mass_from_constant", "decompose_bridges",
     "decompose_paths", "demonstrate_unbounded", "edge_lengths", "energy",
-    "estimate_sharp_constant", "euler_lagrange_residual", "from_json",
-    "from_vertex_values", "gradient_norms", "initial_function", "inequality_ratio",
+    "estimate_sharp_constant", "euler_lagrange_residual", "from_edge_samples",
+    "from_json", "from_vertex_values", "gradient_norms", "initial_function", "inequality_ratio",
     "integrate_power", "minimize", "norm_report", "outcome_to_json", "path_coordinate",
     "paths_to_json", "random_corpus", "rescale_mass", "soliton_bump", "soliton_params",
     "soliton_profile", "squeezed_profile", "to_json", "trace_to_csv", "trial_energy",

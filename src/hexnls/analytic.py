@@ -11,7 +11,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
-from .calculus import GraphFunction
+from .calculus import GraphFunction, from_edge_samples
 from .honeycomb import HoneycombLattice
 
 
@@ -165,8 +165,7 @@ def build_trial_function(lat: HoneycombLattice, eps: float,
     arg = np.empty((E, n))
     arg[is_path] = np.abs(x0[is_path, None] + t[None, :]) + offsets[is_path, None]
     arg[~is_path] = t[None, :] + offsets[~is_path, None]
-    vals = np.exp(-eps * lat.edge_length * arg)
-    return GraphFunction(lat.graph, vals)
+    return from_edge_samples(lat.graph, np.exp(-eps * lat.edge_length * arg))
 
 
 def trial_truncation_radius(eps: float) -> int:

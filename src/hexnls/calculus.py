@@ -1,17 +1,19 @@
-"""Functions on metric graphs: per-edge uniform samples, norms, quadrature.
+"""Functions on metric graphs: DOF storage, per-edge sample views, norms.
 
-A GraphFunction stores n samples per edge at uniform arclength coordinates
-k * l_e / (n - 1).  Samples 0 and n-1 are the tail/head vertex values, so
-continuity at vertices means all incident edges agree there.  Quadrature is
-composite trapezoid and derivatives are forward differences on the sample
-intervals; the two pair up exactly, which keeps every norm orientation
-independent.
+A GraphFunction is its DOF vector: vertex values, then each edge's interior
+samples at arclength k * l_e / (n - 1), so continuity at vertices is
+structural.  ``values`` is a read-only per-edge view; from_edge_samples is the
+one checked way back.  Functions on the same (graph, n) share one
+Discretization, which the solver uses too; its lumped (trapezoid) mass vector
+is the quadrature, and forward differences on the sample intervals pair with
+it exactly, keeping norms orientation independent.
 """
 
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -20,42 +22,62 @@ from scipy.sparse.csgraph import dijkstra
 from .graph_core import MetricGraph
 
 
-@dataclass(slots=True)
 class GraphFunction:
-    graph: MetricGraph
-    values: np.ndarray  # shape (num_edges, samples_per_edge)
+    """A function on a metric graph, stored as its DOF vector."""
 
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape[0] != self.graph.num_edges or self.values.ndim != 2:
-            raise ValueError(f"values shape {self.values.shape} does not match graph")
-        if self.values.shape[1] < 2:
-            raise ValueError("need at least 2 samples per edge")
+    __slots__ = ("graph", "dofs", "layout")
+
+    def __init__(self, graph: MetricGraph, dofs: np.ndarray):
+        dofs = np.asarray(dofs, dtype=float)
+        interior, rest = divmod(dofs.size - graph.num_vertices, max(graph.num_edges, 1))
+        if dofs.ndim != 1 or rest or interior < 0:
+            raise ValueError(f"{dofs.shape} DOFs fit no sample count on this graph")
+        self.graph = graph
+        self.dofs = dofs
+        self.layout = _layout(graph, interior + 2)
 
     @property
     def samples_per_edge(self) -> int:
-        return self.values.shape[1]
+        return self.layout.n
 
-    def copy(self) -> "GraphFunction":
-        return GraphFunction(self.graph, self.values.copy())
+    @property
+    def values(self) -> np.ndarray:
+        """Read-only (num_edges, samples_per_edge) per-edge samples."""
+        vals = self.dofs[self.layout.dof_of]
+        vals.flags.writeable = False
+        return vals
 
     def scaled(self, c: float) -> "GraphFunction":
-        return GraphFunction(self.graph, c * self.values)
-
-    def continuity_violations(self, tol: float = 0.0) -> list[str]:
-        out = []
-        for v, incident in enumerate(self.graph.adjacency):
-            vals = [self.values[eid, 0 if orient == +1 else -1] for eid, orient in incident]
-            if vals and (max(vals) - min(vals)) > tol:
-                out.append(f"vertex {v}: endpoint samples disagree ({vals})")
-        return out
+        return GraphFunction(self.graph, c * self.dofs)
 
     def vertex_values(self) -> np.ndarray:
-        vals = np.empty(self.graph.num_vertices)
-        for v, incident in enumerate(self.graph.adjacency):
-            eid, orient = incident[0]
-            vals[v] = self.values[eid, 0 if orient == +1 else -1]
+        """Read-only view of the vertex values."""
+        vals = self.dofs[:self.graph.num_vertices]
+        vals.flags.writeable = False
         return vals
+
+
+def _layout(graph: MetricGraph, samples_per_edge: int) -> "Discretization":
+    """The Discretization shared by all functions with this sampling on graph."""
+    if samples_per_edge not in graph._layouts:
+        graph._layouts[samples_per_edge] = Discretization(graph, samples_per_edge)
+    return graph._layouts[samples_per_edge]
+
+
+def from_edge_samples(graph: MetricGraph, values: np.ndarray) -> GraphFunction:
+    """The function with these (num_edges, n) per-edge samples; the end samples
+    of the edges at a vertex are its value and must agree exactly."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 2 or values.shape[0] != graph.num_edges or values.shape[1] < 2:
+        raise ValueError(f"values shape {values.shape} does not match graph")
+    lay = _layout(graph, values.shape[1])
+    dofs = np.empty(lay.n_dofs)
+    dofs[lay.dof_of] = values
+    ends = lay.dof_of[:, [0, -1]]
+    bad = ends[~np.isclose(dofs[ends], values[:, [0, -1]], rtol=0, atol=0, equal_nan=True)]
+    if bad.size:
+        raise ValueError(f"vertex {bad[0]}: endpoint samples of its edges disagree")
+    return GraphFunction(graph, dofs)
 
 
 def edge_lengths(graph: MetricGraph) -> np.ndarray:
@@ -63,36 +85,33 @@ def edge_lengths(graph: MetricGraph) -> np.ndarray:
 
 
 def constant_function(graph: MetricGraph, value: float, samples_per_edge: int = 33) -> GraphFunction:
-    return GraphFunction(graph, np.full((graph.num_edges, samples_per_edge), float(value)))
+    return GraphFunction(graph, np.full(_layout(graph, samples_per_edge).n_dofs, float(value)))
 
 
 def from_vertex_values(graph: MetricGraph, vertex_vals: np.ndarray,
                        samples_per_edge: int = 33) -> GraphFunction:
     """Piecewise-linear function interpolating the given vertex values."""
     vertex_vals = np.asarray(vertex_vals, dtype=float)
-    t = np.linspace(0.0, 1.0, samples_per_edge)
-    tails = np.array([e.tail for e in graph.edges])
-    heads = np.array([e.head for e in graph.edges])
-    vals = np.outer(1.0 - t, vertex_vals[tails]).T + np.outer(t, vertex_vals[heads]).T
-    return GraphFunction(graph, vals)
+    if vertex_vals.shape != (graph.num_vertices,):
+        raise ValueError(f"need one value per vertex, got shape {vertex_vals.shape}")
+    ends = _layout(graph, samples_per_edge).dof_of[:, [0, -1]]
+    t = np.linspace(0.0, 1.0, samples_per_edge)[1:-1]
+    interior = np.outer(vertex_vals[ends[:, 0]], 1.0 - t) + np.outer(vertex_vals[ends[:, 1]], t)
+    return GraphFunction(graph, np.concatenate([vertex_vals, interior.ravel()]))
 
 
 def integrate_power(u: GraphFunction, p: float) -> float:
     """Composite-trapezoid approximation of the integral of |u|^p."""
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    h = edge_lengths(u.graph) / (u.samples_per_edge - 1)
-    a = np.abs(u.values) ** p
-    per_edge = a.sum(axis=1) - 0.5 * (a[:, 0] + a[:, -1])
-    return float(h @ per_edge)
+    return u.layout.lp(u.dofs, p)
 
 
 def gradient_norms(u: GraphFunction) -> tuple[float, float]:
     """(L1 norm, squared L2 norm) of the edgewise derivative."""
-    h = edge_lengths(u.graph) / (u.samples_per_edge - 1)
     dv = np.diff(u.values, axis=1)
     grad_l1 = float(np.abs(dv).sum())
-    grad_l2sq = float((dv ** 2).sum(axis=1) @ (1.0 / h))
+    grad_l2sq = float((dv ** 2).sum(axis=1) @ (1.0 / u.layout.h))
     return grad_l1, grad_l2sq
 
 
@@ -110,7 +129,7 @@ def norm_report(u: GraphFunction, p_list: list[float] = ()) -> NormReport:
     return NormReport(
         mass=integrate_power(u, 2),
         lp={p: integrate_power(u, p) for p in p_list},
-        linf=float(np.abs(u.values).max()),
+        linf=float(np.abs(u.dofs).max()),
         grad_l1=grad_l1,
         grad_l2sq=grad_l2sq,
     )
@@ -129,24 +148,25 @@ def to_csv(u: GraphFunction) -> str:
     buf = io.StringIO()
     buf.write("edge_id,sample_index,arclength_coordinate,value\n")
     n = u.samples_per_edge
-    for e in u.graph.edges:
-        for k in range(n):
+    for e, row in zip(u.graph.edges, u.values):
+        for k, x in enumerate(row):
             s = e.length * k / (n - 1)
-            buf.write(f"{e.id},{k},{s!r},{float(u.values[e.id, k])!r}\n")
+            buf.write(f"{e.id},{k},{s!r},{float(x)!r}\n")
     return buf.getvalue()
 
 
 class Discretization:
-    """Degree-of-freedom view of sampled functions on a fixed graph.
+    """DOF numbering and quadrature for n samples per edge on a fixed graph.
 
     Vertex samples shared between edges collapse to one DOF; interior samples
     are their own DOFs.  The lumped (trapezoid) mass vector and the chain
-    stiffness matrix reproduce integrate_power(u, 2) and the squared L2
-    gradient norm exactly.
+    stiffness matrix give integrate_power(u, 2) and the squared L2 gradient
+    norm.  The stiffness is built on first use.
     """
 
-    def __init__(self, graph: MetricGraph, samples_per_edge: int = 33,
-                 boundary_vertices: list[int] | None = None):
+    def __init__(self, graph: MetricGraph, samples_per_edge: int = 33):
+        if samples_per_edge < 2:
+            raise ValueError("need at least 2 samples per edge")
         self.graph = graph
         self.n = samples_per_edge
         E, n, V = graph.num_edges, samples_per_edge, graph.num_vertices
@@ -157,23 +177,18 @@ class Discretization:
         dof_of[:, -1] = [e.head for e in graph.edges]
         self.dof_of = dof_of
         self.n_dofs = V + E * (n - 2)
+        self.h = edge_lengths(graph) / (n - 1)
+        self.mass_vec = self._lumped_mass(np.ones(E, dtype=bool))
 
-        h = edge_lengths(graph) / (n - 1)
-        self.h = h
-        d0 = dof_of[:, :-1].ravel()
-        d1 = dof_of[:, 1:].ravel()
-        w = np.repeat(1.0 / h, n - 1)
+    @cached_property
+    def stiffness(self) -> sp.csr_matrix:
+        d0 = self.dof_of[:, :-1].ravel()
+        d1 = self.dof_of[:, 1:].ravel()
+        w = np.repeat(1.0 / self.h, self.n - 1)
         rows = np.concatenate([d0, d1, d0, d1])
         cols = np.concatenate([d0, d1, d1, d0])
         vals = np.concatenate([w, w, -w, -w])
-        self.stiffness = sp.coo_matrix((vals, (rows, cols)),
-                                       shape=(self.n_dofs, self.n_dofs)).tocsr()
-
-        if boundary_vertices is None:
-            boundary_vertices = graph.leaves()
-        self.boundary_vertices = list(boundary_vertices)
-        self.mass_vec = self._lumped_mass(np.ones(E, dtype=bool))
-        self.boundary_mass_vec = self._lumped_mass(self._edges_near_boundary(depth=2))
+        return sp.coo_matrix((vals, (rows, cols)), shape=(self.n_dofs, self.n_dofs)).tocsr()
 
     def _lumped_mass(self, edges: np.ndarray) -> np.ndarray:
         """Trapezoid weights of the sample cells on the masked edges, per DOF."""
@@ -183,25 +198,21 @@ class Discretization:
         np.add.at(vec, self.dof_of[edges, 1:].ravel(), hw)
         return vec
 
-    def _edges_near_boundary(self, depth: int) -> np.ndarray:
-        if not self.boundary_vertices:
-            return np.zeros(self.graph.num_edges, dtype=bool)
+    def boundary_weights(self, boundary_vertices: list[int]) -> np.ndarray:
+        """Lumped mass of the edges within two steps of the boundary vertices
+        (zero without any: no vertex is at a finite distance from none)."""
         V = self.graph.num_vertices
-        tails = np.array([e.tail for e in self.graph.edges])
-        heads = np.array([e.head for e in self.graph.edges])
+        tails, heads = self.dof_of[:, 0], self.dof_of[:, -1]
         adj = sp.coo_matrix((np.ones(len(tails)), (tails, heads)), shape=(V, V))
         adj = adj + adj.T
-        dist = dijkstra(adj.tocsr(), indices=self.boundary_vertices, unweighted=True,
-                        min_only=True)
-        return np.minimum(dist[tails], dist[heads]) <= depth - 1
+        dist = dijkstra(adj.tocsr(), indices=boundary_vertices, unweighted=True, min_only=True)
+        return self._lumped_mass(np.minimum(dist[tails], dist[heads]) <= 1)
 
     def to_dofs(self, u: GraphFunction) -> np.ndarray:
-        dofs = np.empty(self.n_dofs)
-        dofs[self.dof_of] = u.values
-        return dofs
-
-    def to_function(self, dofs: np.ndarray) -> GraphFunction:
-        return GraphFunction(self.graph, dofs[self.dof_of])
+        """u's DOF vector, once u is known to live on this graph and sampling."""
+        if u.graph != self.graph or u.samples_per_edge != self.n:
+            raise ValueError("function is not on this discretization's graph and sampling")
+        return u.dofs
 
     def mass(self, dofs: np.ndarray) -> float:
         return float(self.mass_vec @ dofs ** 2)
@@ -212,15 +223,10 @@ class Discretization:
     def kinetic(self, dofs: np.ndarray) -> float:
         return float(dofs @ (self.stiffness @ dofs))
 
-    def boundary_mass_fraction(self, dofs: np.ndarray) -> float:
-        """Share of the mass on edges within two steps of the boundary."""
+    def boundary_mass_fraction(self, dofs: np.ndarray, weights: np.ndarray) -> float:
+        """Share of the mass that boundary_weights puts near the boundary."""
         sq = dofs ** 2
         total = float(self.mass_vec @ sq)
         if total <= 0:
             return 0.0
-        return float(self.boundary_mass_vec @ sq) / total
-
-    def boundary_dof_mask(self) -> np.ndarray:
-        mask = np.zeros(self.n_dofs, dtype=bool)
-        mask[self.boundary_vertices] = True
-        return mask
+        return float(weights @ sq) / total

@@ -22,7 +22,7 @@ from . import __version__
 from .analytic import (build_trial_function, critical_mass_from_constant, soliton_params,
                        soliton_profile, trial_kinetic_integral, trial_lp_integral,
                        trial_normalization, trial_truncation_radius)
-from .calculus import gradient_norms, integrate_power
+from .calculus import GraphFunction, from_vertex_values, gradient_norms, integrate_power
 from .functionals import (energy, estimate_sharp_constant, inequality_ratio,
                           random_corpus)
 from .graph_core import build_line
@@ -245,17 +245,10 @@ def run_soliton_check(cfg: dict, outdir: Path) -> list[str]:
     else:
         u = out.minimizer
         params = soliton_params(p, mu)
+        x = from_vertex_values(graph, [v.x for v in graph.vertices], u.samples_per_edge).dofs
         # Center the reference profile on the numerical maximizer.
-        pos = np.array([[v.x, v.y] for v in graph.vertices])
-        vv = np.abs(u.vertex_values())
-        x_peak = pos[int(vv.argmax()), 0]
-        ref = u.copy()
-        for e in graph.edges:
-            x = pos[e.tail, 0] + np.linspace(0, 1, scfg.samples_per_edge) \
-                * (pos[e.head, 0] - pos[e.tail, 0])
-            ref.values[e.id] = soliton_profile(params, x - x_peak)
-        diff = u.copy()
-        diff.values = np.abs(u.values) - ref.values
+        x_peak = x[int(np.abs(u.vertex_values()).argmax())]
+        diff = GraphFunction(graph, np.abs(u.dofs) - soliton_profile(params, x - x_peak))
         l2_rel = math.sqrt(integrate_power(diff, 2) / mu)
         doc = {"classification": out.classification, "energy": out.final_energy,
                "profile_l2_rel_discrepancy": l2_rel, "residual": out.residual,

@@ -9,8 +9,8 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import dijkstra
 
 from .analytic import build_trial_function
-from .calculus import (Discretization, GraphFunction, edge_lengths, from_vertex_values,
-                       norm_report)
+from .calculus import (Discretization, GraphFunction, _layout, edge_lengths,
+                       from_vertex_values, norm_report)
 from .graph_core import MetricGraph
 from .honeycomb import HoneycombLattice
 
@@ -36,11 +36,14 @@ def _bare_graph(graph) -> tuple[MetricGraph, HoneycombLattice | None]:
 
 
 def make_discretization(graph, samples_per_edge: int) -> Discretization:
-    """DOF view of a lattice or bare graph.  The boundary is the truncation
-    boundary of a lattice, the leaves of a bare graph."""
+    """The layout shared by a lattice's or bare graph's functions at this sampling."""
+    return _layout(_bare_graph(graph)[0], samples_per_edge)
+
+
+def truncation_boundary(graph) -> list[int]:
+    """The truncation boundary of a lattice, the leaves of a bare graph."""
     bare, lat = _bare_graph(graph)
-    boundary = lat.boundary_vertices() if lat is not None else bare.leaves()
-    return Discretization(bare, samples_per_edge, boundary_vertices=boundary)
+    return lat.boundary_vertices() if lat is not None else bare.leaves()
 
 
 @dataclass(slots=True)
@@ -91,7 +94,7 @@ def inequality_ratio(u: GraphFunction, name: str, p: float = 2.0) -> InequalityR
             den *= x ** -e
     if den == 0:
         raise ZeroDivisionError(f"{name} ratio undefined (zero denominator)")
-    eid, k = np.unravel_index(int(np.abs(u.values).argmax()), u.values.shape)
+    eid, k = np.unravel_index(int(np.abs(u.values).argmax()), u.layout.dof_of.shape)
     witness = {"mass": rep.mass, "linf": rep.linf, "grad_l1": rep.grad_l1,
                "grad_l2sq": rep.grad_l2sq, "argmax_edge": int(eid), "argmax_sample": int(k)}
     return InequalityRatio(name=name, value=num / den, witness=witness)
@@ -140,43 +143,45 @@ class _RatioObjective:
         self.d0 = dz.dof_of[:, :-1].ravel()
         self.d1 = dz.dof_of[:, 1:].ravel()
 
-    def value(self, v: np.ndarray) -> float:
+    def evaluate(self, v: np.ndarray) -> tuple[float, dict]:
+        """Log-ratio at v and its norm terms, plus what grad reuses."""
         dz = self.dz
+        t = {}
         total = 0.0
         for term, e in self.exponents.items():
             if term == "mass":
-                x = dz.mass(v)
+                t[term] = dz.mass(v)
             elif term == "lp":
-                x = dz.lp(v, self.p)
+                t[term] = dz.lp(v, self.p)
             elif term == "linf":
-                x = np.abs(v).max()
+                t[term] = np.abs(v).max()
             elif term == "grad_l1":
-                x = np.abs(v[self.d1] - v[self.d0]).sum()
+                t["diffs"] = v[self.d1] - v[self.d0]
+                t[term] = np.abs(t["diffs"]).sum()
             else:  # grad_l2sq
-                x = dz.kinetic(v)
-            total += e * np.log(x)
-        return total
+                t["Kv"] = dz.stiffness @ v
+                t[term] = float(v @ t["Kv"])
+            total += e * np.log(t[term])
+        return total, t
 
-    def grad(self, v: np.ndarray) -> np.ndarray:
+    def grad(self, v: np.ndarray, terms: dict) -> np.ndarray:
         dz, p = self.dz, self.p
         g = np.zeros_like(v)
         for term, e in self.exponents.items():
             if term == "mass":
-                dlog = 2.0 * dz.mass_vec * v / dz.mass(v)
+                dlog = 2.0 * dz.mass_vec * v / terms["mass"]
             elif term == "lp":
-                dlog = p * dz.mass_vec * np.abs(v) ** (p - 2) * v / dz.lp(v, p)
+                dlog = p * dz.mass_vec * np.abs(v) ** (p - 2) * v / terms["lp"]
             elif term == "linf":
                 i = int(np.abs(v).argmax())
                 dlog = np.zeros_like(v)
                 dlog[i] = np.sign(v[i]) / abs(v[i])
             elif term == "grad_l1":
-                diffs = v[self.d1] - v[self.d0]
-                s = np.sign(diffs)
+                s = np.sign(terms["diffs"])
                 dlog = np.bincount(self.d1, s, v.size) - np.bincount(self.d0, s, v.size)
-                dlog /= max(np.abs(diffs).sum(), 1e-300)
+                dlog /= max(terms["grad_l1"], 1e-300)
             else:  # grad_l2sq
-                sv = dz.stiffness @ v
-                dlog = 2.0 * sv / (v @ sv)
+                dlog = 2.0 * terms["Kv"] / terms["grad_l2sq"]
             g += e * dlog
         return g
 
@@ -217,11 +222,11 @@ def estimate_sharp_constant(name: str, p: float, graph, budget: int, seed: int,
         raise ValueError(f"budget must be >= 1, got {budget}")
     dz = make_discretization(graph, samples_per_edge)
     obj = _RatioObjective(dz, name, p)
-    bmask = dz.boundary_dof_mask()
+    boundary = truncation_boundary(graph)
 
     def project(v):
         v = v.copy()
-        v[bmask] = 0.0
+        v[boundary] = 0.0
         m = dz.mass(v)
         return v / np.sqrt(m) if m > 0 else v
 
@@ -230,20 +235,20 @@ def estimate_sharp_constant(name: str, p: float, graph, budget: int, seed: int,
         v = project(v0)
         if dz.mass(v) == 0:
             continue
-        val = obj.value(v)
+        val, terms = obj.evaluate(v)
         tau = 0.1
         for _ in range(budget):
-            g = obj.grad(v)
-            g[bmask] = 0.0
+            g = obj.grad(v, terms)
+            g[boundary] = 0.0
             gn = np.linalg.norm(g)
             if gn < 1e-14:
                 break
             accepted = False
             while tau > 1e-14:
                 cand = project(v + tau * g / gn)
-                cval = obj.value(cand)
+                cval, cterms = obj.evaluate(cand)
                 if cval > val:
-                    v, val = cand, cval
+                    v, terms, val = cand, cterms, cval
                     tau *= 1.5
                     accepted = True
                     break
@@ -252,5 +257,4 @@ def estimate_sharp_constant(name: str, p: float, graph, budget: int, seed: int,
                 break
         if val > best_val:
             best_val, best_v = val, v
-    witness = dz.to_function(best_v)
-    return float(np.exp(best_val)), witness
+    return float(np.exp(best_val)), GraphFunction(dz.graph, best_v)

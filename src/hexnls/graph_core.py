@@ -31,11 +31,13 @@ class MetricGraph:
     arclength coordinate; all functionals built on top are orientation
     independent.  ``adjacency[v]`` lists ``(edge_id, orientation)`` pairs,
     with orientation +1 when v is the tail and -1 when v is the head.
+    Graphs are not mutated after build: ``_layouts`` caches their layouts.
     """
 
     vertices: list[Vertex] = field(default_factory=list)
     edges: list[Edge] = field(default_factory=list)
     adjacency: list[list[tuple[int, int]]] = field(default_factory=list)
+    _layouts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def num_vertices(self) -> int:

@@ -31,8 +31,10 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import factorized, splu
 
 from .analytic import build_trial_function, soliton_params, soliton_profile
-from .calculus import Discretization, GraphFunction, from_vertex_values, rescale_mass
-from .functionals import _bare_graph, energy, make_discretization, vertex_distances
+from .calculus import (Discretization, GraphFunction, constant_function, from_vertex_values,
+                       rescale_mass)
+from .functionals import (_bare_graph, energy, make_discretization, truncation_boundary,
+                          vertex_distances)
 from .graph_core import MetricGraph
 from .honeycomb import HoneycombLattice, path_coordinate
 
@@ -97,11 +99,9 @@ def _path_profile(lat: HoneycombLattice, f, n: int) -> GraphFunction:
     for eid, prof in zip(path, profiles):
         e = lat.graph.edges[eid]
         vertex_val[e.tail], vertex_val[e.head] = prof[0], prof[-1]
-    # from_vertex_values returns F order, in which the row sums of
-    # rescale_mass round differently; C order keeps the masses bit-stable.
-    vals = np.ascontiguousarray(from_vertex_values(lat.graph, vertex_val, n).values)
-    vals[path] = profiles
-    return GraphFunction(lat.graph, vals)
+    u = from_vertex_values(lat.graph, vertex_val, n)
+    u.dofs[u.layout.dof_of[path, 1:-1]] = np.array(profiles)[:, 1:-1]
+    return u
 
 
 def soliton_bump(graph, p: float, mu: float, samples_per_edge: int) -> GraphFunction:
@@ -129,8 +129,7 @@ def initial_function(graph, tag: str, p: float, mu: float,
         dist = vertex_distances(bare, _center_vertex(bare))
         return rescale_mass(from_vertex_values(bare, np.exp(-0.3 * dist), samples_per_edge), mu)
     if tag == "uniform":
-        c = np.sqrt(mu / bare.total_length())
-        return GraphFunction(bare, np.full((bare.num_edges, samples_per_edge), c))
+        return constant_function(bare, np.sqrt(mu / bare.total_length()), samples_per_edge)
     raise ValueError(f"unknown initializer {tag!r}")
 
 
@@ -176,13 +175,15 @@ def _condensed_inverse(dz: Discretization):
 
 
 class _Descent:
-    def __init__(self, dz: Discretization, p: float, mu: float, cfg: SolverConfig):
+    def __init__(self, dz: Discretization, p: float, mu: float, cfg: SolverConfig,
+                 boundary: list[int] = ()):
         self.dz = dz
         self.p = p
         self.mu = mu
         self.cfg = cfg
         self.K = dz.stiffness
         self.inv_mass = 1.0 / dz.mass_vec
+        self.boundary_weights = dz.boundary_weights(boundary)
 
     @cached_property
     def precondition(self):
@@ -216,7 +217,8 @@ class _Descent:
                step: float, v: np.ndarray) -> None:
         if trace is not None:
             trace.append({"iteration": it, "energy": E, "residual": res, "step": step,
-                          "boundary_mass_fraction": self.dz.boundary_mass_fraction(v)})
+                          "boundary_mass_fraction":
+                              self.dz.boundary_mass_fraction(v, self.boundary_weights)})
 
     def newton_polish(self, v: np.ndarray, E: float, trace: list[dict] | None = None,
                       it0: int = 0) -> tuple[np.ndarray, float, float, int]:
@@ -263,18 +265,14 @@ class _Descent:
         return v, E, res, done
 
 
-def euler_lagrange_residual(u: GraphFunction, p: float,
-                            dz: Discretization | None = None) -> tuple[float, float]:
+def euler_lagrange_residual(u: GraphFunction, p: float) -> tuple[float, float]:
     """Rayleigh-type multiplier and relative stationarity residual of the
     constrained problem at u."""
-    if dz is None:
-        dz = Discretization(u.graph, u.samples_per_edge)
-    v = dz.to_dofs(u)
-    mu = dz.mass(v)
+    mu = u.layout.mass(u.dofs)
     if mu <= 0:
         raise ValueError("zero-mass function has no Euler-Lagrange residual")
-    d = _Descent(dz, p, mu, SolverConfig())
-    return d.multiplier_residual(v)
+    d = _Descent(u.layout, p, mu, SolverConfig())
+    return d.multiplier_residual(u.dofs)
 
 
 def _descend(d: _Descent, v0: np.ndarray,
@@ -342,7 +340,7 @@ def _classify(d: _Descent, v: np.ndarray, E: float, res: float, p: float,
         return "UnboundedBelow"
     total_len = float(np.sum(dz.h) * (dz.n - 1))
     flat_energy = -(d.mu / total_len) ** (p / 2.0) * total_len / p
-    boundary_frac = dz.boundary_mass_fraction(v)
+    boundary_frac = dz.boundary_mass_fraction(v, d.boundary_weights)
     near_zero = E >= -max(10.0 * cfg.energy_tol * d.mu, 1e-12)
     # A spreading run ends at (or near) the mass-mu constant function, whose
     # energy vanishes as the truncation grows; a ground state, even a broad
@@ -389,15 +387,13 @@ def minimize(graph, p: float, mu: float, cfg: SolverConfig | None = None,
         raise ValueError(f"mass must be positive, got {mu}")
     cfg = cfg or SolverConfig()
     dz = make_discretization(graph, cfg.samples_per_edge)
-    d = _Descent(dz, p, mu, cfg)
+    d = _Descent(dz, p, mu, cfg, truncation_boundary(graph))
 
     if isinstance(init, GraphFunction):
         inits = [("custom", dz.to_dofs(init))]
-    elif init == "multi":
-        inits = [(tag, dz.to_dofs(initial_function(graph, tag, p, mu, cfg.samples_per_edge)))
-                 for tag in INITIALIZERS]
     else:
-        inits = [(init, dz.to_dofs(initial_function(graph, init, p, mu, cfg.samples_per_edge)))]
+        inits = [(tag, initial_function(graph, tag, p, mu, cfg.samples_per_edge).dofs)
+                 for tag in (INITIALIZERS if init == "multi" else [init])]
 
     best = None
     for tag, v0 in inits:
@@ -407,7 +403,7 @@ def minimize(graph, p: float, mu: float, cfg: SolverConfig | None = None,
             best = (tag, E, v, lam, res, it, trace)
     tag, E, v, lam, res, it, trace = best
     classification = _classify(d, v, E, res, p, cfg)
-    minimizer = dz.to_function(v) if classification == "GroundState" else None
+    minimizer = GraphFunction(dz.graph, v) if classification == "GroundState" else None
     return SolveOutcome(classification=classification, final_energy=E, minimizer=minimizer,
                         lagrange_multiplier=lam, iterations=it, residual=res,
                         init_used=tag, trace=trace)

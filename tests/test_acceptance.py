@@ -16,7 +16,7 @@ from hexnls.analytic import (build_trial_function, critical_mass_from_constant,
                              soliton_params, soliton_profile, trial_energy_terms,
                              trial_kinetic_integral, trial_lp_integral,
                              trial_normalization, trial_truncation_radius)
-from hexnls.calculus import GraphFunction, gradient_norms, integrate_power
+from hexnls.calculus import from_edge_samples, gradient_norms, integrate_power
 from hexnls.cli import main as cli_main
 from hexnls.functionals import (energy, estimate_sharp_constant, inequality_ratio,
                                 random_corpus)
@@ -263,7 +263,7 @@ class TestLineOracle:
         for e in graph.edges:
             x0, x1 = graph.vertices[e.tail].x, graph.vertices[e.head].x
             ref[e.id] = soliton_profile(params, x0 + (x1 - x0) * t)
-        diff = GraphFunction(graph, np.abs(u.values) - ref)
+        diff = from_edge_samples(graph, np.abs(u.values) - ref)
         rel_l2 = math.sqrt(integrate_power(diff, 2) / 2.0)
         oracle = energy(u, 4.0).total
         energy_rel = abs(out.final_energy - oracle) / abs(oracle)

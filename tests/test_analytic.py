@@ -11,7 +11,7 @@ from hexnls.analytic import (build_trial_function, critical_mass_from_constant,
                              trial_energy_terms, trial_kinetic_integral,
                              trial_lp_integral, trial_normalization,
                              trial_truncation_radius)
-from hexnls.calculus import gradient_norms, integrate_power
+from hexnls.calculus import from_edge_samples, gradient_norms, integrate_power
 from hexnls.honeycomb import build_honeycomb
 
 
@@ -152,9 +152,12 @@ class TestTrialQuadratureAgreement:
             trial_kinetic_integral(eps), rel=1e-3)
 
     def test_trial_function_continuous(self):
-        lat = build_honeycomb(3, 1.0)
-        u = build_trial_function(lat, 0.4, 9)
-        assert u.continuity_violations(tol=1e-12) == []
+        # build_trial_function goes through the exact endpoint check of
+        # from_edge_samples, at the closed forms' edge length and off it.
+        for length in (1.0, 0.7):
+            lat = build_honeycomb(3, length)
+            u = build_trial_function(lat, 0.4, 9)
+            assert np.array_equal(from_edge_samples(lat.graph, u.values).dofs, u.dofs)
 
 
 class TestCriticalMassFormula:

@@ -1,14 +1,23 @@
-"""Sampled functions on metric graphs: quadrature, norms, DOF mapping."""
+"""Functions on metric graphs: DOF storage, quadrature, norms, DOF mapping."""
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
 
+import hexnls.solver
 from hexnls.analytic import build_trial_function, trial_kinetic_integral, trial_lp_integral
 from hexnls.calculus import (Discretization, GraphFunction, constant_function,
-                             from_vertex_values, gradient_norms, integrate_power,
-                             norm_report, rescale_mass, to_csv)
-from hexnls.graph_core import Edge, GraphBuilder, build_line, build_star
+                             from_edge_samples, from_vertex_values, gradient_norms,
+                             integrate_power, norm_report, rescale_mass, to_csv)
+from hexnls.functionals import make_discretization, random_corpus
+from hexnls.graph_core import GraphBuilder, build_line, build_star
 from hexnls.honeycomb import build_honeycomb
+from hexnls.solver import minimize
+
+# Unequal edge lengths: the outer edges are 0.5 long, the others 1.
+UNEQUAL_GRAPHS = {"line": build_line(2.5), "star": build_star(3, 2.5)}
 
 
 def hat_on_unit_edge(peak: float, n: int = 65) -> GraphFunction:
@@ -20,7 +29,7 @@ def hat_on_unit_edge(peak: float, n: int = 65) -> GraphFunction:
     g = b.build()
     t = np.linspace(0, 1, n)
     vals = np.vstack([peak * t, peak * (1 - t)])
-    return GraphFunction(g, vals)
+    return from_edge_samples(g, vals)
 
 
 class TestIntegratePower:
@@ -55,6 +64,34 @@ class TestIntegratePower:
             integrate_power(u, 0.5)
 
 
+def _edge_trapezoid(u: GraphFunction, p: float) -> float:
+    """Per-edge composite trapezoid of |u|^p, straight from the sample view."""
+    h = np.array([e.length for e in u.graph.edges]) / (u.samples_per_edge - 1)
+    a = np.abs(u.values) ** p
+    return float(h @ (a.sum(axis=1) - 0.5 * (a[:, 0] + a[:, -1])))
+
+
+class TestQuadratureOracle:
+    """integrate_power and gradient_norms against per-edge formulas written
+    out here; n = 2 has no interior DOFs.  The graphs are shared across n,
+    so a layout cached for one sampling must not serve another."""
+
+    @pytest.mark.parametrize("n", [2, 3, 9])
+    @pytest.mark.parametrize("name", sorted(UNEQUAL_GRAPHS))
+    def test_matches_per_edge_trapezoid(self, name, n):
+        g = UNEQUAL_GRAPHS[name]
+        rng = np.random.default_rng(n)
+        u = GraphFunction(g, rng.uniform(-1.0, 1.0, g.num_vertices + g.num_edges * (n - 2)))
+        assert u.samples_per_edge == n
+        for p in (2.0, 3.0, 5.0):
+            assert integrate_power(u, p) == pytest.approx(_edge_trapezoid(u, p), rel=1e-13)
+        h = np.array([e.length for e in g.edges]) / (n - 1)
+        dv = np.diff(u.values, axis=1)
+        l1, l2sq = gradient_norms(u)
+        assert l1 == pytest.approx(np.abs(dv).sum(), rel=1e-13)
+        assert l2sq == pytest.approx(((dv / h[:, None]) ** 2 * h[:, None]).sum(), rel=1e-13)
+
+
 class TestGradientNorms:
     def test_constant_zero(self):
         u = constant_function(build_line(3), 7.0)
@@ -64,27 +101,32 @@ class TestGradientNorms:
         b = GraphBuilder()
         b.add_edge(b.add_vertex(), b.add_vertex(1, 0), 1.0)
         g = b.build()
-        u = GraphFunction(g, np.linspace(0, 1, 33)[None, :])
+        u = from_edge_samples(g, np.linspace(0, 1, 33)[None, :])
         l1, l2sq = gradient_norms(u)
         assert l1 == pytest.approx(1.0)
         assert l2sq == pytest.approx(1.0)
 
     def test_orientation_independence(self):
         lat = build_honeycomb(2, 1.0)
+        g = lat.graph
         u = build_trial_function(lat, 0.4, 17)
-        before = (integrate_power(u, 2), integrate_power(u, 3), *gradient_norms(u))
-        # Flip every third edge and reverse its samples.
-        g = u.graph
-        for eid in range(0, g.num_edges, 3):
-            e = g.edges[eid]
-            g.edges[eid] = Edge(e.id, e.head, e.tail, e.length, e.kind)
-            u.values[eid] = u.values[eid, ::-1]
-        g.adjacency = [[] for _ in g.vertices]
+        # The same graph with every third edge flipped, carrying u's samples.
+        b = GraphBuilder()
+        for v in g.vertices:
+            b.add_vertex(v.x, v.y)
+        vals = u.values.copy()
         for e in g.edges:
-            g.adjacency[e.tail].append((e.id, +1))
-            g.adjacency[e.head].append((e.id, -1))
-        after = (integrate_power(u, 2), integrate_power(u, 3), *gradient_norms(u))
-        assert after == before
+            flip = e.id % 3 == 0
+            b.add_edge(*((e.head, e.tail) if flip else (e.tail, e.head)), e.length, e.kind)
+            if flip:
+                vals[e.id] = vals[e.id, ::-1]
+        w = from_edge_samples(b.build(), vals)
+        assert not np.array_equal(w.values, u.values)
+
+        def norms(f):
+            return (integrate_power(f, 2), integrate_power(f, 3), *gradient_norms(f))
+
+        assert norms(w) == norms(u)
 
     def test_trial_pointwise_identity(self):
         # |u_eps'| = eps * u_eps on every edge, so the closed forms satisfy
@@ -140,22 +182,93 @@ class TestRescaleMass:
 class TestContinuity:
     def test_from_vertex_values_continuous(self):
         lat = build_honeycomb(2, 1.0)
-        rng = np.random.default_rng(0)
-        u = from_vertex_values(lat.graph, rng.normal(size=lat.graph.num_vertices), 9)
-        assert u.continuity_violations() == []
+        g = lat.graph
+        vv = np.random.default_rng(0).normal(size=g.num_vertices)
+        u = from_vertex_values(g, vv, 9)
+        ends = np.array([[e.tail, e.head] for e in g.edges])
+        assert np.array_equal(u.values[:, [0, -1]], vv[ends])
+        assert np.array_equal(u.vertex_values(), vv)
 
     def test_operations_preserve_continuity(self):
         lat = build_honeycomb(2, 1.0)
         u = build_trial_function(lat, 0.5, 17)
-        assert u.continuity_violations() == []
-        assert rescale_mass(u, 2.0).continuity_violations() == []
-        assert u.scaled(-1.5).continuity_violations() == []
+        for w in (u, rescale_mass(u, 2.0), u.scaled(-1.5)):
+            assert np.array_equal(from_edge_samples(lat.graph, w.values).dofs, w.dofs)
 
     def test_violation_detected(self):
         g = build_line(2)
-        u = constant_function(g, 1.0, 5)
-        u.values[0, -1] = 2.0
-        assert u.continuity_violations()
+        vals = constant_function(g, 1.0, 5).values.copy()
+        vals[0, -1] = 2.0
+        with pytest.raises(ValueError, match="vertex 1"):
+            from_edge_samples(g, vals)
+
+    def test_malformed_samples_rejected(self):
+        g = build_line(2)
+        for bad in (np.ones(5), np.ones((g.num_edges + 1, 5)), np.ones((g.num_edges, 1)),
+                    np.ones((g.num_edges, 5, 1))):
+            with pytest.raises(ValueError, match="shape"):
+                from_edge_samples(g, bad)
+
+    def test_dof_length_must_fit_a_sampling(self):
+        g = build_line(2)  # 5 vertices, 4 edges
+        for size in (4, 6, 7, 5 + 4 * 3 + 1):
+            with pytest.raises(ValueError):
+                GraphFunction(g, np.zeros(size))
+        assert GraphFunction(g, np.zeros(5 + 4 * 3)).samples_per_edge == 5
+
+    def test_values_view_is_read_only(self):
+        u = constant_function(build_line(2), 1.0, 5)
+        with pytest.raises(ValueError):
+            u.values[0, 2] = 3.0
+        with pytest.raises(ValueError):
+            u.vertex_values()[1] /= 2.0
+        assert np.all(u.dofs == 1.0)
+
+    def test_matching_nan_endpoints_accepted(self):
+        g = build_line(2)
+        vals = constant_function(g, 1.0, 5).values.copy()
+        vals[0, -1] = vals[1, 0] = np.nan
+        u = from_edge_samples(g, vals)
+        assert np.isnan(u.vertex_values()[1]) and np.isnan(u.values[1, 0])
+        vals[1, 0] = 1.0
+        with pytest.raises(ValueError, match="vertex 1"):
+            from_edge_samples(g, vals)
+
+
+class TestFromVertexValues:
+    def test_vertex_array_length_checked(self):
+        g = build_line(2)
+        for bad in (np.arange(8.0), np.arange(4.0), np.zeros((5, 1))):
+            with pytest.raises(ValueError):
+                from_vertex_values(g, bad, 5)
+
+
+class TestSharedLayout:
+    def test_random_corpus_shares_one_layout(self):
+        lat = build_honeycomb(2, 1.0)
+        corpus = random_corpus(lat, 6, seed=0)
+        assert all(u.layout is corpus[0].layout for u in corpus)
+        assert constant_function(lat.graph, 1.0, 9).layout is corpus[0].layout
+        assert constant_function(lat.graph, 1.0, 17).layout is not corpus[0].layout
+
+    def test_solver_uses_the_shared_layout(self, monkeypatch):
+        # minimize builds no DOF map of its own, and its minimizer keeps none
+        # of the solver's own state (boundary weights, preconditioner) alive.
+        made = []
+
+        class Spy(hexnls.solver._Descent):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append((weakref.ref(self), self.dz))
+
+        monkeypatch.setattr(hexnls.solver, "_Descent", Spy)
+        lat = build_honeycomb(2, 1.0)
+        out = minimize(lat, 3.0, 10.0, init="trial-eps")
+        assert out.classification == "GroundState" and len(made) == 1
+        assert made[0][1] is out.minimizer.layout is make_discretization(lat, 9)
+        gc.collect()
+        assert made[0][0]() is None
+        assert integrate_power(out.minimizer, 2) == pytest.approx(10.0, rel=1e-12)
 
 
 class TestDiscretization:
@@ -164,7 +277,12 @@ class TestDiscretization:
         dz = Discretization(lat.graph, 9)
         u = build_trial_function(lat, 0.5, 9)
         v = dz.to_dofs(u)
-        assert np.array_equal(dz.to_function(v).values, u.values)
+        assert np.array_equal(GraphFunction(lat.graph, v).values, u.values)
+        # to_dofs refuses a function on another sampling or another graph.
+        with pytest.raises(ValueError):
+            dz.to_dofs(build_trial_function(lat, 0.5, 17))
+        with pytest.raises(ValueError):
+            dz.to_dofs(build_trial_function(build_honeycomb(3, 1.0), 0.5, 9))
 
     def test_quadratic_forms_match_function_norms(self):
         lat = build_honeycomb(2, 1.0)
@@ -183,18 +301,22 @@ class TestDiscretization:
     def test_boundary_mass_fraction_matches_edge_quadrature(self):
         lat = build_honeycomb(4, 1.0)
         g = lat.graph
-        dz = Discretization(g, 9, boundary_vertices=lat.boundary_vertices())
+        dz = Discretization(g, 9)
+        weights = dz.boundary_weights(lat.boundary_vertices())
         u = build_trial_function(lat, 0.3, 9)
         # Edges with an end at most one step from the boundary.
         ring = set(lat.boundary_vertices())
         ring |= {w for v in list(ring) for eid, _ in g.adjacency[v]
                  for w in (g.edges[eid].tail, g.edges[eid].head)}
         near = np.array([e.tail in ring or e.head in ring for e in g.edges])
-        part = GraphFunction(g, np.where(near[:, None], u.values, 0.0))
-        expected = integrate_power(part, 2) / integrate_power(u, 2)
+        a = u.values ** 2
+        per_edge = (a.sum(axis=1) - 0.5 * (a[:, 0] + a[:, -1])) / 8  # unit edges, h = 1/8
+        expected = per_edge[near].sum() / per_edge.sum()
         assert 0 < expected < 1
-        assert dz.boundary_mass_fraction(dz.to_dofs(u)) == pytest.approx(expected, rel=1e-13)
-        assert dz.boundary_mass_fraction(np.zeros(dz.n_dofs)) == 0.0
+        frac = dz.boundary_mass_fraction(dz.to_dofs(u), weights)
+        assert frac == pytest.approx(expected, rel=1e-13)
+        assert dz.boundary_mass_fraction(np.zeros(dz.n_dofs), weights) == 0.0
+        assert dz.boundary_mass_fraction(dz.to_dofs(u), dz.boundary_weights([])) == 0.0
 
 
 class TestCsvExport:
