@@ -12,12 +12,20 @@ damped Newton on the stationarity system is the fallback; descent then
 resumes, up to MAX_POLISHES times.  Every iteration of either kind is one
 trace row.
 
+Each line-search candidate is evaluated once: one product K v, one power
+|v|^{p-2} and the squares v^2 give its energy, and the accepted candidate
+hands them on to the next gradient and trace row, which form none of them.
+
 (M + K)^{-1} is applied exactly by static condensation.  The interior
 samples of an edge form a tridiagonal chain coupled only to the edge's two
 end vertices, and every chain diagonalizes in the same sine basis, so the
 chains are solved in closed form, all edges at once.  Eliminating them
 leaves a vertex-only Schur complement (a weighted graph Laplacian plus a
-diagonal), the one matrix that is factorized.
+diagonal), the one matrix that is factorized, in minimum-degree order.
+Newton's bordered system is condensed the same way, except that its chains
+carry a per-sample diagonal: they are solved by batched tridiagonal
+elimination over all edges, and only the bordered vertex system is
+factorized.
 """
 
 from __future__ import annotations
@@ -25,10 +33,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property, partial
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import factorized, splu
+import scipy.sparse.linalg
+from scipy.sparse.linalg import splu
 
 from .analytic import build_trial_function, soliton_params, soliton_profile
 from .calculus import (Discretization, GraphFunction, constant_function, from_vertex_values,
@@ -67,6 +77,13 @@ class SolverConfig:
             raise ValueError("step and tolerances must be positive")
         if not (0 < self.spread_threshold < 1):
             raise ValueError("spread_threshold must be in (0, 1)")
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
+        if self.samples_per_edge < 2:
+            raise ValueError(f"need at least 2 samples per edge, got {self.samples_per_edge}")
+        if self.divergence_floor >= 0:
+            # Every non-positive energy would read as a divergence.
+            raise ValueError(f"divergence_floor must be negative, got {self.divergence_floor}")
 
 
 @dataclass(slots=True)
@@ -135,6 +152,37 @@ def initial_function(graph, tag: str, p: float, mu: float,
 
 # --- descent core -----------------------------------------------------------
 
+def factorized(A: sp.spmatrix):
+    """Solve function of a sparse LU of A in minimum-degree order on A^T + A,
+    which fills the vertex Schur complement far less than column ordering."""
+    # Called through its module, not as this module's splu, which stays
+    # Newton's factorization alone for code that wraps it by name.
+    return scipy.sparse.linalg.splu(A, permc_spec="MMD_AT_PLUS_A").solve
+
+
+def _chain_solve(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve every edge's tridiagonal chain at once by elimination (Thomas).
+
+    Chain e has diagonal diag[e] (length m) and the constant off-diagonal
+    off[e]; rhs is (E, m, k), k right-hand sides per chain.  There is no
+    pivoting, so a zero or non-finite pivot raises RuntimeError.
+    """
+    m = diag.shape[1]
+    piv, x = diag.copy(), rhs.copy()
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for i in range(1, m):
+            ratio = off / piv[:, i - 1]
+            piv[:, i] -= ratio * off
+            x[:, i] -= ratio[:, None] * x[:, i - 1]
+    if not np.all(np.isfinite(piv) & (piv != 0)):
+        raise RuntimeError("zero or non-finite pivot in an edge chain")
+    for i in reversed(range(m)):
+        if i < m - 1:
+            x[:, i] -= off[:, None] * x[:, i + 1]
+        x[:, i] /= piv[:, i, None]
+    return x
+
+
 def _condensed_inverse(dz: Discretization):
     """Exact solve with M + K, eliminating the edge-interior samples.
 
@@ -174,6 +222,15 @@ def _condensed_inverse(dz: Discretization):
     return solve
 
 
+class _Point(NamedTuple):
+    """An iterate with what its one evaluation formed."""
+    v: np.ndarray
+    E: float
+    Kv: np.ndarray       # K v
+    w: np.ndarray        # |v|^{p-2}
+    sq: np.ndarray       # v^2
+
+
 class _Descent:
     def __init__(self, dz: Discretization, p: float, mu: float, cfg: SolverConfig,
                  boundary: list[int] = ()):
@@ -195,74 +252,111 @@ class _Descent:
     def project(self, v: np.ndarray) -> np.ndarray:
         return v * np.sqrt(self.mu / self.dz.mass(v))
 
-    def energy(self, v: np.ndarray) -> float:
-        return 0.5 * self.dz.kinetic(v) - self.dz.lp(v, self.p) / self.p
+    def evaluate(self, v: np.ndarray) -> _Point:
+        """v with its energy; the one place an iterate meets K and the power."""
+        Kv = self.K @ v
+        w = np.abs(v) ** (self.p - 2)
+        sq = v * v
+        E = 0.5 * float(v @ Kv) - float(self.dz.mass_vec @ (w * sq)) / self.p
+        return _Point(v, E, Kv, w, sq)
 
-    def tangent_gradient(self, v: np.ndarray) -> tuple[np.ndarray, float, float]:
+    def tangent_gradient(self, pt: _Point) -> tuple[np.ndarray, float, float]:
         """Projected gradient r = grad E - lambda*M*v, its multiplier, and the
         relative strong-form residual norm."""
-        Kv = self.K @ v
+        v = pt.v
         mv = self.dz.mass_vec * v
-        nonlinear = mv * np.abs(v) ** (self.p - 2)    # M |v|^{p-2} v
-        lam = (float(v @ Kv) - float(nonlinear @ v)) / self.mu
-        r = Kv - nonlinear - lam * mv
+        nonlinear = mv * pt.w                       # M |v|^{p-2} v
+        lam = (float(v @ pt.Kv) - float(nonlinear @ v)) / self.mu
+        r = pt.Kv - nonlinear - lam * mv
         res = np.sqrt(float(r ** 2 @ self.inv_mass)) / np.sqrt(self.mu)
         return r, lam, res
 
     def multiplier_residual(self, v: np.ndarray) -> tuple[float, float]:
-        _, lam, res = self.tangent_gradient(v)
+        _, lam, res = self.tangent_gradient(self.evaluate(v))
         return lam, res
 
-    def record(self, trace: list[dict] | None, it: int, E: float, res: float,
-               step: float, v: np.ndarray) -> None:
+    def record(self, trace: list[dict] | None, it: int, pt: _Point, res: float,
+               step: float) -> None:
         if trace is not None:
-            trace.append({"iteration": it, "energy": E, "residual": res, "step": step,
+            # Every iterate has mass mu, so the share needs no mass sum.
+            trace.append({"iteration": it, "energy": pt.E, "residual": res, "step": step,
                           "boundary_mass_fraction":
-                              self.dz.boundary_mass_fraction(v, self.boundary_weights)})
+                              float(self.boundary_weights @ pt.sq) / self.mu})
 
-    def newton_polish(self, v: np.ndarray, E: float, trace: list[dict] | None = None,
-                      it0: int = 0) -> tuple[np.ndarray, float, float, int]:
-        """Damped Newton iteration on the stationarity system near a minimizer.
+    def newton_direction(self, v: np.ndarray, lam: float, r: np.ndarray) -> np.ndarray:
+        """Newton step delta of the bordered stationarity system at v,
 
-        Solves the bordered linearization (Jacobian of the projected gradient
-        plus the mass-constraint row) and accepts steps only when the residual
-        drops without an energy increase, so monotonicity is preserved.
+            [[K - diag(c), M v], [(M v)^T, 0]] [delta; eta] = [r; 0],
+
+        with c = (p - 1) M |v|^{p-2} + lam M, solved by static condensation.
+        Each edge's interior chain J_II (K - diag(c) restricted to it) is
+        eliminated for four right-hand sides at once: r, M v and the chain's
+        couplings to its tail and head vertices.  That leaves the bordered
+        vertex system, V + 1 rows, the one matrix factorized.  Raises
+        RuntimeError when either elimination meets a zero pivot.
         """
         dz = self.dz
-        r, lam, res = self.tangent_gradient(v)
+        V, E, m = dz.graph.num_vertices, dz.graph.num_edges, dz.n - 2
+        # Regularize |v|^{p-2} near zeros of v (singular for p < 3); the
+        # Jacobian only steers the step, acceptance is residual descent.
+        floor = 1e-8 * float(np.abs(v).max())
+        c = (self.p - 1.0) * dz.mass_vec * (v * v + floor * floor) ** (self.p / 2.0 - 1.0) \
+            + lam * dz.mass_vec
+        b = dz.mass_vec * v
+        K = dz.stiffness
+        K_VI = K[:V, V:]
+        inv_h = (1.0 / dz.h)[:, None]
+        i = np.arange(m)
+        # K_IV's two columns per edge are -1/h at the first and the last sample.
+        rhs = np.stack([r[V:].reshape(E, m), b[V:].reshape(E, m),
+                        -inv_h * (i == 0), -inv_h * (i == m - 1)], axis=-1)
+        y = _chain_solve((K.diagonal() - c)[V:].reshape(E, m), -inv_h[:, 0], rhs)
+        y_r, y_b = y[..., 0].ravel(), y[..., 1].ravel()
+        # X = J_II^{-1} K_IV, two columns per edge, tail and head.
+        X = sp.csr_matrix((y[..., 2:].ravel(),
+                           (np.repeat(np.arange(E * m), 2),
+                            np.broadcast_to(dz.dof_of[:, None, [0, -1]], (E, m, 2)).ravel())),
+                          shape=(E * m, V))
+        # delta_I = y_r - eta*y_b - X delta_V leaves, on the vertices,
+        # [[S, g], [g^T, -b_I.y_b]] [delta_V; eta] = [r_V - K_VI y_r; -b_I.y_r].
+        S = K[:V, :V] - sp.diags(c[:V]) - K_VI @ X
+        g = b[:V] - K_VI @ y_b
+        A = sp.bmat([[S, sp.csc_matrix(g[:, None])],
+                     [sp.csc_matrix(g[None, :]), sp.csc_matrix([[-(b[V:] @ y_b)]])]],
+                    format="csc")
+        x = splu(A).solve(np.append(r[:V] - K_VI @ y_r, -(b[V:] @ y_r)))
+        return np.concatenate([x[:V], y_r - x[V] * y_b - X @ x[:V]])
+
+    def newton_polish(self, pt: _Point, trace: list[dict] | None = None,
+                      it0: int = 0) -> tuple[_Point, float, int]:
+        """Damped Newton iteration on the stationarity system near a minimizer.
+
+        Steps along newton_direction and accepts them only when the residual
+        drops without an energy increase, so monotonicity is preserved.
+        """
+        r, lam, res = self.tangent_gradient(pt)
         done = 0
         for _ in range(MAX_NEWTON_STEPS):
             if res <= self.cfg.residual_tol:
                 break
-            mv = dz.mass_vec * v
-            # Regularize |v|^{p-2} near zeros of v (singular for p < 3); the
-            # Jacobian only steers the step, acceptance is residual descent.
-            floor = 1e-8 * float(np.abs(v).max())
-            w = (self.p - 1.0) * dz.mass_vec \
-                * (v * v + floor * floor) ** (self.p / 2.0 - 1.0)
-            J = self.K - sp.diags(w + lam * dz.mass_vec)
-            A = sp.bmat([[J, sp.csc_matrix(mv[:, None])],
-                         [sp.csc_matrix(mv[None, :]), sp.csc_matrix((1, 1))]],
-                        format="csc")
             try:
-                delta = splu(A).solve(np.concatenate([r, [0.0]]))[:-1]
+                delta = self.newton_direction(pt.v, lam, r)
             except RuntimeError:
                 break
             step, improved = 1.0, False
             for _ in range(15):
-                cand = self.project(v - step * delta)
-                cE = self.energy(cand)
+                cand = self.evaluate(self.project(pt.v - step * delta))
                 cr, clam, cres = self.tangent_gradient(cand)
-                if cres < res and cE <= E + 1e-12 * max(abs(E), self.mu):
-                    v, E, r, lam, res = cand, cE, cr, clam, cres
+                if cres < res and cand.E <= pt.E + 1e-12 * max(abs(pt.E), self.mu):
+                    pt, r, lam, res = cand, cr, clam, cres
                     improved = True
                     break
                 step *= 0.5
             if not improved:
                 break
             done += 1
-            self.record(trace, it0 + done, E, res, step, v)
-        return v, E, res, done
+            self.record(trace, it0 + done, pt, res, step)
+        return pt, res, done
 
 
 def euler_lagrange_residual(u: GraphFunction, p: float) -> tuple[float, float]:
@@ -290,23 +384,21 @@ def _descend(d: _Descent, v0: np.ndarray,
     without energy progress.
     """
     cfg = d.cfg
-    v = d.project(v0)
-    E = d.energy(v)
+    pt = d.evaluate(d.project(v0))
     tau, stall, polishes, it = cfg.step, 0, 0, 0
     it_polished, progressed = 0, False
     while it < cfg.max_iters:
         it += 1
-        r, _, res = d.tangent_gradient(v)
-        d.record(trace, it, E, res, tau, v)
-        if res <= cfg.residual_tol or E < cfg.divergence_floor:
+        r, _, res = d.tangent_gradient(pt)
+        d.record(trace, it, pt, res, tau)
+        if res <= cfg.residual_tol or pt.E < cfg.divergence_floor:
             break
         direction = d.precondition(r)
         dE = None
         while tau > 1e-13:
-            cand = d.project(v - tau * direction)
-            cE = d.energy(cand)
-            if cE <= E + 1e-14 * max(abs(E), d.mu):
-                v, dE, E = cand, E - cE, cE
+            cand = d.evaluate(d.project(pt.v - tau * direction))
+            if cand.E <= pt.E + 1e-14 * max(abs(pt.E), d.mu):
+                pt, dE = cand, pt.E - cand.E
                 tau = min(tau * 1.4, 64.0)
                 break
             tau *= 0.4
@@ -316,21 +408,22 @@ def _descend(d: _Descent, v0: np.ndarray,
                 if it - it_polished < STRETCH_STEPS:
                     continue
             else:
-                stall = stall + 1 if dE <= cfg.energy_tol * max(abs(E), d.mu) else 0
+                stall = stall + 1 if dE <= cfg.energy_tol * max(abs(pt.E), d.mu) else 0
                 if stall < 25:
                     continue
         # The stretch ended short of residual_tol.
         if (polishes == MAX_POLISHES or (polishes and not progressed)
-                or E < cfg.divergence_floor or it >= cfg.max_iters):
+                or pt.E < cfg.divergence_floor or it >= cfg.max_iters):
             break
-        v, E, res, done = d.newton_polish(v, E, trace, it0=it)
+        pt, res, done = d.newton_polish(pt, trace, it0=it)
         it += done
         if res <= cfg.residual_tol:
             break
         tau, polishes, it_polished, progressed = cfg.step, polishes + 1, it, False
-    # Stopping right after an accepted step leaves (lam, res) one iterate behind.
-    lam, res = d.multiplier_residual(v)
-    return v, E, lam, res, it
+    # The carried evaluation describes the returned iterate, also when the
+    # loop stopped right after an accepted step.
+    _, lam, res = d.tangent_gradient(pt)
+    return pt.v, pt.E, lam, res, it
 
 
 def _classify(d: _Descent, v: np.ndarray, E: float, res: float, p: float,

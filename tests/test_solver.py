@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import splu, spsolve
 
 import hexnls.solver
 from hexnls.analytic import soliton_params, soliton_profile
@@ -39,6 +39,12 @@ class TestConfigAndInputs:
             SolverConfig(residual_tol=-1.0)
         with pytest.raises(ValueError):
             SolverConfig(spread_threshold=1.5)
+        # A floor at or above zero labels any negative energy a divergence;
+        # max_iters = 0 would return the start's label unsolved.
+        for bad in ({"divergence_floor": 0.0}, {"divergence_floor": 1.0}, {"max_iters": 0},
+                    {"samples_per_edge": 1}):
+            with pytest.raises(ValueError):
+                SolverConfig(**bad)
 
     def test_invalid_problem_parameters(self, lat):
         with pytest.raises(ValueError):
@@ -201,6 +207,101 @@ class TestCondensedPreconditioner:
             assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
         V = dz.graph.num_vertices
         assert factored == [(V, V)]
+
+
+class TestCondensedNewton:
+    @pytest.mark.parametrize("p", [2.5, 5.0])
+    @pytest.mark.parametrize("n", [2, 3, 9, 33])
+    @pytest.mark.parametrize("graph", [build_honeycomb(3, 1.0), build_line(2.5)],
+                             ids=["honeycomb", "unequal-line"])
+    def test_matches_direct_solve(self, monkeypatch, graph, n, p):
+        factored = []
+
+        def spy(A, *args, **kwargs):
+            factored.append(A.shape)
+            return splu(A, *args, **kwargs)
+
+        monkeypatch.setattr(hexnls.solver, "splu", spy)
+        dz = make_discretization(graph, n)
+        rng = np.random.default_rng(n)
+        v = 3.0 * rng.standard_normal(dz.n_dofs)
+        v[::7] = 0.0          # zeros of v: p = 2.5 needs the floor there
+        d = _Descent(dz, p, dz.mass(v), SolverConfig())
+        r, lam, _ = d.tangent_gradient(d.evaluate(v))
+        delta = d.newton_direction(v, lam, r)
+        # Reference: the full bordered system, regularized with the same floor.
+        floor = 1e-8 * np.abs(v).max()
+        c = (p - 1.0) * dz.mass_vec * (v * v + floor * floor) ** (p / 2.0 - 1.0) \
+            + lam * dz.mass_vec
+        mv = dz.mass_vec * v
+        A = sp.bmat([[dz.stiffness - sp.diags(c), sp.csc_matrix(mv[:, None])],
+                     [sp.csc_matrix(mv[None, :]), sp.csc_matrix((1, 1))]], format="csc")
+        ref = spsolve(A, np.append(r, 0.0))[:-1]
+        assert np.linalg.norm(delta - ref) <= 1e-10 * np.linalg.norm(ref)
+        V = dz.graph.num_vertices
+        assert factored == [(V + 1, V + 1)]
+
+    def test_zero_chain_pivot_raises(self):
+        # n = 3: each chain is the single sample with diagonal 2/h - c.
+        dz = make_discretization(build_line(2.5), 3)
+        v = np.ones(dz.n_dofs)
+        d = _Descent(dz, 3.0, dz.mass(v), SolverConfig())
+        r, _, _ = d.tangent_gradient(d.evaluate(v))
+        V = dz.graph.num_vertices
+        # c = (p - 1) M |v| + lam M = 2/h on the first chain's sample.
+        lam = 2.0 / (dz.h[0] * dz.mass_vec[V]) - 2.0
+        with pytest.raises(RuntimeError, match="pivot"):
+            d.newton_direction(v, lam, r)
+
+
+class _CountingK:
+    """Stand-in for the stiffness matrix that counts products with it."""
+
+    def __init__(self, K):
+        self.K, self.products = K, 0
+
+    def __matmul__(self, x):
+        self.products += 1
+        return self.K @ x
+
+
+class TestWorkPerIteration:
+    def test_one_stiffness_product_per_candidate(self, monkeypatch):
+        lat = build_honeycomb(3, 1.0)
+        d = _Descent(make_discretization(lat, 9), 3.0, 0.1, SolverConfig())
+        d.K = counting = _CountingK(d.K)
+        evaluated, polishes, in_gradient, points = [], [], [], []
+        evaluate, gradient, polish = (_Descent.evaluate, _Descent.tangent_gradient,
+                                      _Descent.newton_polish)
+
+        def counting_evaluate(self, v):
+            evaluated.append(1)
+            return evaluate(self, v)
+
+        def counting_gradient(self, pt):
+            before = counting.products
+            out = gradient(self, pt)
+            in_gradient.append(counting.products - before)
+            points.append(pt)
+            return out
+
+        def counting_polish(self, *args, **kwargs):
+            polishes.append(1)
+            return polish(self, *args, **kwargs)
+
+        monkeypatch.setattr(_Descent, "evaluate", counting_evaluate)
+        monkeypatch.setattr(_Descent, "tangent_gradient", counting_gradient)
+        monkeypatch.setattr(_Descent, "newton_polish", counting_polish)
+        v0 = initial_function(lat, "soliton-bump", 3.0, 0.1, 9).dofs
+        v, E, lam, res, it = _descend(d, v0)
+        assert polishes             # the Newton line search is counted too
+        assert counting.products == len(evaluated) > it
+        assert len(in_gradient) > it and not any(in_gradient)
+        # The last gradient is the returned iterate's, with the K v it carried.
+        last = points[-1]
+        assert last.v is v and last.E == E
+        assert np.array_equal(last.Kv, d.K.K @ v)
+        assert res <= SolverConfig().residual_tol
 
 
 class TestMultiStartRanking:
