@@ -26,8 +26,7 @@ from .honeycomb import (BridgeFamily, HoneycombLattice, PathFamily, bridge_line_
                         paths_to_json)
 from .solver import (BracketError, ResolutionError, SolveOutcome, SolverConfig,
                      bisect_critical_mass, demonstrate_unbounded, euler_lagrange_residual,
-                     initial_function, minimize, outcome_to_json, soliton_bump,
-                     squeezed_profile, trace_to_csv)
+                     initial_function, minimize, soliton_bump, squeezed_profile)
 
 __version__ = "0.1.0"
 
@@ -42,9 +41,9 @@ __all__ = [
     "decompose_paths", "demonstrate_unbounded", "edge_lengths", "energy",
     "estimate_sharp_constant", "euler_lagrange_residual", "from_edge_samples",
     "from_json", "from_vertex_values", "gradient_norms", "initial_function", "inequality_ratio",
-    "integrate_power", "minimize", "norm_report", "outcome_to_json", "path_coordinate",
+    "integrate_power", "minimize", "norm_report", "path_coordinate",
     "paths_to_json", "random_corpus", "rescale_mass", "soliton_bump", "soliton_params",
-    "soliton_profile", "squeezed_profile", "to_json", "trace_to_csv", "trial_energy",
+    "soliton_profile", "squeezed_profile", "to_json", "trial_energy",
     "trial_energy_terms", "trial_kinetic_integral", "trial_lp_integral",
     "trial_normalization", "trial_truncation_radius", "validate", "vertex_distances",
 ]

@@ -57,32 +57,39 @@ DEFAULTS: dict[str, dict] = {
     },
     "soliton-check": {
         "half_length": 30, "p": 4.0, "mu": 2.0,
-        "samples_per_edge": 17, "profile_tolerance": 1e-2, "energy_tolerance": 1e-3,
+        "samples_per_edge": 17, "profile_tolerance": 1e-2,
     },
 }
 
 
-class AssertionFailure(Exception):
-    """An embedded experiment assertion did not hold."""
-
-
 def _load_config(args: argparse.Namespace) -> dict:
-    cfg = dict(DEFAULTS[args.kind])
+    """The kind's defaults, updated from the config file, then from the flags.
+
+    A setting the kind does not read is refused, so that a manifest lists
+    only values the run used.
+    """
+    defaults = DEFAULTS[args.kind]
+    cfg = dict(defaults)
     if args.config is not None:
         with open(args.config) as fh:
-            cfg.update(json.load(fh))
-    if args.p is not None:
-        cfg["p"] = args.p
-        cfg["p_list"] = [args.p]
-    if args.mu is not None:
-        cfg["mu"] = args.mu
-        cfg["mu_list"] = [args.mu]
-    if args.radius is not None:
-        cfg["radius"] = args.radius
-    if args.seed is not None:
-        if "seed" not in cfg:
-            raise ValueError(f"{args.kind} draws no random numbers; --seed does not apply")
-        cfg["seed"] = args.seed
+            spec = json.load(fh)
+        if not isinstance(spec, dict):
+            raise ValueError(f"{args.config} is not a JSON object")
+        unknown = sorted(set(spec) - set(defaults))
+        if unknown:
+            raise ValueError(f"{args.kind} has no setting {', '.join(map(repr, unknown))}")
+        cfg.update(spec)
+    # Each flag writes those of its settings that the kind has.
+    for flag, keys in (("p", ("p", "p_list")), ("mu", ("mu", "mu_list")),
+                       ("radius", ("radius",)), ("seed", ("seed",))):
+        value = getattr(args, flag)
+        if value is None:
+            continue
+        used = [k for k in keys if k in defaults]
+        if not used:
+            raise ValueError(f"{args.kind} reads no {flag}; --{flag} does not apply")
+        for k in used:
+            cfg[k] = [value] if k.endswith("_list") else value
     return cfg
 
 

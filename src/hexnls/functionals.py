@@ -220,6 +220,8 @@ def estimate_sharp_constant(name: str, p: float, graph, budget: int, seed: int,
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
+    if num_starts < 1:
+        raise ValueError(f"num_starts must be >= 1, got {num_starts}")
     dz = make_discretization(graph, samples_per_edge)
     obj = _RatioObjective(dz, name, p)
     boundary = truncation_boundary(graph)
@@ -257,4 +259,6 @@ def estimate_sharp_constant(name: str, p: float, graph, budget: int, seed: int,
                 break
         if val > best_val:
             best_val, best_v = val, v
+    if best_v is None:
+        raise ValueError("every ascent start vanishes once the truncation boundary is zeroed")
     return float(np.exp(best_val)), GraphFunction(dz.graph, best_v)

@@ -30,10 +30,9 @@ factorized.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -64,26 +63,25 @@ class BracketError(ValueError):
 
 @dataclass(slots=True)
 class SolverConfig:
-    step: float = 1.0
-    max_iters: int = 4000
-    energy_tol: float = 1e-8
-    residual_tol: float = 1e-6
-    spread_threshold: float = 0.05
+    """The sampling and the iteration budget, the two settings a caller varies.
+
+    The step and the tolerances are fixed class constants; they read like
+    fields (cfg.residual_tol) but cannot be passed to the constructor.
+    """
     samples_per_edge: int = 9
-    divergence_floor: float = -1e12
+    max_iters: int = 4000
+
+    step: ClassVar[float] = 1.0               # first descent step, and again after each polish
+    energy_tol: ClassVar[float] = 1e-8        # relative energy drop below which a step stalls
+    residual_tol: ClassVar[float] = 1e-6      # relative stationarity residual of a converged run
+    spread_threshold: ClassVar[float] = 0.05  # boundary mass share of a flat-like spreading run
+    divergence_floor: ClassVar[float] = -1e12  # energy below which a run is UnboundedBelow
 
     def __post_init__(self):
-        if self.step <= 0 or self.energy_tol <= 0 or self.residual_tol <= 0:
-            raise ValueError("step and tolerances must be positive")
-        if not (0 < self.spread_threshold < 1):
-            raise ValueError("spread_threshold must be in (0, 1)")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
         if self.samples_per_edge < 2:
             raise ValueError(f"need at least 2 samples per edge, got {self.samples_per_edge}")
-        if self.divergence_floor >= 0:
-            # Every non-positive energy would read as a divergence.
-            raise ValueError(f"divergence_floor must be negative, got {self.divergence_floor}")
 
 
 @dataclass(slots=True)
@@ -426,28 +424,27 @@ def _descend(d: _Descent, v0: np.ndarray,
     return pt.v, pt.E, lam, res, it
 
 
-def _classify(d: _Descent, v: np.ndarray, E: float, res: float, p: float,
-              cfg: SolverConfig) -> str:
+def _classify(d: _Descent, v: np.ndarray, E: float, res: float, p: float) -> str:
     dz = d.dz
-    if E < cfg.divergence_floor:
+    if E < SolverConfig.divergence_floor:
         return "UnboundedBelow"
     total_len = float(np.sum(dz.h) * (dz.n - 1))
     flat_energy = -(d.mu / total_len) ** (p / 2.0) * total_len / p
     boundary_frac = dz.boundary_mass_fraction(v, d.boundary_weights)
-    near_zero = E >= -max(10.0 * cfg.energy_tol * d.mu, 1e-12)
+    near_zero = E >= -max(10.0 * SolverConfig.energy_tol * d.mu, 1e-12)
     # A spreading run ends at (or near) the mass-mu constant function, whose
     # energy vanishes as the truncation grows; a ground state, even a broad
     # one squeezed by the window, sits well below that reference.  Mass on
     # the truncation boundary alone is not decisive, because wide ground
     # states also touch the window edge.
     flat_like = E >= 2.0 * flat_energy
-    if near_zero or (flat_like and boundary_frac >= cfg.spread_threshold):
+    if near_zero or (flat_like and boundary_frac >= SolverConfig.spread_threshold):
         return "SpreadToZero"
     if p == 6:
         # Ground states never exist at the 1D-critical power; a localized
         # negative-energy iterate is the start of a blow-down.
         return "UnboundedBelow"
-    return "GroundState" if res <= cfg.residual_tol else "Inconclusive"
+    return "GroundState" if res <= SolverConfig.residual_tol else "Inconclusive"
 
 
 def _beats(E: float, res: float, best_E: float, best_res: float, mu: float,
@@ -495,7 +492,7 @@ def minimize(graph, p: float, mu: float, cfg: SolverConfig | None = None,
         if best is None or _beats(E, res, best[1], best[4], mu, cfg.residual_tol):
             best = (tag, E, v, lam, res, it, trace)
     tag, E, v, lam, res, it, trace = best
-    classification = _classify(d, v, E, res, p, cfg)
+    classification = _classify(d, v, E, res, p)
     minimizer = GraphFunction(dz.graph, v) if classification == "GroundState" else None
     return SolveOutcome(classification=classification, final_energy=E, minimizer=minimizer,
                         lagrange_multiplier=lam, iterations=it, residual=res,
@@ -512,7 +509,11 @@ def bisect_critical_mass(graph, p: float, mu_lo: float, mu_hi: float,
     """
     if not (4 <= p < 6):
         raise ValueError(f"critical-mass bisection applies for p in [4, 6), got {p}")
-    cfg = cfg or SolverConfig()
+    # A zero or negative width would bisect forever.
+    if not tol > 0:
+        raise ValueError(f"relative bracket width must be positive, got {tol}")
+    if not 0 < mu_lo < mu_hi:
+        raise ValueError(f"need 0 < mu_lo < mu_hi, got {mu_lo} and {mu_hi}")
 
     def ground(mu: float) -> bool:
         out = minimize(graph, p, mu, cfg)
@@ -567,29 +568,3 @@ def demonstrate_unbounded(lat: HoneycombLattice, mu: float,
         raise ValueError("widths must be decreasing")
     return [energy(squeezed_profile(lat, mu, w, samples_per_edge), 6.0).total
             for w in width_sequence]
-
-
-# --- artifacts --------------------------------------------------------------
-
-def trace_to_csv(trace: list[dict]) -> str:
-    lines = ["iteration,energy,residual,step,boundary_mass_fraction"]
-    for row in trace:
-        lines.append(f"{row['iteration']},{row['energy']!r},{row['residual']!r},"
-                     f"{row['step']!r},{row['boundary_mass_fraction']!r}")
-    return "\n".join(lines) + "\n"
-
-
-def outcome_to_json(out: SolveOutcome, cfg: SolverConfig, p: float, mu: float) -> str:
-    return json.dumps({
-        "classification": out.classification,
-        "final_energy": out.final_energy,
-        "lagrange_multiplier": out.lagrange_multiplier,
-        "residual": out.residual,
-        "iterations": out.iterations,
-        "init_used": out.init_used,
-        "p": p,
-        "mu": mu,
-        "config": {k: getattr(cfg, k) for k in (
-            "step", "max_iters", "energy_tol", "residual_tol", "spread_threshold",
-            "samples_per_edge", "divergence_floor")},
-    }, indent=1)

@@ -63,6 +63,31 @@ class TestUsageErrors:
         assert "--seed does not apply" in capsys.readouterr().err
         assert not (tmp_path / "manifest.json").exists()
 
+    @pytest.mark.parametrize("kind, flag, value", [("soliton-check", "--radius", "5"),
+                                                   ("unbounded-p6", "--p", "5")])
+    def test_flag_rejected_where_unused(self, tmp_path, capsys, kind, flag, value):
+        assert main([kind, flag, value, "--out", str(tmp_path)]) == 2
+        assert f"{flag} does not apply" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
+
+    def test_unknown_config_key(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "c.json", {"eps_list": [0.5], "radius": 3})
+        out = tmp_path / "run"
+        assert main(["trial-forms", "--config", cfg, "--out", str(out)]) == 2
+        assert "'radius'" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
+    def test_config_not_an_object(self, tmp_path):
+        cfg = write_config(tmp_path, "c.json", [1, 2])
+        assert main(["trial-forms", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "manifest.json").exists()
+
+    def test_nonpositive_bisection_width(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "c.json", {"radius": 3, "tolerance": 0.0})
+        assert main(["critical-mass", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "width must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
+
 
 class TestTrialForms:
     def test_pass_and_artifacts(self, tmp_path):
@@ -192,3 +217,5 @@ class TestSolitonCheck:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["p"] == 4.0
         assert manifest["config"]["mu"] == 3.0
+        # The kind reads p and mu, not the sweep lists.
+        assert "p_list" not in manifest["config"] and "mu_list" not in manifest["config"]

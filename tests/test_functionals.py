@@ -11,7 +11,7 @@ from hexnls.calculus import (constant_function, from_edge_samples, gradient_norm
 from hexnls.functionals import (RATIO_NAMES, _RatioObjective, energy,
                                 estimate_sharp_constant, inequality_ratio, make_discretization,
                                 random_corpus, vertex_distances)
-from hexnls.graph_core import build_line, build_star
+from hexnls.graph_core import GraphBuilder, build_line, build_star
 from hexnls.honeycomb import build_honeycomb
 
 SOBOLEV2D_BOUND = 2.0 * math.sqrt(2.0)
@@ -216,3 +216,16 @@ class TestSharpConstantAscent:
     def test_invalid_budget(self, lat):
         with pytest.raises(ValueError):
             estimate_sharp_constant("gn1d", 4.0, lat, budget=0, seed=0)
+
+    def test_no_starts_refused(self, lat):
+        with pytest.raises(ValueError, match="num_starts"):
+            estimate_sharp_constant("gn1d", 4.0, lat, budget=5, seed=0, num_starts=0)
+
+    def test_no_start_with_mass_refused(self):
+        # One edge sampled only at its ends: both DOFs are leaves, so the
+        # zero boundary leaves every start without mass.
+        b = GraphBuilder()
+        b.add_edge(b.add_vertex(0.0), b.add_vertex(1.0), 1.0)
+        with pytest.raises(ValueError, match="every ascent start vanishes"):
+            estimate_sharp_constant("gn1d", 4.0, b.build(), budget=5, seed=0,
+                                    samples_per_edge=2, num_starts=3)

@@ -1,6 +1,6 @@
 """Mass-constrained minimization: descent invariants, classification, probes."""
 
-import json
+import dataclasses
 
 import numpy as np
 import pytest
@@ -15,8 +15,8 @@ from hexnls.functionals import truncation_boundary
 from hexnls.solver import (INITIALIZERS, BracketError, ResolutionError, SolverConfig,
                            _beats, _descend, _Descent, bisect_critical_mass,
                            demonstrate_unbounded, euler_lagrange_residual,
-                           initial_function, make_discretization, minimize,
-                           outcome_to_json, soliton_bump, squeezed_profile, trace_to_csv)
+                           initial_function, make_discretization, minimize, soliton_bump,
+                           squeezed_profile)
 from hexnls.graph_core import build_line
 from hexnls.honeycomb import build_honeycomb, path_coordinate
 
@@ -33,18 +33,22 @@ def line_outcome():
 
 class TestConfigAndInputs:
     def test_invalid_config(self):
-        with pytest.raises(ValueError):
-            SolverConfig(step=0.0)
-        with pytest.raises(ValueError):
-            SolverConfig(residual_tol=-1.0)
-        with pytest.raises(ValueError):
-            SolverConfig(spread_threshold=1.5)
-        # A floor at or above zero labels any negative energy a divergence;
         # max_iters = 0 would return the start's label unsolved.
-        for bad in ({"divergence_floor": 0.0}, {"divergence_floor": 1.0}, {"max_iters": 0},
-                    {"samples_per_edge": 1}):
+        for bad in ({"max_iters": 0}, {"samples_per_edge": 1}):
             with pytest.raises(ValueError):
                 SolverConfig(**bad)
+        # The step and the tolerances are constants, not settings.
+        for fixed in ("step", "energy_tol", "residual_tol", "spread_threshold",
+                      "divergence_floor"):
+            with pytest.raises(TypeError):
+                SolverConfig(**{fixed: getattr(SolverConfig, fixed)})
+
+    def test_settings_and_constants(self):
+        assert [f.name for f in dataclasses.fields(SolverConfig)] == \
+            ["samples_per_edge", "max_iters"]
+        cfg = SolverConfig(samples_per_edge=17)
+        assert (cfg.step, cfg.energy_tol, cfg.residual_tol, cfg.spread_threshold,
+                cfg.divergence_floor) == (1.0, 1e-8, 1e-6, 0.05, -1e12)
 
     def test_invalid_problem_parameters(self, lat):
         with pytest.raises(ValueError):
@@ -410,6 +414,18 @@ class TestBisectCriticalMass:
         with pytest.raises(ValueError):
             bisect_critical_mass(lat, 3.0, 0.01, 10.0)
 
+    @pytest.mark.parametrize("mu_lo, mu_hi, tol", [
+        (1e-3, 100.0, 0.0), (1e-3, 100.0, -0.1), (1e-3, 100.0, float("nan")),
+        (0.0, 100.0, 0.05), (100.0, 1e-3, 0.05), (5.0, 5.0, 0.05)])
+    def test_invalid_bracket_or_width_refused_before_solving(self, lat, monkeypatch,
+                                                             mu_lo, mu_hi, tol):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("minimize called")
+
+        monkeypatch.setattr(hexnls.solver, "minimize", no_solve)
+        with pytest.raises(ValueError):
+            bisect_critical_mass(lat, 5.0, mu_lo, mu_hi, tol=tol)
+
 
 class TestCriticalPowerProbes:
     def test_large_mass_unbounded_below(self, lat):
@@ -443,22 +459,6 @@ class TestCriticalPowerProbes:
 
 
 class TestArtifacts:
-    def test_trace_csv_shape(self, lat):
-        out = minimize(lat, 3.0, 1.0, init="uniform")
-        text = trace_to_csv(out.trace)
-        lines = text.strip().split("\n")
-        assert lines[0] == "iteration,energy,residual,step,boundary_mass_fraction"
-        assert len(lines) == 1 + len(out.trace)
-
-    def test_outcome_json_round_trip(self, lat):
-        cfg = SolverConfig()
-        out = minimize(lat, 3.0, 1.0, cfg=cfg, init="trial-eps")
-        doc = json.loads(outcome_to_json(out, cfg, 3.0, 1.0))
-        assert doc["classification"] == out.classification
-        assert doc["final_energy"] == out.final_energy
-        assert doc["p"] == 3.0 and doc["mu"] == 1.0
-        assert doc["config"]["residual_tol"] == cfg.residual_tol
-
     def test_discretization_helper_uses_free_boundary(self, lat):
         assert sorted(truncation_boundary(lat)) == sorted(lat.boundary_vertices())
         assert truncation_boundary(build_line(2)) == [0, 4]
