@@ -21,7 +21,7 @@ def main() -> None:
     print(f"  edges:    {g.num_edges}  (formula 3(2R+1)^2 = {3 * (2 * R + 1) ** 2})")
     print(f"  total length: {g.total_length():g}")
     print(f"  validation issues: {validate(g) or 'none'}")
-    degs = [g.degree(v.id) for v in g.vertices]
+    degs = g.degrees()
     print(f"  degree histogram: " + ", ".join(
         f"{d}: {degs.count(d)}" for d in sorted(set(degs))))
 

@@ -19,11 +19,10 @@ from .functionals import (RATIO_NAMES, EnergyReport, InequalityRatio, energy,
                           estimate_sharp_constant, inequality_ratio, random_corpus,
                           vertex_distances)
 from .graph_core import (Edge, GraphBuilder, MetricGraph, Vertex, build_line, build_star,
-                         from_json, to_json, validate)
+                         validate)
 from .honeycomb import (BridgeFamily, HoneycombLattice, PathFamily, bridge_line_index,
-                        bridges_to_json, build_honeycomb, build_square_grid,
-                        decompose_bridges, decompose_paths, path_coordinate,
-                        paths_to_json)
+                        build_honeycomb, build_square_grid, decompose_bridges, decompose_paths,
+                        path_coordinate)
 from .solver import (BracketError, ResolutionError, SolveOutcome, SolverConfig,
                      bisect_critical_mass, demonstrate_unbounded, euler_lagrange_residual,
                      initial_function, minimize, soliton_bump, squeezed_profile)
@@ -35,15 +34,15 @@ __all__ = [
     "GraphBuilder", "GraphFunction", "HoneycombLattice", "InequalityRatio",
     "MetricGraph", "NormReport", "PathFamily", "RATIO_NAMES", "ResolutionError",
     "SolitonParams", "SolveOutcome", "SolverConfig", "Vertex",
-    "bisect_critical_mass", "bridge_line_index", "bridges_to_json", "build_honeycomb",
+    "bisect_critical_mass", "bridge_line_index", "build_honeycomb",
     "build_line", "build_square_grid", "build_star", "build_trial_function",
     "constant_function", "critical_mass_from_constant", "decompose_bridges",
     "decompose_paths", "demonstrate_unbounded", "edge_lengths", "energy",
     "estimate_sharp_constant", "euler_lagrange_residual", "from_edge_samples",
-    "from_json", "from_vertex_values", "gradient_norms", "initial_function", "inequality_ratio",
+    "from_vertex_values", "gradient_norms", "initial_function", "inequality_ratio",
     "integrate_power", "minimize", "norm_report", "path_coordinate",
-    "paths_to_json", "random_corpus", "rescale_mass", "soliton_bump", "soliton_params",
-    "soliton_profile", "squeezed_profile", "to_json", "trial_energy",
+    "random_corpus", "rescale_mass", "soliton_bump", "soliton_params",
+    "soliton_profile", "squeezed_profile", "trial_energy",
     "trial_energy_terms", "trial_kinetic_integral", "trial_lp_integral",
     "trial_normalization", "trial_truncation_radius", "validate", "vertex_distances",
 ]

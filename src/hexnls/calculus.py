@@ -11,7 +11,6 @@ it exactly, keeping norms orientation independent.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -144,32 +143,22 @@ def rescale_mass(u: GraphFunction, mu: float) -> GraphFunction:
     return u.scaled(np.sqrt(mu / m))
 
 
-def to_csv(u: GraphFunction) -> str:
-    buf = io.StringIO()
-    buf.write("edge_id,sample_index,arclength_coordinate,value\n")
-    n = u.samples_per_edge
-    for e, row in zip(u.graph.edges, u.values):
-        for k, x in enumerate(row):
-            s = e.length * k / (n - 1)
-            buf.write(f"{e.id},{k},{s!r},{float(x)!r}\n")
-    return buf.getvalue()
-
-
 class Discretization:
     """DOF numbering and quadrature for n samples per edge on a fixed graph.
 
     Vertex samples shared between edges collapse to one DOF; interior samples
     are their own DOFs.  The lumped (trapezoid) mass vector and the chain
     stiffness matrix give integrate_power(u, 2) and the squared L2 gradient
-    norm.  The stiffness is built on first use.
+    norm.  The stiffness is built on first use.  A layout keeps the graph's
+    vertex and edge counts, not the graph, which caches it.
     """
 
     def __init__(self, graph: MetricGraph, samples_per_edge: int = 33):
         if samples_per_edge < 2:
             raise ValueError("need at least 2 samples per edge")
-        self.graph = graph
         self.n = samples_per_edge
         E, n, V = graph.num_edges, samples_per_edge, graph.num_vertices
+        self.num_vertices, self.num_edges = V, E
         dof_of = np.empty((E, n), dtype=np.int64)
         interior = V + (n - 2) * np.arange(E)[:, None] + np.arange(n - 2)[None, :]
         dof_of[:, 1:-1] = interior
@@ -201,7 +190,7 @@ class Discretization:
     def boundary_weights(self, boundary_vertices: list[int]) -> np.ndarray:
         """Lumped mass of the edges within two steps of the boundary vertices
         (zero without any: no vertex is at a finite distance from none)."""
-        V = self.graph.num_vertices
+        V = self.num_vertices
         tails, heads = self.dof_of[:, 0], self.dof_of[:, -1]
         adj = sp.coo_matrix((np.ones(len(tails)), (tails, heads)), shape=(V, V))
         adj = adj + adj.T
@@ -209,8 +198,11 @@ class Discretization:
         return self._lumped_mass(np.minimum(dist[tails], dist[heads]) <= 1)
 
     def to_dofs(self, u: GraphFunction) -> np.ndarray:
-        """u's DOF vector, once u is known to live on this graph and sampling."""
-        if u.graph != self.graph or u.samples_per_edge != self.n:
+        """u's DOF vector, once u's layout is known to number the same DOFs:
+        the same edges between the same vertices, lengths and sampling."""
+        lay = u.layout
+        if lay is not self and not (np.array_equal(lay.dof_of, self.dof_of)
+                                    and np.array_equal(lay.h, self.h)):
             raise ValueError("function is not on this discretization's graph and sampling")
         return u.dofs
 

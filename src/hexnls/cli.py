@@ -56,17 +56,21 @@ DEFAULTS: dict[str, dict] = {
         "width_list": [2.0, 1.0, 0.5, 0.25],
     },
     "soliton-check": {
-        "half_length": 30, "p": 4.0, "mu": 2.0,
+        "half_length": 30.0, "p": 4.0, "mu": 2.0,
         "samples_per_edge": 17, "profile_tolerance": 1e-2,
     },
 }
+# The types a config value may take, by the type of its default: an int
+# passes for a float, and a bool, which isinstance counts as an int, for none.
+_ACCEPTED_TYPES = {list: (list,), int: (int,), float: (int, float)}
 
 
 def _load_config(args: argparse.Namespace) -> dict:
     """The kind's defaults, updated from the config file, then from the flags.
 
     A setting the kind does not read is refused, so that a manifest lists
-    only values the run used.
+    only values the run used, and so is a value of another type than the
+    setting's default.
     """
     defaults = DEFAULTS[args.kind]
     cfg = dict(defaults)
@@ -78,6 +82,11 @@ def _load_config(args: argparse.Namespace) -> dict:
         unknown = sorted(set(spec) - set(defaults))
         if unknown:
             raise ValueError(f"{args.kind} has no setting {', '.join(map(repr, unknown))}")
+        for key, value in spec.items():
+            want = type(defaults[key])
+            if isinstance(value, bool) or not isinstance(value, _ACCEPTED_TYPES[want]):
+                raise ValueError(f"{args.kind} setting {key!r} takes a {want.__name__}, "
+                                 f"got {value!r}")
         cfg.update(spec)
     # Each flag writes those of its settings that the kind has.
     for flag, keys in (("p", ("p", "p_list")), ("mu", ("mu", "mu_list")),

@@ -261,4 +261,4 @@ def estimate_sharp_constant(name: str, p: float, graph, budget: int, seed: int,
             best_val, best_v = val, v
     if best_v is None:
         raise ValueError("every ascent start vanishes once the truncation boundary is zeroed")
-    return float(np.exp(best_val)), GraphFunction(dz.graph, best_v)
+    return float(np.exp(best_val)), GraphFunction(_bare_graph(graph)[0], best_v)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -25,18 +24,16 @@ class Edge:
 
 @dataclass(slots=True)
 class MetricGraph:
-    """Undirected metric graph.
+    """Undirected metric graph: its vertex list and its edge list.
 
     Edges carry an orientation (tail -> head) fixing the sign of the per-edge
     arclength coordinate; all functionals built on top are orientation
-    independent.  ``adjacency[v]`` lists ``(edge_id, orientation)`` pairs,
-    with orientation +1 when v is the tail and -1 when v is the head.
-    Graphs are not mutated after build: ``_layouts`` caches their layouts.
+    independent.  Graphs are not mutated after build: ``_layouts`` caches
+    their layouts.
     """
 
     vertices: list[Vertex] = field(default_factory=list)
     edges: list[Edge] = field(default_factory=list)
-    adjacency: list[list[tuple[int, int]]] = field(default_factory=list)
     _layouts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -50,11 +47,19 @@ class MetricGraph:
     def total_length(self) -> float:
         return sum(e.length for e in self.edges)
 
+    def degrees(self) -> list[int]:
+        """The number of edge ends at each vertex."""
+        deg = [0] * len(self.vertices)
+        for e in self.edges:
+            deg[e.tail] += 1
+            deg[e.head] += 1
+        return deg
+
     def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+        return self.degrees()[v]
 
     def leaves(self) -> list[int]:
-        return [v.id for v in self.vertices if self.degree(v.id) == 1]
+        return [v for v, d in enumerate(self.degrees()) if d == 1]
 
 
 class GraphBuilder:
@@ -74,16 +79,15 @@ class GraphBuilder:
             raise ValueError(f"edge length must be positive, got {length}")
         if tail == head:
             raise ValueError(f"self-loop at vertex {tail}")
+        for end in (tail, head):
+            if not 0 <= end < len(self.vertices):
+                raise ValueError(f"endpoint {end} is not an added vertex")
         eid = len(self.edges)
         self.edges.append(Edge(eid, tail, head, length, kind))
         return eid
 
     def build(self) -> MetricGraph:
-        adjacency: list[list[tuple[int, int]]] = [[] for _ in self.vertices]
-        for e in self.edges:
-            adjacency[e.tail].append((e.id, +1))
-            adjacency[e.head].append((e.id, -1))
-        g = MetricGraph(self.vertices, self.edges, adjacency)
+        g = MetricGraph(self.vertices, self.edges)
         problems = validate(g)
         if problems:
             raise ValueError("builder produced invalid graph: " + "; ".join(problems))
@@ -146,36 +150,18 @@ def validate(g: MetricGraph) -> list[str]:
             problems.append(f"edge {e.id}: self-loop at vertex {e.tail}")
         if not (e.length > 0):
             problems.append(f"edge {e.id}: non-positive length {e.length}")
-    if len(g.adjacency) != nv:
-        problems.append(f"adjacency has {len(g.adjacency)} entries for {nv} vertices")
-        return problems
-    # Each edge must appear exactly twice, once per endpoint.
-    seen: dict[int, list[int]] = {}
-    for v, incident in enumerate(g.adjacency):
-        for eid, orient in incident:
-            if not (0 <= eid < len(g.edges)):
-                problems.append(f"vertex {v}: adjacency references undefined edge {eid}")
-                continue
-            seen.setdefault(eid, []).append(v)
-            e = g.edges[eid]
-            expect = e.tail if orient == +1 else e.head
-            if expect != v:
-                problems.append(f"vertex {v}: edge {eid} listed with wrong orientation")
-    for e in g.edges:
-        ends = sorted(seen.get(e.id, []))
-        if ends != sorted((e.tail, e.head)):
-            problems.append(f"edge {e.id}: adjacency endpoints {ends} != ({e.tail},{e.head})")
     if nv and not problems:
-        # Connectivity by BFS over adjacency.
+        # Connectivity by depth-first search over the edge list's neighbours.
+        neighbours: list[list[int]] = [[] for _ in range(nv)]
+        for e in g.edges:
+            neighbours[e.tail].append(e.head)
+            neighbours[e.head].append(e.tail)
         visited = [False] * nv
         stack = [0]
         visited[0] = True
         count = 1
         while stack:
-            v = stack.pop()
-            for eid, orient in g.adjacency[v]:
-                e = g.edges[eid]
-                w = e.head if orient == +1 else e.tail
+            for w in neighbours[stack.pop()]:
                 if not visited[w]:
                     visited[w] = True
                     count += 1
@@ -183,25 +169,3 @@ def validate(g: MetricGraph) -> list[str]:
         if count != nv:
             problems.append(f"not connected: reached {count} of {nv} vertices")
     return problems
-
-
-def to_json(g: MetricGraph) -> str:
-    """Serialize with stable field order for golden-file comparisons."""
-    doc = {
-        "vertices": [{"id": v.id, "x": v.x, "y": v.y} for v in g.vertices],
-        "edges": [
-            {"id": e.id, "tail": e.tail, "head": e.head, "length": e.length, "kind": e.kind}
-            for e in g.edges
-        ],
-    }
-    return json.dumps(doc, indent=1)
-
-
-def from_json(text: str) -> MetricGraph:
-    doc = json.loads(text)
-    b = GraphBuilder()
-    for v in doc["vertices"]:
-        b.add_vertex(v["x"], v["y"])
-    for e in doc["edges"]:
-        b.add_edge(e["tail"], e["head"], e["length"], e["kind"])
-    return b.build()

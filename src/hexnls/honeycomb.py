@@ -19,7 +19,6 @@ along L_i, and each edge advances the coordinate by 1.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -45,10 +44,10 @@ class HoneycombLattice:
     edge_roles: list[tuple[str, int, int]] = field(default_factory=list)
 
     def interior_vertices(self) -> list[int]:
-        return [v.id for v in self.graph.vertices if self.graph.degree(v.id) == 3]
+        return [v for v, d in enumerate(self.graph.degrees()) if d == 3]
 
     def boundary_vertices(self) -> list[int]:
-        return [v.id for v in self.graph.vertices if self.graph.degree(v.id) < 3]
+        return [v for v, d in enumerate(self.graph.degrees()) if d < 3]
 
 
 @dataclass(slots=True)
@@ -217,28 +216,3 @@ def build_square_grid(truncation_radius: int, edge_length: float) -> MetricGraph
             if iy + 1 < n:
                 b.add_edge(ids[(ix, iy)], ids[(ix, iy + 1)], l, "up")
     return b.build()
-
-
-def _keyed(d: dict) -> dict[str, object]:
-    out = {}
-    for key in sorted(d):
-        name = ",".join(str(p) for p in key) if isinstance(key, tuple) else str(key)
-        out[name] = d[key]
-    return out
-
-
-def paths_to_json(fam: PathFamily) -> str:
-    doc = {
-        "L_paths": _keyed(fam.L_paths),
-        "R_paths": _keyed(fam.R_paths),
-        "I_segments": _keyed({k: list(v) for k, v in fam.I_segments.items()}),
-        "J_segments": _keyed({k: list(v) for k, v in fam.J_segments.items()}),
-        "v_vertices": _keyed(fam.v_vertices),
-        "w_vertices": _keyed(fam.w_vertices),
-    }
-    return json.dumps(doc, indent=1)
-
-
-def bridges_to_json(fam: BridgeFamily) -> str:
-    return json.dumps({"lines": _keyed({k: [list(p) for p in v] for k, v in fam.lines.items()})},
-                      indent=1)

@@ -193,7 +193,7 @@ def _condensed_inverse(dz: Discretization):
     vertex Schur complement S = A_VV - A_VI A_II^{-1} A_IV is factorized.
     With no interior samples (n = 2) the chain terms are empty and S = M + K.
     """
-    V, E, m = dz.graph.num_vertices, dz.graph.num_edges, dz.n - 2
+    V, E, m = dz.num_vertices, dz.num_edges, dz.n - 2
     ends = dz.dof_of[:, [0, -1]]               # (E, 2) tail and head vertices
     k = np.arange(1, m + 1)
     Q = np.sqrt(2.0 / (m + 1)) * np.sin(np.outer(k, k) * np.pi / (m + 1))
@@ -294,7 +294,7 @@ class _Descent:
         RuntimeError when either elimination meets a zero pivot.
         """
         dz = self.dz
-        V, E, m = dz.graph.num_vertices, dz.graph.num_edges, dz.n - 2
+        V, E, m = dz.num_vertices, dz.num_edges, dz.n - 2
         # Regularize |v|^{p-2} near zeros of v (singular for p < 3); the
         # Jacobian only steers the step, acceptance is residual descent.
         floor = 1e-8 * float(np.abs(v).max())
@@ -493,7 +493,7 @@ def minimize(graph, p: float, mu: float, cfg: SolverConfig | None = None,
             best = (tag, E, v, lam, res, it, trace)
     tag, E, v, lam, res, it, trace = best
     classification = _classify(d, v, E, res, p)
-    minimizer = GraphFunction(dz.graph, v) if classification == "GroundState" else None
+    minimizer = GraphFunction(_bare_graph(graph)[0], v) if classification == "GroundState" else None
     return SolveOutcome(classification=classification, final_energy=E, minimizer=minimizer,
                         lagrange_multiplier=lam, iterations=it, residual=res,
                         init_used=tag, trace=trace)

@@ -10,11 +10,11 @@ import hexnls.solver
 from hexnls.analytic import build_trial_function, trial_kinetic_integral, trial_lp_integral
 from hexnls.calculus import (Discretization, GraphFunction, constant_function,
                              from_edge_samples, from_vertex_values, gradient_norms,
-                             integrate_power, norm_report, rescale_mass, to_csv)
+                             integrate_power, norm_report, rescale_mass)
 from hexnls.functionals import make_discretization, random_corpus
 from hexnls.graph_core import GraphBuilder, build_line, build_star
 from hexnls.honeycomb import build_honeycomb
-from hexnls.solver import minimize
+from hexnls.solver import SolverConfig, minimize
 
 # Unequal edge lengths: the outer edges are 0.5 long, the others 1.
 UNEQUAL_GRAPHS = {"line": build_line(2.5), "star": build_star(3, 2.5)}
@@ -251,6 +251,20 @@ class TestSharedLayout:
         assert constant_function(lat.graph, 1.0, 9).layout is corpus[0].layout
         assert constant_function(lat.graph, 1.0, 17).layout is not corpus[0].layout
 
+    def test_layout_freed_without_the_cycle_collector(self):
+        # A layout holds no reference back to its graph, so dropping the
+        # graph and its functions frees the layout by reference counting.
+        gc.disable()
+        try:
+            lat = build_honeycomb(5, 1.0)
+            out = minimize(lat, 3.0, 1.0, SolverConfig(max_iters=5))
+            u = build_trial_function(lat, 0.5, 9)
+            layout = weakref.ref(u.layout)
+            del lat, out, u
+            assert layout() is None
+        finally:
+            gc.enable()
+
     def test_solver_uses_the_shared_layout(self, monkeypatch):
         # minimize builds no DOF map of its own, and its minimizer keeps none
         # of the solver's own state (boundary weights, preconditioner) alive.
@@ -306,8 +320,8 @@ class TestDiscretization:
         u = build_trial_function(lat, 0.3, 9)
         # Edges with an end at most one step from the boundary.
         ring = set(lat.boundary_vertices())
-        ring |= {w for v in list(ring) for eid, _ in g.adjacency[v]
-                 for w in (g.edges[eid].tail, g.edges[eid].head)}
+        ring |= {w for e in g.edges if e.tail in ring or e.head in ring
+                 for w in (e.tail, e.head)}
         near = np.array([e.tail in ring or e.head in ring for e in g.edges])
         a = u.values ** 2
         per_edge = (a.sum(axis=1) - 0.5 * (a[:, 0] + a[:, -1])) / 8  # unit edges, h = 1/8
@@ -317,12 +331,3 @@ class TestDiscretization:
         assert frac == pytest.approx(expected, rel=1e-13)
         assert dz.boundary_mass_fraction(np.zeros(dz.n_dofs), weights) == 0.0
         assert dz.boundary_mass_fraction(dz.to_dofs(u), dz.boundary_weights([])) == 0.0
-
-
-class TestCsvExport:
-    def test_header_and_shape(self):
-        u = constant_function(build_line(1), 1.5, 3)
-        lines = to_csv(u).strip().split("\n")
-        assert lines[0] == "edge_id,sample_index,arclength_coordinate,value"
-        assert len(lines) == 1 + u.graph.num_edges * 3
-        assert lines[1].split(",")[3] == "1.5"

@@ -82,6 +82,23 @@ class TestUsageErrors:
         assert main(["trial-forms", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert not (tmp_path / "manifest.json").exists()
 
+    @pytest.mark.parametrize("kind,spec", [
+        ("unbounded-p6", {"radius": "5"}),
+        ("unbounded-p6", {"mu_list": 10.0}),
+        ("unbounded-p6", {"radius": 5.0}),
+        ("unbounded-p6", {"edge_length": True}),
+        ("soliton-check", {"half_length": [30]}),
+    ])
+    def test_config_value_of_wrong_type(self, tmp_path, capsys, kind, spec):
+        cfg = write_config(tmp_path, "c.json", spec)
+        assert main([kind, "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert f"{next(iter(spec))!r} takes a" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
+
+    def test_int_accepted_for_float_setting(self, tmp_path):
+        cfg = write_config(tmp_path, "c.json", {"radius": 2, "edge_length": 1})
+        assert main(["unbounded-p6", "--config", cfg, "--out", str(tmp_path)]) == 0
+
     def test_nonpositive_bisection_width(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", {"radius": 3, "tolerance": 0.0})
         assert main(["critical-mass", "--config", cfg, "--out", str(tmp_path)]) == 2

@@ -1,11 +1,8 @@
-"""Metric-graph construction, validation, and serialization."""
-
-import json
+"""Metric-graph construction and validation."""
 
 import pytest
 
-from hexnls.graph_core import (GraphBuilder, build_line, build_star, from_json, to_json,
-                               validate)
+from hexnls.graph_core import GraphBuilder, build_line, build_star, validate
 
 
 class TestBuildLine:
@@ -90,13 +87,8 @@ class TestValidate:
         v2, v3 = b.add_vertex(5, 0), b.add_vertex(6, 0)
         b.add_edge(v0, v1, 1.0)
         b.add_edge(v2, v3, 1.0)
-        g_vertices, g_edges = b.vertices, b.edges
         from hexnls.graph_core import MetricGraph
-        adjacency = [[] for _ in g_vertices]
-        for e in g_edges:
-            adjacency[e.tail].append((e.id, +1))
-            adjacency[e.head].append((e.id, -1))
-        g = MetricGraph(g_vertices, g_edges, adjacency)
+        g = MetricGraph(b.vertices, b.edges)
         problems = validate(g)
         assert sum("not connected" in s for s in problems) == 1
 
@@ -109,20 +101,17 @@ class TestValidate:
         with pytest.raises(ValueError):
             b.add_edge(v, w, 0.0)
 
+    def test_builder_rejects_undefined_endpoint(self):
+        b = GraphBuilder()
+        v, w = b.add_vertex(), b.add_vertex()
+        for tail, head in ((v, 5), (5, w), (-1, w)):
+            with pytest.raises(ValueError, match="not an added vertex"):
+                b.add_edge(tail, head, 1.0)
+        assert b.edges == []
+
     def test_degree_matches_adjacency(self):
         g = build_star(6, 3.0)
+        ends = [end for e in g.edges for end in (e.tail, e.head)]
         for v in g.vertices:
-            assert g.degree(v.id) == len(g.adjacency[v.id])
-
-
-class TestJson:
-    def test_round_trip(self):
-        g = build_star(3, 2.0)
-        g2 = from_json(to_json(g))
-        assert to_json(g2) == to_json(g)
-
-    def test_stable_field_order(self):
-        doc = json.loads(to_json(build_line(1)))
-        assert list(doc) == ["vertices", "edges"]
-        assert list(doc["vertices"][0]) == ["id", "x", "y"]
-        assert list(doc["edges"][0]) == ["id", "tail", "head", "length", "kind"]
+            assert g.degree(v.id) == ends.count(v.id)
+        assert g.degrees() == [ends.count(v.id) for v in g.vertices]

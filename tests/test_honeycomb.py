@@ -1,13 +1,10 @@
 """Hexagonal-grid truncations and their path/bridge decompositions."""
 
-import json
-
 import pytest
 
 from hexnls.graph_core import validate
-from hexnls.honeycomb import (bridge_line_index, bridges_to_json, build_honeycomb,
-                              build_square_grid, decompose_bridges, decompose_paths,
-                              path_coordinate, paths_to_json)
+from hexnls.honeycomb import (bridge_line_index, build_honeycomb, build_square_grid,
+                              decompose_bridges, decompose_paths, path_coordinate)
 
 
 def cell_counting_oracle(R: int) -> tuple[int, int]:
@@ -154,7 +151,7 @@ class TestPathFamily:
         f1, f2 = decompose_paths(lat), decompose_paths(lat)
         assert f1.L_paths == f2.L_paths
         assert f1.R_paths == f2.R_paths
-        assert paths_to_json(f1) == paths_to_json(f2)
+        assert f1 == f2
 
 
 class TestBridgeFamily:
@@ -238,19 +235,3 @@ class TestSquareGrid:
 
     def test_valid(self):
         assert validate(build_square_grid(3, 0.5)) == []
-
-
-class TestJsonExports:
-    def test_paths_json_sorted_keys(self):
-        lat = build_honeycomb(1, 1.0)
-        doc = json.loads(paths_to_json(decompose_paths(lat)))
-        assert list(doc) == ["L_paths", "R_paths", "I_segments", "J_segments",
-                             "v_vertices", "w_vertices"]
-        assert list(doc["L_paths"]) == sorted(doc["L_paths"], key=int)
-
-    def test_bridges_json_round_shape(self):
-        lat = build_honeycomb(1, 1.0)
-        doc = json.loads(bridges_to_json(decompose_bridges(lat)))
-        assert set(doc) == {"lines"}
-        ks = sorted(int(k) for k in doc["lines"])
-        assert ks == list(range(min(ks), max(ks) + 1))

@@ -209,7 +209,7 @@ class TestCondensedPreconditioner:
             x = solve(r)
             ref = spsolve(A, r)
             assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
-        V = dz.graph.num_vertices
+        V = dz.num_vertices
         assert factored == [(V, V)]
 
 
@@ -242,7 +242,7 @@ class TestCondensedNewton:
                      [sp.csc_matrix(mv[None, :]), sp.csc_matrix((1, 1))]], format="csc")
         ref = spsolve(A, np.append(r, 0.0))[:-1]
         assert np.linalg.norm(delta - ref) <= 1e-10 * np.linalg.norm(ref)
-        V = dz.graph.num_vertices
+        V = dz.num_vertices
         assert factored == [(V + 1, V + 1)]
 
     def test_zero_chain_pivot_raises(self):
@@ -251,7 +251,7 @@ class TestCondensedNewton:
         v = np.ones(dz.n_dofs)
         d = _Descent(dz, 3.0, dz.mass(v), SolverConfig())
         r, _, _ = d.tangent_gradient(d.evaluate(v))
-        V = dz.graph.num_vertices
+        V = dz.num_vertices
         # c = (p - 1) M |v| + lam M = 2/h on the first chain's sample.
         lam = 2.0 / (dz.h[0] * dz.mass_vec[V]) - 2.0
         with pytest.raises(RuntimeError, match="pivot"):
