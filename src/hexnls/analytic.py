@@ -1,15 +1,13 @@
-"""Closed-form reference quantities: line solitons, the exponential trial
-family on the hexagonal grid, and the critical-mass formula."""
+"""Closed-form reference quantities: the NLS ground state on the line (the
+sech^{2/(p-2)} soliton) with its mass scaling, the exponential trial family on
+the hexagonal grid, and the critical-mass formula."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import minimize_scalar
 
 from .calculus import GraphFunction, from_edge_samples
 from .honeycomb import HoneycombLattice
@@ -27,29 +25,20 @@ class SolitonParams:
     c_width: float
 
 
-@lru_cache(maxsize=None)
 def _prototype_constants(p: float) -> tuple[float, float]:
-    """Amplitude C and width c of the unit-mass sech prototype.
+    """Amplitude C and width c of the unit-mass line soliton C sech^{2/(p-2)}(c x).
 
-    C is pinned by the unit-mass condition; c minimizes the 1D NLS energy of
-    the sech family at fixed unit mass (stationarity), both evaluated by
-    adaptive quadrature.  At p = 4 this recovers c = 1/4, C^2 = 1/8 exactly.
+    It solves -phi'' - phi^{p-1} = -omega phi with omega = (2c/(p-2))^2, which
+    fixes C^{p-2} = p omega / 2; unit mass C^2 I / c = 1, with I the integral of
+    sech^{4/(p-2)}, then fixes c.  Evaluated in log space, since the amplitude
+    factor k = (2p/(p-2)^2)^{2/(p-2)} overflows as p -> 2.  At p = 4 this is
+    c = 1/4, C^2 = 1/8.
     """
-    sech2 = quad(lambda t: 1.0 / math.cosh(t) ** 2, -40, 40)[0]           # = 2
-    sech2tanh2 = quad(lambda t: (math.tanh(t) / math.cosh(t)) ** 2, -40, 40)[0]  # = 2/3
-    sechp = quad(lambda t: 1.0 / math.cosh(t) ** p, -40, 40)[0]
-
-    def energy(log_c: float) -> float:
-        c = math.exp(log_c)
-        C2 = c / sech2  # unit mass: C^2 * sech2 / c = 1
-        kinetic = 0.5 * C2 * c * sech2tanh2
-        potential = (C2 ** (p / 2.0)) * sechp / (c * p)
-        return kinetic - potential
-
-    res = minimize_scalar(energy, bounds=(-8.0, 4.0), method="bounded",
-                          options={"xatol": 1e-12})
-    c = math.exp(res.x)
-    return math.sqrt(c / sech2), c
+    s = 4.0 / (p - 2.0)
+    log_I = 0.5 * math.log(math.pi) + math.lgamma(s / 2.0) - math.lgamma((s + 1.0) / 2.0)
+    log_k = (2.0 / (p - 2.0)) * math.log(2.0 * p / (p - 2.0) ** 2)
+    log_c = -((p - 2.0) / (6.0 - p)) * (log_I + log_k)
+    return math.exp(0.5 * (log_c - log_I)), math.exp(log_c)
 
 
 def soliton_params(p: float, mu: float) -> SolitonParams:
@@ -71,7 +60,7 @@ def soliton_profile(params: SolitonParams, x):
     # 1/cosh via exp keeps the far tail at exactly 0 instead of overflowing.
     a = np.abs(arg)
     sech = np.where(a < 350.0, 2.0 * np.exp(-a) / (1.0 + np.exp(-2.0 * a)), 0.0)
-    return scale * params.C_amp * sech
+    return scale * params.C_amp * sech ** (2.0 / (params.p - 2.0))
 
 
 # --- exponential trial family on the hexagonal grid (unit edge length) ------

@@ -111,6 +111,11 @@ def vertex_distances(graph: MetricGraph, source: int) -> np.ndarray:
     return dijkstra((adj + adj.T).tocsr(), indices=source)
 
 
+def _center_vertex(bare: MetricGraph) -> int:
+    # Builders place the natural center at the coordinate origin.
+    return int(np.argmin([v.x ** 2 + v.y ** 2 for v in bare.vertices]))
+
+
 def _random_envelope(graph: MetricGraph, dist: np.ndarray, rng: np.random.Generator,
                      gamma: float, samples_per_edge: int) -> GraphFunction:
     """I.i.d. uniform vertex values times exp(-gamma * dist), linear on edges."""
@@ -118,15 +123,14 @@ def _random_envelope(graph: MetricGraph, dist: np.ndarray, rng: np.random.Genera
     return from_vertex_values(graph, vv, samples_per_edge)
 
 
-def random_corpus(lat: HoneycombLattice, count: int, seed: int,
-                  samples_per_edge: int = 9,
-                  gammas: tuple[float, ...] = _ENVELOPE_GAMMAS) -> list[GraphFunction]:
+def random_corpus(lat: HoneycombLattice, count: int, seed: int) -> list[GraphFunction]:
     """Randomized test functions: i.i.d. uniform vertex values modulated by an
-    exponential envelope around the origin, piecewise linear on edges."""
+    exponential envelope around the origin, piecewise linear on edges with 9
+    samples each.  The envelope rates cycle through _ENVELOPE_GAMMAS."""
     dist = vertex_distances(lat.graph, lat.origin_vertex)
     streams = np.random.SeedSequence(seed).spawn(count)
     return [_random_envelope(lat.graph, dist, np.random.default_rng(stream),
-                             gammas[idx % len(gammas)], samples_per_edge)
+                             _ENVELOPE_GAMMAS[idx % len(_ENVELOPE_GAMMAS)], 9)
             for idx, stream in enumerate(streams)]
 
 
@@ -190,7 +194,7 @@ def _ascent_starts(graph, dz: Discretization, num_starts: int, seed: int):
     """Mixed start vectors: random envelopes, exponential trial profiles,
     centered bumps.  All normalized later; boundary DOFs zeroed by caller."""
     bare, lat = _bare_graph(graph)
-    dist = vertex_distances(bare, lat.origin_vertex if lat is not None else 0)
+    dist = vertex_distances(bare, _center_vertex(bare))
     streams = np.random.SeedSequence(seed).spawn(num_starts)
     starts = []
     for idx in range(num_starts):

@@ -42,9 +42,8 @@ from scipy.sparse.linalg import splu
 from .analytic import build_trial_function, soliton_params, soliton_profile
 from .calculus import (Discretization, GraphFunction, constant_function, from_vertex_values,
                        rescale_mass)
-from .functionals import (_bare_graph, energy, make_discretization, truncation_boundary,
-                          vertex_distances)
-from .graph_core import MetricGraph
+from .functionals import (_bare_graph, _center_vertex, energy, make_discretization,
+                          truncation_boundary, vertex_distances)
 from .honeycomb import HoneycombLattice, path_coordinate
 
 INITIALIZERS = ("soliton-bump", "trial-eps", "uniform")
@@ -94,11 +93,6 @@ class SolveOutcome:
     residual: float = np.inf
     init_used: str = ""
     trace: list[dict] = field(default_factory=list)
-
-
-def _center_vertex(bare: MetricGraph) -> int:
-    # Builders place the natural center at the coordinate origin.
-    return int(np.argmin([v.x ** 2 + v.y ** 2 for v in bare.vertices]))
 
 
 # --- initializers -----------------------------------------------------------
@@ -499,8 +493,7 @@ def minimize(graph, p: float, mu: float, cfg: SolverConfig | None = None,
                         init_used=tag, trace=trace)
 
 
-def bisect_critical_mass(graph, p: float, mu_lo: float, mu_hi: float,
-                         cfg: SolverConfig | None = None, tol: float = 0.05
+def bisect_critical_mass(graph, p: float, mu_lo: float, mu_hi: float, tol: float = 0.05
                          ) -> tuple[float, tuple[float, float]]:
     """Bisect the SpreadToZero -> GroundState transition mass.
 
@@ -516,7 +509,7 @@ def bisect_critical_mass(graph, p: float, mu_lo: float, mu_hi: float,
         raise ValueError(f"need 0 < mu_lo < mu_hi, got {mu_lo} and {mu_hi}")
 
     def ground(mu: float) -> bool:
-        out = minimize(graph, p, mu, cfg)
+        out = minimize(graph, p, mu)
         if out.classification not in ("GroundState", "SpreadToZero"):
             raise BracketError(f"solve at mu={mu} inconclusive ({out.classification})")
         return out.classification == "GroundState"

@@ -227,6 +227,14 @@ class TestSolitonCheck:
         assert doc["energy"] < 0
         assert doc["profile_l2_rel_discrepancy"] < 1e-2
 
+    @pytest.mark.parametrize("p", ["3", "5"])
+    def test_pass_off_the_quartic_power(self, tmp_path, p):
+        # p = 4 is the default; the reference profile must hold at other powers.
+        out = tmp_path / "run"
+        assert main(["soliton-check", "--p", p, "--out", str(out)]) == 0
+        doc = json.loads((out / "soliton_check.json").read_text())
+        assert doc["profile_l2_rel_discrepancy"] < 1e-2
+
     def test_override_flags(self, tmp_path):
         out = tmp_path / "run"
         assert main(["soliton-check", "--p", "4.0", "--mu", "3.0",

@@ -8,11 +8,11 @@ import pytest
 from hexnls.analytic import build_trial_function, trial_energy, trial_truncation_radius
 from hexnls.calculus import (constant_function, from_edge_samples, gradient_norms,
                              integrate_power, rescale_mass)
-from hexnls.functionals import (RATIO_NAMES, _RatioObjective, energy,
+from hexnls.functionals import (RATIO_NAMES, _ascent_starts, _RatioObjective, energy,
                                 estimate_sharp_constant, inequality_ratio, make_discretization,
                                 random_corpus, vertex_distances)
 from hexnls.graph_core import GraphBuilder, build_line, build_star
-from hexnls.honeycomb import build_honeycomb
+from hexnls.honeycomb import build_honeycomb, build_square_grid
 
 SOBOLEV2D_BOUND = 2.0 * math.sqrt(2.0)
 
@@ -212,6 +212,16 @@ class TestSharpConstantAscent:
                                                  num_starts=6)
         assert 0 < c_hat <= 1.01
         assert witness.graph is g
+
+    @pytest.mark.parametrize("graph", [build_line(5.0), build_square_grid(3, 1.0)],
+                             ids=["line", "square-grid"])
+    def test_bare_graph_starts_centered_at_origin(self, graph):
+        # The centered bump (every third start) peaks at the vertex at (0, 0),
+        # not at vertex 0, a leaf or corner that the zero boundary removes.
+        dz = make_discretization(graph, 9)
+        bump = _ascent_starts(graph, dz, 3, seed=0)[2]
+        peak = graph.vertices[int(np.argmax(bump[:graph.num_vertices]))]
+        assert (peak.x, peak.y) == (0.0, 0.0)
 
     def test_invalid_budget(self, lat):
         with pytest.raises(ValueError):
