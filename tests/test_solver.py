@@ -367,7 +367,7 @@ class TestLineSolitonOracle:
         rel_l2 = np.sqrt(integrate_power(diff, 2) / 2.0)
         assert rel_l2 < 1e-2
         # The soliton's frequency: omega = (2 c mu^beta / (p - 2))^2.
-        omega = (2.0 * params.c_width * 2.0 ** params.beta / 2.0) ** 2
+        omega = (2.0 * params.c_width * params.mu ** params.beta / (params.p - 2.0)) ** 2
         assert out.lagrange_multiplier == pytest.approx(-omega, rel=1e-3)
 
 
