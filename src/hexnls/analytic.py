@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calculus import GraphFunction, from_edge_samples
-from .honeycomb import HoneycombLattice
+from .honeycomb import HoneycombLattice, bridge_line_index, path_coordinate
 
 
 # --- line soliton -----------------------------------------------------------
@@ -139,18 +139,13 @@ def build_trial_function(lat: HoneycombLattice, eps: float,
     offsets = np.empty(E)      # constant part of the exponent
     x0 = np.zeros(E)           # path coordinate at the tail (L edges only)
     is_path = np.zeros(E, dtype=bool)
-    for eid, (kind, a, b) in enumerate(lat.edge_roles):
-        if kind == "horizontal":
+    for eid, (kind, a, _) in enumerate(lat.edge_roles):
+        if kind == "down":  # a = m: the bridge joins L_m and L_{m+1}
+            offsets[eid] = abs(bridge_line_index(lat, eid)) + (a if a >= 0 else -a - 1)
+        else:
             is_path[eid] = True
-            x0[eid] = 2 * b - a
+            x0[eid] = path_coordinate(lat, eid, 0.0)[1]
             offsets[eid] = abs(a)
-        elif kind == "up":
-            is_path[eid] = True
-            x0[eid] = 2 * b - a + 1
-            offsets[eid] = abs(a)
-        else:  # down: a = m, b = j, line k = 2j - m
-            k = 2 * b - a
-            offsets[eid] = abs(k) + (a if a >= 0 else -a - 1)
     arg = np.empty((E, n))
     arg[is_path] = np.abs(x0[is_path, None] + t[None, :]) + offsets[is_path, None]
     arg[~is_path] = t[None, :] + offsets[~is_path, None]

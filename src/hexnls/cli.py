@@ -29,9 +29,6 @@ from .graph_core import build_line
 from .honeycomb import build_honeycomb
 from .solver import SolverConfig, bisect_critical_mass, demonstrate_unbounded, minimize
 
-KINDS = ("inequalities", "trial-forms", "phase-diagram", "critical-mass",
-         "unbounded-p6", "soliton-check")
-
 DEFAULTS: dict[str, dict] = {
     "inequalities": {
         "radius": 6, "edge_length": 1.0, "seed": 0, "corpus_size": 200,
@@ -292,7 +289,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="hexnls",
         description="Reproducible NLS-on-graphs experiments (CSV/JSON artifacts).")
-    parser.add_argument("kind", choices=KINDS)
+    parser.add_argument("kind", choices=RUNNERS)
     parser.add_argument("--config", help="JSON experiment spec (defaults per kind)")
     parser.add_argument("--p", type=float, help="override the nonlinearity power")
     parser.add_argument("--mu", type=float, help="override the mass")

@@ -55,9 +55,6 @@ class MetricGraph:
             deg[e.head] += 1
         return deg
 
-    def degree(self, v: int) -> int:
-        return self.degrees()[v]
-
     def leaves(self) -> list[int]:
         return [v for v, d in enumerate(self.degrees()) if d == 1]
 

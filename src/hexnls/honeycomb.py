@@ -10,17 +10,26 @@ the slanted edges between them, so every stored path is complete across the
 window.  Stub edges (to degree-1 vertices) are kept where a path segment
 exits the window.
 
+Every edge has a role (kind, i, j), and ``HoneycombLattice.edge_roles`` is
+the one table of them; paths, bridge lines and coordinates are read from it:
+
+- ("horizontal", i, j) is the edge shared by L_i and R_j, from its left end
+  A(i, j) to its right end B(i, j);
+- ("up", i, j) follows it on L_i, from B(i, j) to A(i, j + 1);
+- ("down", m, j) is the bridge joining A(m, j) on L_m to B(m + 1, j) on
+  L_{m+1}, on R_j, with its tail on L_m iff m >= 0.
+
 Integer layout units: x in halves of the edge length, y in sqrt(3)/2 times
-the edge length.  The left endpoint of the horizontal edge shared by L_i and
-R_j sits at (3(j - i), i + j); the origin vertex o is the (0, 0) one.
-Combinatorial path coordinates: that left endpoint has coordinate 2j - i
-along L_i, and each edge advances the coordinate by 1.
+the edge length.  A(i, j) sits at (3(j - i), i + j) and B(i, j) = A(i, j) +
+(2, 0); the origin vertex o is A(0, 0).  Combinatorial path coordinates:
+A(i, j) has coordinate 2j - i along L_i, and each edge advances the
+coordinate by 1.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .graph_core import GraphBuilder, MetricGraph
 
@@ -33,18 +42,11 @@ class HoneycombLattice:
     edge_length: float
     origin_vertex: int
     truncation_radius: int
-    # (i, j) -> vertex id of the left / right endpoint of horizontal (i, j)
-    a_id: dict[tuple[int, int], int] = field(default_factory=dict)
-    b_id: dict[tuple[int, int], int] = field(default_factory=dict)
-    horiz_id: dict[tuple[int, int], int] = field(default_factory=dict)
-    up_id: dict[tuple[int, int], int] = field(default_factory=dict)
-    down_id: dict[tuple[int, int], int] = field(default_factory=dict)
     # edge id -> ("horizontal"|"up"|"down", i, j); for "down" the first index
     # is the lower of the two L paths the edge joins
-    edge_roles: list[tuple[str, int, int]] = field(default_factory=list)
-
-    def interior_vertices(self) -> list[int]:
-        return [v for v, d in enumerate(self.graph.degrees()) if d == 3]
+    edge_roles: list[tuple[str, int, int]]
+    # role -> edge id, the inverse of edge_roles
+    edge_id: dict[tuple[str, int, int], int]
 
     def boundary_vertices(self) -> list[int]:
         return [v for v, d in enumerate(self.graph.degrees()) if d < 3]
@@ -52,20 +54,19 @@ class HoneycombLattice:
 
 @dataclass(slots=True)
 class PathFamily:
-    """The two path families with all index structures.
+    """The two path families as edge-id lists.
 
-    I_segments[(i, j)] is the pair (horizontal edge shared by L_i and R_j,
-    up edge on its right); J_segments[(j, i)] the pair (same horizontal,
-    down edge on its up-left along R_j).  v_vertices / w_vertices hold the
-    distinguished junction vertices of those segments.
+    L_paths[i] runs along L_i from its lower-left end: horizontal (i, j),
+    then up (i, j), for increasing j.  Its segment I_i^j (the paper's
+    notation) is L_paths[i][2k:2k+2] with k = j + R.  R_paths[j] runs along
+    R_j from its upper-left end: down (i, j) into A(i, j), then horizontal
+    (i, j), for decreasing i, so its segment J_j^i is R_paths[j][2k:2k+2]
+    with k = R - i.  The junction vertex v_ij = w_ji = A(i, j) is the tail
+    of horizontal (i, j).
     """
 
     L_paths: dict[int, list[int]]
     R_paths: dict[int, list[int]]
-    I_segments: dict[tuple[int, int], tuple[int, int]]
-    J_segments: dict[tuple[int, int], tuple[int, int]]
-    v_vertices: dict[tuple[int, int], int]
-    w_vertices: dict[tuple[int, int], int]
 
 
 @dataclass(slots=True)
@@ -90,50 +91,41 @@ def build_honeycomb(truncation_radius: int, edge_length: float) -> HoneycombLatt
     R = truncation_radius
     l = edge_length
     b = GraphBuilder()
-    lat = HoneycombLattice(
-        graph=None, edge_length=l, origin_vertex=-1, truncation_radius=R  # type: ignore[arg-type]
-    )
 
-    def pos(ix: int, iy: int) -> tuple[float, float]:
-        return 0.5 * l * ix, SQRT3_2 * l * iy
+    def pos(i: int, j: int) -> tuple[float, float]:
+        """Coordinates of A(i, j)."""
+        return 0.5 * l * (3 * (j - i)), SQRT3_2 * l * (i + j)
 
     rng = range(-R, R + 1)
+    a_id: dict[tuple[int, int], int] = {}
+    b_id: dict[tuple[int, int], int] = {}
     for i in rng:
         for j in rng:
-            ax, ay = pos(3 * (j - i), i + j)
-            lat.a_id[(i, j)] = b.add_vertex(ax, ay)
-            lat.b_id[(i, j)] = b.add_vertex(ax + l, ay)
-    # Stub vertices: A(i, R+1) closing the last I segment of L_i, and
-    # B(R+1, j) closing the last J segment of R_j.
+            ax, ay = pos(i, j)
+            a_id[i, j] = b.add_vertex(ax, ay)
+            b_id[i, j] = b.add_vertex(ax + l, ay)
+    # Stub vertices: A(i, R+1) closing the last up edge of L_i, and
+    # B(R+1, j) closing the last down edge of R_j.
     for i in rng:
-        ax, ay = pos(3 * (R + 1 - i), i + R + 1)
-        lat.a_id[(i, R + 1)] = b.add_vertex(ax, ay)
+        a_id[i, R + 1] = b.add_vertex(*pos(i, R + 1))
     for j in rng:
-        ax, ay = pos(3 * (j - R - 1), R + j + 1)
-        lat.b_id[(R + 1, j)] = b.add_vertex(ax + l, ay)
+        ax, ay = pos(R + 1, j)
+        b_id[R + 1, j] = b.add_vertex(ax + l, ay)
 
-    roles = lat.edge_roles
-    for i in rng:
-        for j in rng:
-            eid = b.add_edge(lat.a_id[(i, j)], lat.b_id[(i, j)], l, "horizontal")
-            lat.horiz_id[(i, j)] = eid
-            roles.append(("horizontal", i, j))
-    for i in rng:
-        for j in rng:
-            eid = b.add_edge(lat.b_id[(i, j)], lat.a_id[(i, j + 1)], l, "up")
-            lat.up_id[(i, j)] = eid
-            roles.append(("up", i, j))
-    for m in rng:
-        for j in rng:
-            lo, hi = lat.a_id[(m, j)], lat.b_id[(m + 1, j)]
-            tail, head = (lo, hi) if m >= 0 else (hi, lo)
-            eid = b.add_edge(tail, head, l, "down")
-            lat.down_id[(m, j)] = eid
-            roles.append(("down", m, j))
-
-    lat.graph = b.build()
-    lat.origin_vertex = lat.a_id[(0, 0)]
-    return lat
+    roles = [(kind, i, j) for kind in ("horizontal", "up", "down") for i in rng for j in rng]
+    for kind, i, j in roles:
+        if kind == "horizontal":
+            tail, head = a_id[i, j], b_id[i, j]
+        elif kind == "up":
+            tail, head = b_id[i, j], a_id[i, j + 1]
+        elif i >= 0:
+            tail, head = a_id[i, j], b_id[i + 1, j]
+        else:
+            tail, head = b_id[i + 1, j], a_id[i, j]
+        b.add_edge(tail, head, l, kind)
+    return HoneycombLattice(graph=b.build(), edge_length=l, origin_vertex=a_id[0, 0],
+                            truncation_radius=R, edge_roles=roles,
+                            edge_id={role: eid for eid, role in enumerate(roles)})
 
 
 def path_coordinate(lat: HoneycombLattice, edge_id: int, t: float) -> tuple[int, float]:
@@ -156,40 +148,20 @@ def bridge_line_index(lat: HoneycombLattice, edge_id: int) -> int:
 
 
 def decompose_paths(lat: HoneycombLattice) -> PathFamily:
-    R = lat.truncation_radius
-    rng = range(-R, R + 1)
-    L_paths: dict[int, list[int]] = {}
-    R_paths: dict[int, list[int]] = {}
-    I_segments: dict[tuple[int, int], tuple[int, int]] = {}
-    J_segments: dict[tuple[int, int], tuple[int, int]] = {}
-    v_vertices: dict[tuple[int, int], int] = {}
-    w_vertices: dict[tuple[int, int], int] = {}
-    for i in rng:
-        path = []
-        for j in rng:
-            h, up = lat.horiz_id[(i, j)], lat.up_id[(i, j)]
-            path += [h, up]
-            I_segments[(i, j)] = (h, up)
-            v_vertices[(i, j)] = lat.a_id[(i, j)]
-        L_paths[i] = path
-    for j in rng:
-        # R_j traversed from its up-left end: down edge into A(i, j), then the
-        # horizontal to B(i, j), with i decreasing.
-        path = []
-        for i in reversed(rng):
-            h, dn = lat.horiz_id[(i, j)], lat.down_id[(i, j)]
-            path += [dn, h]
-            J_segments[(j, i)] = (h, dn)
-            w_vertices[(j, i)] = lat.a_id[(i, j)]
-        R_paths[j] = path
-    return PathFamily(L_paths, R_paths, I_segments, J_segments, v_vertices, w_vertices)
+    rng = range(-lat.truncation_radius, lat.truncation_radius + 1)
+    ids = lat.edge_id
+    return PathFamily(
+        L_paths={i: [ids[kind, i, j] for j in rng for kind in ("horizontal", "up")]
+                 for i in rng},
+        R_paths={j: [ids[kind, i, j] for i in reversed(rng) for kind in ("down", "horizontal")]
+                 for j in rng})
 
 
 def decompose_bridges(lat: HoneycombLattice) -> BridgeFamily:
     lines: dict[int, list[tuple[int, int]]] = {}
-    for (m, j), eid in lat.down_id.items():
-        k = 2 * j - m
-        lines.setdefault(k, []).append((m, eid))
+    for eid, (kind, m, _) in enumerate(lat.edge_roles):
+        if kind == "down":
+            lines.setdefault(bridge_line_index(lat, eid), []).append((m, eid))
     for k in lines:
         lines[k].sort()
     return BridgeFamily(dict(sorted(lines.items())))

@@ -220,19 +220,16 @@ class _Point(NamedTuple):
     E: float
     Kv: np.ndarray       # K v
     w: np.ndarray        # |v|^{p-2}
-    sq: np.ndarray       # v^2
 
 
 class _Descent:
-    def __init__(self, dz: Discretization, p: float, mu: float, cfg: SolverConfig,
-                 boundary: list[int] = ()):
+    def __init__(self, dz: Discretization, p: float, mu: float, cfg: SolverConfig):
         self.dz = dz
         self.p = p
         self.mu = mu
         self.cfg = cfg
         self.K = dz.stiffness
         self.inv_mass = 1.0 / dz.mass_vec
-        self.boundary_weights = dz.boundary_weights(boundary)
 
     @cached_property
     def precondition(self):
@@ -248,9 +245,8 @@ class _Descent:
         """v with its energy; the one place an iterate meets K and the power."""
         Kv = self.K @ v
         w = np.abs(v) ** (self.p - 2)
-        sq = v * v
-        E = 0.5 * float(v @ Kv) - float(self.dz.mass_vec @ (w * sq)) / self.p
-        return _Point(v, E, Kv, w, sq)
+        E = 0.5 * float(v @ Kv) - float(self.dz.mass_vec @ (w * (v * v))) / self.p
+        return _Point(v, E, Kv, w)
 
     def tangent_gradient(self, pt: _Point) -> tuple[np.ndarray, float, float]:
         """Projected gradient r = grad E - lambda*M*v, its multiplier, and the
@@ -270,10 +266,7 @@ class _Descent:
     def record(self, trace: list[dict] | None, it: int, pt: _Point, res: float,
                step: float) -> None:
         if trace is not None:
-            # Every iterate has mass mu, so the share needs no mass sum.
-            trace.append({"iteration": it, "energy": pt.E, "residual": res, "step": step,
-                          "boundary_mass_fraction":
-                              float(self.boundary_weights @ pt.sq) / self.mu})
+            trace.append({"iteration": it, "energy": pt.E, "residual": res, "step": step})
 
     def newton_direction(self, v: np.ndarray, lam: float, r: np.ndarray) -> np.ndarray:
         """Newton step delta of the bordered stationarity system at v,
@@ -418,13 +411,14 @@ def _descend(d: _Descent, v0: np.ndarray,
     return pt.v, pt.E, lam, res, it
 
 
-def _classify(d: _Descent, v: np.ndarray, E: float, res: float, p: float) -> str:
+def _classify(d: _Descent, v: np.ndarray, E: float, res: float, p: float,
+              boundary_weights: np.ndarray) -> str:
     dz = d.dz
     if E < SolverConfig.divergence_floor:
         return "UnboundedBelow"
     total_len = float(np.sum(dz.h) * (dz.n - 1))
     flat_energy = -(d.mu / total_len) ** (p / 2.0) * total_len / p
-    boundary_frac = dz.boundary_mass_fraction(v, d.boundary_weights)
+    boundary_frac = dz.boundary_mass_fraction(v, boundary_weights)
     near_zero = E >= -max(10.0 * SolverConfig.energy_tol * d.mu, 1e-12)
     # A spreading run ends at (or near) the mass-mu constant function, whose
     # energy vanishes as the truncation grows; a ground state, even a broad
@@ -471,7 +465,7 @@ def minimize(graph, p: float, mu: float, cfg: SolverConfig | None = None,
         raise ValueError(f"mass must be positive, got {mu}")
     cfg = cfg or SolverConfig()
     dz = make_discretization(graph, cfg.samples_per_edge)
-    d = _Descent(dz, p, mu, cfg, truncation_boundary(graph))
+    d = _Descent(dz, p, mu, cfg)
 
     if isinstance(init, GraphFunction):
         inits = [("custom", dz.to_dofs(init))]
@@ -486,7 +480,8 @@ def minimize(graph, p: float, mu: float, cfg: SolverConfig | None = None,
         if best is None or _beats(E, res, best[1], best[4], mu, cfg.residual_tol):
             best = (tag, E, v, lam, res, it, trace)
     tag, E, v, lam, res, it, trace = best
-    classification = _classify(d, v, E, res, p)
+    classification = _classify(d, v, E, res, p,
+                               dz.boundary_weights(truncation_boundary(graph)))
     minimizer = GraphFunction(_bare_graph(graph)[0], v) if classification == "GroundState" else None
     return SolveOutcome(classification=classification, final_energy=E, minimizer=minimizer,
                         lagrange_multiplier=lam, iterations=it, residual=res,

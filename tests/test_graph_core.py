@@ -41,7 +41,7 @@ class TestBuildLine:
 class TestBuildStar:
     def test_center_degree_and_total_length(self):
         g = build_star(3, 5.0)
-        assert g.degree(0) == 3
+        assert g.degrees()[0] == 3
         assert g.total_length() == pytest.approx(15.0)
 
     def test_two_arms_isometric_to_line(self):
@@ -60,7 +60,7 @@ class TestBuildStar:
     def test_fractional_arm(self):
         g = build_star(4, 2.5)
         assert g.total_length() == pytest.approx(10.0)
-        assert g.degree(0) == 4
+        assert g.degrees()[0] == 4
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -112,6 +112,4 @@ class TestValidate:
     def test_degree_matches_adjacency(self):
         g = build_star(6, 3.0)
         ends = [end for e in g.edges for end in (e.tail, e.head)]
-        for v in g.vertices:
-            assert g.degree(v.id) == ends.count(v.id)
         assert g.degrees() == [ends.count(v.id) for v in g.vertices]

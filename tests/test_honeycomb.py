@@ -1,5 +1,7 @@
 """Hexagonal-grid truncations and their path/bridge decompositions."""
 
+import math
+
 import pytest
 
 from hexnls.graph_core import validate
@@ -53,9 +55,10 @@ class TestBuildHoneycomb:
 
     def test_interior_degree_three(self):
         lat = build_honeycomb(2, 1.0)
-        degs = {lat.graph.degree(v) for v in lat.interior_vertices()}
-        assert degs == {3}
-        assert all(lat.graph.degree(v) in (1, 2) for v in lat.boundary_vertices())
+        degs = lat.graph.degrees()
+        boundary = set(lat.boundary_vertices())
+        assert {d for v, d in enumerate(degs) if v not in boundary} == {3}
+        assert all(degs[v] in (1, 2) for v in boundary)
 
     def test_origin_at_coordinate_origin(self):
         lat = build_honeycomb(2, 1.0)
@@ -67,6 +70,37 @@ class TestBuildHoneycomb:
         lat2 = build_honeycomb(2, 0.5)
         assert lat2.graph.num_edges == lat1.graph.num_edges
         assert lat2.graph.total_length() == pytest.approx(0.5 * lat1.graph.total_length())
+
+    @pytest.mark.parametrize("R", [1, 2, 3])
+    @pytest.mark.parametrize("l", [1.0, 0.7])
+    def test_edges_at_closed_form_positions(self, R, l):
+        # In layout units (x in l/2, y in sqrt(3) l/2): A(i, j) = (3(j - i), i + j),
+        # B(i, j) = A(i, j) + (2, 0).
+        def A(i, j):
+            return 3 * (j - i), i + j
+
+        def B(i, j):
+            return 3 * (j - i) + 2, i + j
+
+        lat = build_honeycomb(R, l)
+        assert lat.edge_id == {role: eid for eid, role in enumerate(lat.edge_roles)}
+        assert len(lat.edge_id) == len(lat.edge_roles) == lat.graph.num_edges
+        rng = range(-R, R + 1)
+        assert sorted(lat.edge_roles) == sorted(
+            (kind, i, j) for kind in ("horizontal", "up", "down") for i in rng for j in rng)
+        for e in lat.graph.edges:
+            kind, i, j = lat.edge_roles[e.id]
+            assert e.kind == kind
+            if kind == "horizontal":
+                ends = A(i, j), B(i, j)
+            elif kind == "up":
+                ends = B(i, j), A(i, j + 1)
+            else:  # the bridge from L_i to L_{i+1} starts on L_i iff i >= 0
+                ends = (A(i, j), B(i + 1, j)) if i >= 0 else (B(i + 1, j), A(i, j))
+            for vid, (ix, iy) in zip((e.tail, e.head), ends):
+                v = lat.graph.vertices[vid]
+                assert (v.x, v.y) == (pytest.approx(0.5 * l * ix, abs=1e-12),
+                                      pytest.approx(math.sqrt(3) / 2 * l * iy, abs=1e-12))
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -106,17 +140,18 @@ class TestPathFamily:
                 assert len(common) == 1
                 (eid,) = common
                 assert lat.graph.edges[eid].kind == "horizontal"
-                assert eid == lat.horiz_id[(i, j)]
+                assert eid == lat.edge_id["horizontal", i, j]
 
-    def test_paths_union_of_segments(self, pfam):
+    def test_paths_union_of_segments(self, lat, pfam):
+        # L_i is its segments (horizontal (i, j), up (i, j)) for increasing j;
+        # R_j is its segments (down (i, j), horizontal (i, j)) for decreasing i.
+        rng = range(-lat.truncation_radius, lat.truncation_radius + 1)
+        eid = lat.edge_id
         for i, Li in pfam.L_paths.items():
-            seg_edges = [e for (ii, j), pair in sorted(pfam.I_segments.items())
-                         if ii == i for e in pair]
-            assert sorted(seg_edges) == sorted(Li)
+            assert Li == [e for j in rng for e in (eid["horizontal", i, j], eid["up", i, j])]
         for j, Rj in pfam.R_paths.items():
-            seg_edges = [e for (jj, i), pair in sorted(pfam.J_segments.items())
-                         if jj == j for e in pair]
-            assert sorted(seg_edges) == sorted(Rj)
+            assert Rj == [e for i in reversed(rng)
+                          for e in (eid["down", i, j], eid["horizontal", i, j])]
 
     def test_covering_with_horizontals_twice(self, lat, pfam):
         counts = {e.id: 0 for e in lat.graph.edges}
@@ -133,19 +168,12 @@ class TestPathFamily:
         assert all(k == "up" for k in kinds[1::2])
 
     def test_consecutive_segments_disjoint_adjacent(self, lat, pfam):
-        R = lat.truncation_radius
-        for i in range(-R, R + 1):
-            for j in range(-R, R):
-                a, b = pfam.I_segments[(i, j)], pfam.I_segments[(i, j + 1)]
+        for Li in pfam.L_paths.values():
+            segments = [Li[k:k + 2] for k in range(0, len(Li), 2)]
+            for a, b in zip(segments, segments[1:]):
                 assert not (set(a) & set(b))
                 ea, eb = lat.graph.edges[a[1]], lat.graph.edges[b[0]]
                 assert {ea.tail, ea.head} & {eb.tail, eb.head}
-
-    def test_junction_vertices_coincide(self, lat, pfam):
-        # v_i^j and w_j^i are the same lattice vertex (left endpoint of the
-        # shared horizontal edge).
-        for (i, j), v in pfam.v_vertices.items():
-            assert v == pfam.w_vertices[(j, i)] == lat.a_id[(i, j)]
 
     def test_deterministic(self, lat):
         f1, f2 = decompose_paths(lat), decompose_paths(lat)
@@ -181,10 +209,11 @@ class TestBridgeFamily:
         for k, entries in bfam.lines.items():
             for m, eid in entries:
                 e = lat.graph.edges[eid]
+                j = (k + m) // 2
                 if m >= 0:
-                    assert e.tail == lat.a_id[(m, (k + m) // 2)]
+                    assert e.tail == lat.graph.edges[lat.edge_id["horizontal", m, j]].tail
                 else:
-                    assert e.tail == lat.b_id[(m + 1, (k + m) // 2)]
+                    assert e.tail == lat.graph.edges[lat.edge_id["horizontal", m + 1, j]].head
 
     def test_bridges_join_consecutive_paths(self, lat, bfam):
         paths = decompose_paths(lat)
@@ -206,19 +235,19 @@ class TestBridgeFamily:
 class TestPathCoordinate:
     def test_horizontal_and_up_coordinates(self):
         lat = build_honeycomb(2, 1.0)
-        i, x = path_coordinate(lat, lat.horiz_id[(0, 0)], 0.0)
+        i, x = path_coordinate(lat, lat.edge_id["horizontal", 0, 0], 0.0)
         assert (i, x) == (0, 0.0)
-        i, x = path_coordinate(lat, lat.up_id[(0, 0)], 1.0)
+        i, x = path_coordinate(lat, lat.edge_id["up", 0, 0], 1.0)
         assert (i, x) == (0, 2.0)
-        i, x = path_coordinate(lat, lat.horiz_id[(1, -1)], 0.5)
+        i, x = path_coordinate(lat, lat.edge_id["horizontal", 1, -1], 0.5)
         assert i == 1 and x == pytest.approx(-3 + 0.5)
 
     def test_bridge_rejected(self):
         lat = build_honeycomb(1, 1.0)
         with pytest.raises(ValueError):
-            path_coordinate(lat, lat.down_id[(0, 0)], 0.0)
+            path_coordinate(lat, lat.edge_id["down", 0, 0], 0.0)
         with pytest.raises(ValueError):
-            bridge_line_index(lat, lat.horiz_id[(0, 0)])
+            bridge_line_index(lat, lat.edge_id["horizontal", 0, 0])
 
 
 class TestSquareGrid:
@@ -230,8 +259,9 @@ class TestSquareGrid:
 
     def test_interior_degree_four(self):
         g = build_square_grid(2, 1.0)
+        degs = g.degrees()
         interior = [v.id for v in g.vertices if abs(v.x) < 2 and abs(v.y) < 2]
-        assert all(g.degree(v) == 4 for v in interior)
+        assert all(degs[v] == 4 for v in interior)
 
     def test_valid(self):
         assert validate(build_square_grid(3, 0.5)) == []
