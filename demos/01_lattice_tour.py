@@ -39,7 +39,7 @@ def main() -> None:
             counts[eid] += 1
     by_kind = {}
     for e in g.edges:
-        by_kind.setdefault(e.kind, set()).add(counts[e.id])
+        by_kind.setdefault(lat.edge_roles[e.id][0], set()).add(counts[e.id])
     print(f"  coverage multiplicity by edge kind: "
           + ", ".join(f"{k}: {sorted(v)}" for k, v in sorted(by_kind.items())))
 
@@ -47,7 +47,7 @@ def main() -> None:
     for (i, j) in [(0, 0), (1, -1), (-R, R)]:
         common = set(fam.L_paths[i]) & set(fam.R_paths[j])
         print(f"  L_{i} ∩ R_{j} = edge {sorted(common)} "
-              f"(kind {g.edges[next(iter(common))].kind})")
+              f"(kind {lat.edge_roles[next(iter(common))][0]})")
 
     bridges = decompose_bridges(lat)
     print(f"\nBridging edges group into {len(bridges.lines)} transversal lines "

@@ -12,9 +12,9 @@ from .analytic import (SolitonParams, build_trial_function, critical_mass_from_c
                        soliton_params, soliton_profile, trial_energy, trial_energy_terms,
                        trial_kinetic_integral, trial_lp_integral, trial_normalization,
                        trial_truncation_radius)
-from .calculus import (Discretization, GraphFunction, NormReport, constant_function,
-                       edge_lengths, from_edge_samples, from_vertex_values, gradient_norms,
-                       integrate_power, norm_report, rescale_mass)
+from .calculus import (Discretization, GraphFunction, constant_function, edge_lengths,
+                       from_edge_samples, from_vertex_values, gradient_norms, integrate_power,
+                       rescale_mass)
 from .functionals import (RATIO_NAMES, EnergyReport, InequalityRatio, energy,
                           estimate_sharp_constant, inequality_ratio, random_corpus,
                           vertex_distances)
@@ -32,7 +32,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BracketError", "BridgeFamily", "Discretization", "Edge", "EnergyReport",
     "GraphBuilder", "GraphFunction", "HoneycombLattice", "InequalityRatio",
-    "MetricGraph", "NormReport", "PathFamily", "RATIO_NAMES", "ResolutionError",
+    "MetricGraph", "PathFamily", "RATIO_NAMES", "ResolutionError",
     "SolitonParams", "SolveOutcome", "SolverConfig", "Vertex",
     "bisect_critical_mass", "bridge_line_index", "build_honeycomb",
     "build_line", "build_square_grid", "build_star", "build_trial_function",
@@ -40,7 +40,7 @@ __all__ = [
     "decompose_paths", "demonstrate_unbounded", "edge_lengths", "energy",
     "estimate_sharp_constant", "euler_lagrange_residual", "from_edge_samples",
     "from_vertex_values", "gradient_norms", "initial_function", "inequality_ratio",
-    "integrate_power", "minimize", "norm_report", "path_coordinate",
+    "integrate_power", "minimize", "path_coordinate",
     "random_corpus", "rescale_mass", "soliton_bump", "soliton_params",
     "soliton_profile", "squeezed_profile", "trial_energy",
     "trial_energy_terms", "trial_kinetic_integral", "trial_lp_integral",

@@ -11,7 +11,6 @@ it exactly, keeping norms orientation independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -114,26 +113,6 @@ def gradient_norms(u: GraphFunction) -> tuple[float, float]:
     return grad_l1, grad_l2sq
 
 
-@dataclass(slots=True)
-class NormReport:
-    mass: float
-    lp: dict[float, float]
-    linf: float
-    grad_l1: float
-    grad_l2sq: float
-
-
-def norm_report(u: GraphFunction, p_list: list[float] = ()) -> NormReport:
-    grad_l1, grad_l2sq = gradient_norms(u)
-    return NormReport(
-        mass=integrate_power(u, 2),
-        lp={p: integrate_power(u, p) for p in p_list},
-        linf=float(np.abs(u.dofs).max()),
-        grad_l1=grad_l1,
-        grad_l2sq=grad_l2sq,
-    )
-
-
 def rescale_mass(u: GraphFunction, mu: float) -> GraphFunction:
     if mu <= 0:
         raise ValueError(f"target mass must be positive, got {mu}")
@@ -149,8 +128,8 @@ class Discretization:
     Vertex samples shared between edges collapse to one DOF; interior samples
     are their own DOFs.  The lumped (trapezoid) mass vector and the chain
     stiffness matrix give integrate_power(u, 2) and the squared L2 gradient
-    norm.  The stiffness is built on first use.  A layout keeps the graph's
-    vertex and edge counts, not the graph, which caches it.
+    norm.  The cells and the stiffness are built on first use.  A layout keeps
+    the graph's vertex and edge counts, not the graph, which caches it.
     """
 
     def __init__(self, graph: MetricGraph, samples_per_edge: int = 33):
@@ -170,9 +149,13 @@ class Discretization:
         self.mass_vec = self._lumped_mass(np.ones(E, dtype=bool))
 
     @cached_property
+    def cells(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (left, right) DOF of every sample cell, edge by edge."""
+        return self.dof_of[:, :-1].ravel(), self.dof_of[:, 1:].ravel()
+
+    @cached_property
     def stiffness(self) -> sp.csr_matrix:
-        d0 = self.dof_of[:, :-1].ravel()
-        d1 = self.dof_of[:, 1:].ravel()
+        d0, d1 = self.cells
         w = np.repeat(1.0 / self.h, self.n - 1)
         rows = np.concatenate([d0, d1, d0, d1])
         cols = np.concatenate([d0, d1, d1, d0])

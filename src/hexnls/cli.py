@@ -103,13 +103,14 @@ def _load_config(args: argparse.Namespace) -> dict:
 
 def run_inequalities(cfg: dict, outdir: Path) -> list[str]:
     lat = build_honeycomb(cfg["radius"], cfg["edge_length"])
-    bound_s2 = 2.0 * math.sqrt(2.0 * cfg["edge_length"])
+    bounds = {"sobolev2d": 2.0 * math.sqrt(2.0 * cfg["edge_length"]), "gn1d": 1.0}
     slack = cfg["slack"]
     corpus = random_corpus(lat, cfg["corpus_size"], cfg["seed"])
     rows = ["name,p,ratio,bound,status"]
     failures = []
 
-    def record(name: str, p: float, value: float, bound: float | None):
+    def record(name: str, p: float, value: float):
+        bound = bounds.get(name)
         if bound is None:
             rows.append(f"{name},{p!r},{value!r},,reported")
             return
@@ -119,11 +120,10 @@ def run_inequalities(cfg: dict, outdir: Path) -> list[str]:
             failures.append(f"{name} ratio {value} exceeds {bound}*(1+{slack})")
 
     for u in corpus:
-        record("sobolev2d", 2.0, inequality_ratio(u, "sobolev2d").value, bound_s2)
+        record("sobolev2d", 2.0, inequality_ratio(u, "sobolev2d").value)
         for p in cfg["p_list"]:
-            record("gn1d", p, inequality_ratio(u, "gn1d", p).value, 1.0)
-            record("gn2d", p, inequality_ratio(u, "gn2d", p).value, None)
-            record("gn_interp", p, inequality_ratio(u, "gn_interp", p).value, None)
+            for name in ("gn1d", "gn2d", "gn_interp"):
+                record(name, p, inequality_ratio(u, name, p).value)
     summary = {}
     for name, p in [("sobolev2d", 2.0)] + [("gn1d", p) for p in cfg["p_list"]] \
             + [("gn_interp", p) for p in cfg["p_list"] if 4.0 <= p <= 6.0]:
@@ -131,12 +131,7 @@ def run_inequalities(cfg: dict, outdir: Path) -> list[str]:
             name, p, lat, budget=cfg["ascent_budget"], seed=cfg["seed"],
             num_starts=cfg["ascent_starts"])
         summary[f"{name}_p{p:g}"] = c_hat
-        if name == "sobolev2d":
-            record(name, p, c_hat, bound_s2)
-        elif name == "gn1d":
-            record(name, p, c_hat, 1.0)
-        else:
-            record(name, p, c_hat, None)
+        record(name, p, c_hat)
     (outdir / "inequality_ratios.csv").write_text("\n".join(rows) + "\n")
     (outdir / "sharp_constants.json").write_text(
         json.dumps(summary, indent=1, sort_keys=True) + "\n")
@@ -150,23 +145,23 @@ def run_trial_forms(cfg: dict, outdir: Path) -> list[str]:
     for eps in cfg["eps_list"]:
         lat = build_honeycomb(trial_truncation_radius(eps), 1.0)
         u = build_trial_function(lat, eps, cfg["samples_per_edge"])
-        checks = [("kinetic", trial_kinetic_integral(eps), gradient_norms(u)[1])]
+        checks = [("kinetic", "", trial_kinetic_integral(eps), gradient_norms(u)[1])]
         for p in cfg["p_list"]:
-            checks.append((f"lp_p{p:g}", trial_lp_integral(eps, p), integrate_power(u, p)))
-        for quantity, exact, quad in checks:
+            checks.append((f"lp_p{p:g}", f"{p:g}", trial_lp_integral(eps, p),
+                           integrate_power(u, p)))
+        for quantity, p_tag, exact, quad in checks:
             rel = abs(quad - exact) / abs(exact)
             ok = rel < tol
-            p_tag = quantity.split("p")[-1] if quantity.startswith("lp") else ""
             rows.append(f"{eps!r},{p_tag},{quantity},{exact!r},{quad!r},{rel!r},"
                         f"{'pass' if ok else 'fail'}")
             if not ok:
                 failures.append(f"eps={eps} {quantity}: rel error {rel} >= {tol}")
         for mu in cfg["mu_list"]:
             k = trial_normalization(eps, mu)
-            rel = abs(k * k * integrate_power(u, 2) - mu) / mu
+            mass = k * k * integrate_power(u, 2)
+            rel = abs(mass - mu) / mu
             ok = rel < tol
-            rows.append(f"{eps!r},,normalization_mu{mu:g},{mu!r},"
-                        f"{k * k * integrate_power(u, 2)!r},{rel!r},"
+            rows.append(f"{eps!r},,normalization_mu{mu:g},{mu!r},{mass!r},{rel!r},"
                         f"{'pass' if ok else 'fail'}")
             if not ok:
                 failures.append(f"eps={eps} mu={mu} normalization: rel error {rel}")

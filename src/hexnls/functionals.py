@@ -10,7 +10,7 @@ from scipy.sparse.csgraph import dijkstra
 
 from .analytic import build_trial_function
 from .calculus import (Discretization, GraphFunction, _layout, edge_lengths,
-                       from_vertex_values, norm_report)
+                       from_vertex_values, gradient_norms, integrate_power)
 from .graph_core import MetricGraph
 from .honeycomb import HoneycombLattice
 
@@ -58,11 +58,10 @@ class EnergyReport:
 def energy(u: GraphFunction, p: float) -> EnergyReport:
     if not (2 < p <= 6):
         raise ValueError(f"nonlinearity power must be in (2, 6], got {p}")
-    rep = norm_report(u, [p])
-    kinetic = 0.5 * rep.grad_l2sq
-    potential = rep.lp[p] / p
+    kinetic = 0.5 * gradient_norms(u)[1]
+    potential = integrate_power(u, p) / p
     return EnergyReport(kinetic=kinetic, potential=potential, total=kinetic - potential,
-                        mass=rep.mass, p=p)
+                        mass=integrate_power(u, 2), p=p)
 
 
 @dataclass(slots=True)
@@ -82,22 +81,22 @@ def _ratio_exponents(name: str, p: float) -> dict[str, float]:
 
 
 def inequality_ratio(u: GraphFunction, name: str, p: float = 2.0) -> InequalityRatio:
-    """Ratio LHS / (RHS without its constant) for one of the inequalities."""
-    exponents = _ratio_exponents(name, p)
-    rep = norm_report(u, [p] if "lp" in exponents else [])
-    num = den = 1.0
-    for term, e in exponents.items():
-        x = rep.lp[p] if term == "lp" else getattr(rep, term)
-        if e > 0:
-            num *= x ** e
-        else:
-            den *= x ** -e
-    if den == 0:
+    """Ratio LHS / (RHS without its constant) for one of the inequalities: the
+    exponential of the ascent's log-ratio.  The witness holds the ratio's norm
+    terms, the peak |u| and the (edge, sample) where the per-edge view has it."""
+    obj = _RatioObjective(u.layout, name, p)
+    t = obj.terms(u.dofs)
+    vals = u.values
+    # Every ratio divides by a gradient norm.  The cell differences of a
+    # constant are exactly zero; its v.Kv is rounding noise, not always zero.
+    if np.array_equal(vals[:, 1:], vals[:, :-1]) or \
+            any(t[term] <= 0 for term, e in obj.exponents.items() if e < 0):
         raise ZeroDivisionError(f"{name} ratio undefined (zero denominator)")
-    eid, k = np.unravel_index(int(np.abs(u.values).argmax()), u.layout.dof_of.shape)
-    witness = {"mass": rep.mass, "linf": rep.linf, "grad_l1": rep.grad_l1,
-               "grad_l2sq": rep.grad_l2sq, "argmax_edge": int(eid), "argmax_sample": int(k)}
-    return InequalityRatio(name=name, value=num / den, witness=witness)
+    eid, k = np.unravel_index(int(np.abs(vals).argmax()), vals.shape)
+    witness = {term: float(t[term]) for term in obj.exponents}
+    witness.update(linf=float(np.abs(u.dofs).max()), argmax_edge=int(eid),
+                   argmax_sample=int(k))
+    return InequalityRatio(name=name, value=float(np.exp(obj.log_ratio(t))), witness=witness)
 
 
 # --- randomized corpus ------------------------------------------------------
@@ -138,21 +137,19 @@ def random_corpus(lat: HoneycombLattice, count: int, seed: int) -> list[GraphFun
 
 class _RatioObjective:
     """Log of an inequality ratio and its DOF-space (sub)gradient, summed over
-    the ratio's exponent table."""
+    the ratio's exponent table: the one evaluator of the table, for
+    inequality_ratio and for the sharp-constant ascent."""
 
     def __init__(self, dz: Discretization, name: str, p: float):
         self.dz = dz
         self.p = p
         self.exponents = _ratio_exponents(name, p)
-        self.d0 = dz.dof_of[:, :-1].ravel()
-        self.d1 = dz.dof_of[:, 1:].ravel()
 
-    def evaluate(self, v: np.ndarray) -> tuple[float, dict]:
-        """Log-ratio at v and its norm terms, plus what grad reuses."""
+    def terms(self, v: np.ndarray) -> dict:
+        """The table's norm terms at v, plus the Kv and cell differences grad reuses."""
         dz = self.dz
         t = {}
-        total = 0.0
-        for term, e in self.exponents.items():
+        for term in self.exponents:
             if term == "mass":
                 t[term] = dz.mass(v)
             elif term == "lp":
@@ -160,13 +157,21 @@ class _RatioObjective:
             elif term == "linf":
                 t[term] = np.abs(v).max()
             elif term == "grad_l1":
-                t["diffs"] = v[self.d1] - v[self.d0]
+                d0, d1 = dz.cells
+                t["diffs"] = v[d1] - v[d0]
                 t[term] = np.abs(t["diffs"]).sum()
             else:  # grad_l2sq
                 t["Kv"] = dz.stiffness @ v
                 t[term] = float(v @ t["Kv"])
-            total += e * np.log(t[term])
-        return total, t
+        return t
+
+    def log_ratio(self, terms: dict) -> float:
+        return sum(e * np.log(terms[term]) for term, e in self.exponents.items())
+
+    def evaluate(self, v: np.ndarray) -> tuple[float, dict]:
+        """Log-ratio at v and its norm terms, plus what grad reuses."""
+        t = self.terms(v)
+        return self.log_ratio(t), t
 
     def grad(self, v: np.ndarray, terms: dict) -> np.ndarray:
         dz, p = self.dz, self.p
@@ -181,8 +186,9 @@ class _RatioObjective:
                 dlog = np.zeros_like(v)
                 dlog[i] = np.sign(v[i]) / abs(v[i])
             elif term == "grad_l1":
+                d0, d1 = dz.cells
                 s = np.sign(terms["diffs"])
-                dlog = np.bincount(self.d1, s, v.size) - np.bincount(self.d0, s, v.size)
+                dlog = np.bincount(d1, s, v.size) - np.bincount(d0, s, v.size)
                 dlog /= max(terms["grad_l1"], 1e-300)
             else:  # grad_l2sq
                 dlog = 2.0 * terms["Kv"] / terms["grad_l2sq"]

@@ -19,7 +19,6 @@ class Edge:
     tail: int
     head: int
     length: float
-    kind: str = "edge"  # horizontal | up | down | halfline-stub | edge
 
 
 @dataclass(slots=True)
@@ -71,7 +70,7 @@ class GraphBuilder:
         self.vertices.append(Vertex(vid, x, y))
         return vid
 
-    def add_edge(self, tail: int, head: int, length: float, kind: str = "edge") -> int:
+    def add_edge(self, tail: int, head: int, length: float) -> int:
         if length <= 0:
             raise ValueError(f"edge length must be positive, got {length}")
         if tail == head:
@@ -80,7 +79,7 @@ class GraphBuilder:
             if not 0 <= end < len(self.vertices):
                 raise ValueError(f"endpoint {end} is not an added vertex")
         eid = len(self.edges)
-        self.edges.append(Edge(eid, tail, head, length, kind))
+        self.edges.append(Edge(eid, tail, head, length))
         return eid
 
     def build(self) -> MetricGraph:
@@ -104,7 +103,7 @@ def build_line(half_length: float) -> MetricGraph:
     b = GraphBuilder()
     ids = [b.add_vertex(x, 0.0) for x in coords]
     for a, c in zip(coords, coords[1:]):
-        b.add_edge(ids[coords.index(a)], ids[coords.index(c)], c - a, "halfline-stub")
+        b.add_edge(ids[coords.index(a)], ids[coords.index(c)], c - a)
     return b.build()
 
 
@@ -125,7 +124,7 @@ def build_star(num_halflines: int, arm_length: float) -> MetricGraph:
         prev, prev_r = center, 0.0
         for r in coords:
             v = b.add_vertex(r * math.cos(theta), r * math.sin(theta))
-            b.add_edge(prev, v, r - prev_r, "halfline-stub")
+            b.add_edge(prev, v, r - prev_r)
             prev, prev_r = v, r
     return b.build()
 

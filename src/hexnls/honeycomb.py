@@ -122,7 +122,7 @@ def build_honeycomb(truncation_radius: int, edge_length: float) -> HoneycombLatt
             tail, head = a_id[i, j], b_id[i + 1, j]
         else:
             tail, head = b_id[i + 1, j], a_id[i, j]
-        b.add_edge(tail, head, l, kind)
+        b.add_edge(tail, head, l)
     return HoneycombLattice(graph=b.build(), edge_length=l, origin_vertex=a_id[0, 0],
                             truncation_radius=R, edge_roles=roles,
                             edge_id={role: eid for eid, role in enumerate(roles)})
@@ -184,7 +184,7 @@ def build_square_grid(truncation_radius: int, edge_length: float) -> MetricGraph
     for ix in range(n):
         for iy in range(n):
             if ix + 1 < n:
-                b.add_edge(ids[(ix, iy)], ids[(ix + 1, iy)], l, "horizontal")
+                b.add_edge(ids[(ix, iy)], ids[(ix + 1, iy)], l)
             if iy + 1 < n:
-                b.add_edge(ids[(ix, iy)], ids[(ix, iy + 1)], l, "up")
+                b.add_edge(ids[(ix, iy)], ids[(ix, iy + 1)], l)
     return b.build()

@@ -286,14 +286,14 @@ class TestCombinatorics:
             for eid in edge_ids:
                 counts[eid] += 1
         for e in lat.graph.edges:
-            want = 2 if e.kind == "horizontal" else 1
+            want = 2 if lat.edge_roles[e.id][0] == "horizontal" else 1
             if counts[e.id] != want:
                 exceptions.append(f"edge {e.id} covered {counts[e.id]}x")
         for i, Li in fam.L_paths.items():
             for j, Rj in fam.R_paths.items():
                 common = set(Li) & set(Rj)
                 if len(common) != 1 or \
-                        lat.graph.edges[next(iter(common))].kind != "horizontal":
+                        lat.edge_roles[next(iter(common))][0] != "horizontal":
                     exceptions.append(f"L_{i} ∩ R_{j} = {sorted(common)}")
         for k, entries in bridges.lines.items():
             for m, eid in entries:

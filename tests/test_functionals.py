@@ -77,11 +77,14 @@ class TestInequalityRatio:
             assert g1 ** 2 == pytest.approx(g2 * gi * qsq, rel=1e-9)
             assert gi / g2 == pytest.approx(qsq ** ((p - 4.0) / 2.0), rel=1e-9)
 
-    def test_constant_function_rejected(self):
-        u = constant_function(build_line(2), 1.0)
-        for name in RATIO_NAMES:
-            with pytest.raises(ZeroDivisionError):
-                inequality_ratio(u, name, 3.0)
+    def test_constant_function_rejected(self, lat):
+        # A constant's v.Kv need not round to zero; the ratio is still undefined.
+        for graph in (build_line(2), build_line(2.5), build_star(3, 2.5), lat.graph):
+            for c, n in ((1.0, 33), (7.123456789, 2), (7.123456789, 9)):
+                u = constant_function(graph, c, n)
+                for name in RATIO_NAMES:
+                    with pytest.raises(ZeroDivisionError):
+                        inequality_ratio(u, name, 3.0)
 
     def test_invalid_name_and_power(self, corpus):
         with pytest.raises(ValueError):
@@ -90,18 +93,35 @@ class TestInequalityRatio:
             inequality_ratio(corpus[0], "gn1d", p=2.0)
 
     def test_witness_summary_fields(self, corpus):
-        r = inequality_ratio(corpus[0], "sobolev2d")
-        assert set(r.witness) == {"mass", "linf", "grad_l1", "grad_l2sq",
-                                  "argmax_edge", "argmax_sample"}
-        assert r.witness["linf"] > 0
+        # The witness is the ratio's own norm terms plus the peak and its place.
+        u = corpus[0]
+        w = inequality_ratio(u, "sobolev2d").witness
+        assert set(w) == {"mass", "grad_l1", "linf", "argmax_edge", "argmax_sample"}
+        assert w["mass"] == integrate_power(u, 2)
+        assert w["grad_l1"] == pytest.approx(gradient_norms(u)[0], rel=1e-12)
+        w = inequality_ratio(u, "gn1d", 4.0).witness
+        assert set(w) == {"lp", "mass", "grad_l2sq", "linf", "argmax_edge", "argmax_sample"}
+        assert w["lp"] == integrate_power(u, 4.0)
+        assert w["grad_l2sq"] == pytest.approx(gradient_norms(u)[1], rel=1e-12)
+        assert w["linf"] == abs(u.values[w["argmax_edge"], w["argmax_sample"]]) > 0
 
 
 RATIO_CASES = [("sobolev2d", 2.0), ("sobolev1d", 2.0)] + [
     (name, p) for name in ("gn1d", "gn2d", "gn_interp") for p in (3.0, 5.0)]
 
+# Each ratio written out from its inequality, in the norms (mass, int |u|^p,
+# |u|_inf, |u'|_1, |u'|_2^2), apart from the objective's exponent table.
+RATIO_ORACLE = {
+    "sobolev2d": lambda m, lp, linf, g1, g2, p: math.sqrt(m) / g1,
+    "sobolev1d": lambda m, lp, linf, g1, g2, p: linf / g1,
+    "gn1d": lambda m, lp, linf, g1, g2, p: lp / (m ** (p / 4 + 0.5) * g2 ** (p / 4 - 0.5)),
+    "gn2d": lambda m, lp, linf, g1, g2, p: lp / (m * g2 ** (p / 2 - 1)),
+    "gn_interp": lambda m, lp, linf, g1, g2, p: lp / (g2 * m ** (p / 2 - 1)),
+}
+
 
 class TestRatioObjective:
-    """The ascent's DOF-space log-ratio against the sampled-function ratio."""
+    """The objective's DOF-space log-ratio against the sampled function's norms."""
 
     @pytest.fixture(scope="class")
     def dz(self, lat):
@@ -112,7 +132,9 @@ class TestRatioObjective:
         obj = _RatioObjective(dz, name, p)
         for u in corpus[:3]:
             v = dz.to_dofs(u)
-            expected = math.log(inequality_ratio(u, name, p).value)
+            norms = (integrate_power(u, 2), integrate_power(u, p), np.abs(u.dofs).max(),
+                     *gradient_norms(u))
+            expected = math.log(RATIO_ORACLE[name](*norms, p))
             assert obj.evaluate(v)[0] == pytest.approx(expected, rel=0, abs=1e-12)
 
     @pytest.mark.parametrize("name,p", RATIO_CASES)
@@ -185,7 +207,13 @@ class TestSharpConstantAscent:
         c_hat, witness = estimate_sharp_constant("sobolev2d", 2.0, lat,
                                                  budget=40, seed=0, num_starts=9)
         assert 0 < c_hat <= SOBOLEV2D_BOUND * 1.01
-        assert inequality_ratio(witness, "sobolev2d").value == pytest.approx(c_hat, rel=1e-9)
+        assert inequality_ratio(witness, "sobolev2d").value == c_hat
+
+    @pytest.mark.parametrize("name,p", RATIO_CASES)
+    def test_constant_is_its_witness_ratio(self, lat, name, p):
+        c_hat, witness = estimate_sharp_constant(name, p, lat, budget=20, seed=0,
+                                                 num_starts=6)
+        assert inequality_ratio(witness, name, p).value == c_hat
 
     def test_monotone_in_budget(self, lat):
         lo, _ = estimate_sharp_constant("gn_interp", 5.0, lat, budget=10, seed=1,

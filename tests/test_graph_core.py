@@ -77,7 +77,7 @@ class TestValidate:
     def test_dangling_endpoint_reported(self):
         from hexnls.graph_core import Edge
         g = build_line(3)
-        g.edges[5] = Edge(5, g.edges[5].tail, 99, 1.0, "edge")
+        g.edges[5] = Edge(5, g.edges[5].tail, 99, 1.0)
         problems = validate(g)
         assert any("edge 5" in s and "99" in s for s in problems)
 

@@ -90,7 +90,6 @@ class TestBuildHoneycomb:
             (kind, i, j) for kind in ("horizontal", "up", "down") for i in rng for j in rng)
         for e in lat.graph.edges:
             kind, i, j = lat.edge_roles[e.id]
-            assert e.kind == kind
             if kind == "horizontal":
                 ends = A(i, j), B(i, j)
             elif kind == "up":
@@ -139,7 +138,7 @@ class TestPathFamily:
                 common = set(Li) & set(Rj)
                 assert len(common) == 1
                 (eid,) = common
-                assert lat.graph.edges[eid].kind == "horizontal"
+                assert lat.edge_roles[eid][0] == "horizontal"
                 assert eid == lat.edge_id["horizontal", i, j]
 
     def test_paths_union_of_segments(self, lat, pfam):
@@ -159,11 +158,12 @@ class TestPathFamily:
             for eid in edge_ids:
                 counts[eid] += 1
         for e in lat.graph.edges:
-            assert counts[e.id] == (2 if e.kind == "horizontal" else 1), \
-                f"edge {e.id} ({e.kind}) covered {counts[e.id]} times"
+            kind = lat.edge_roles[e.id][0]
+            assert counts[e.id] == (2 if kind == "horizontal" else 1), \
+                f"edge {e.id} ({kind}) covered {counts[e.id]} times"
 
     def test_l0_alternates_kinds(self, lat, pfam):
-        kinds = [lat.graph.edges[eid].kind for eid in pfam.L_paths[0]]
+        kinds = [lat.edge_roles[eid][0] for eid in pfam.L_paths[0]]
         assert all(k == "horizontal" for k in kinds[::2])
         assert all(k == "up" for k in kinds[1::2])
 
@@ -194,7 +194,7 @@ class TestBridgeFamily:
 
     def test_every_bridge_in_exactly_one_line(self, lat, bfam):
         seen = [eid for entries in bfam.lines.values() for _, eid in entries]
-        bridges = [e.id for e in lat.graph.edges if e.kind == "down"]
+        bridges = [e.id for e in lat.graph.edges if lat.edge_roles[e.id][0] == "down"]
         assert sorted(seen) == sorted(bridges)
 
     def test_lines_pairwise_disjoint_edges(self, lat, bfam):
