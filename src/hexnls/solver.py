@@ -1,11 +1,13 @@
 """Mass-constrained energy minimization on truncated graphs.
 
-Projected descent: each step moves against a preconditioned energy gradient
-and reprojects onto the mass sphere.  The preconditioner (M + K)^{-1} makes
-the step equivalent to one backward-Euler step of the normalized gradient
-flow, which converges orders of magnitude faster than raw descent while
-keeping the projected-descent structure: monotone energy via backtracking,
-exact mass conservation, Armijo-style step control.
+Riemannian preconditioned nonlinear conjugate gradients on the mass sphere
+(Danaila & Protas, SIAM J. Sci. Comput. 2017; Antoine, Levitt & Tang,
+J. Comput. Phys. 2017).  Each step moves along a search direction built from
+the (M + K)^{-1}-preconditioned tangent gradient (alone, one backward-Euler
+step of the normalized gradient flow) and the previous direction, and
+reprojects onto the sphere, so the mass is exact.  A step is accepted only
+when it does not raise E, so the energy is monotone.  _descend gives the
+direction and when it restarts.
 
 One loop runs the descent.  When it stalls short of the residual tolerance,
 damped Newton on the stationarity system is the fallback; descent then
@@ -244,8 +246,15 @@ class _Descent:
     def evaluate(self, v: np.ndarray) -> _Point:
         """v with its energy; the one place an iterate meets K and the power."""
         Kv = self.K @ v
-        w = np.abs(v) ** (self.p - 2)
-        E = 0.5 * float(v @ Kv) - float(self.dz.mass_vec @ (w * (v * v))) / self.p
+        sq, e = v * v, self.p - 2
+        if e == int(e):
+            # Whole powers by products, about 3x faster than the general pow.
+            w = np.abs(v) if e % 2 else sq
+            for _ in range(int(e - 1) // 2):
+                w = w * sq
+        else:
+            w = np.abs(v) ** e
+        E = 0.5 * float(v @ Kv) - float(self.dz.mass_vec @ (w * sq)) / self.p
         return _Point(v, E, Kv, w)
 
     def tangent_gradient(self, pt: _Point) -> tuple[np.ndarray, float, float]:
@@ -267,6 +276,24 @@ class _Descent:
                step: float) -> None:
         if trace is not None:
             trace.append({"iteration": it, "energy": pt.E, "residual": res, "step": step})
+
+    def line_search(self, pt: _Point, direction: np.ndarray,
+                    tau: float) -> tuple[_Point | None, float, bool]:
+        """Step from pt along -direction, reprojected onto the mass sphere.
+
+        Tries tau, then 0.4 times less, until a candidate does not raise E
+        beyond rounding; an accepted step grows tau by 1.4, up to 64.  Returns
+        the accepted point (None once tau falls to 1e-13), the next tau, and
+        whether any trial was rejected.
+        """
+        rejected = False
+        while tau > 1e-13:
+            cand = self.evaluate(self.project(pt.v - tau * direction))
+            if cand.E <= pt.E + 1e-14 * max(abs(pt.E), self.mu):
+                return cand, min(tau * 1.4, 64.0), rejected
+            tau *= 0.4
+            rejected = True
+        return None, tau, rejected
 
     def newton_direction(self, v: np.ndarray, lam: float, r: np.ndarray) -> np.ndarray:
         """Newton step delta of the bordered stationarity system at v,
@@ -356,9 +383,17 @@ def euler_lagrange_residual(u: GraphFunction, p: float) -> tuple[float, float]:
 
 def _descend(d: _Descent, v0: np.ndarray,
              trace: list[dict] | None = None) -> tuple[np.ndarray, float, float, float, int]:
-    """Preconditioned, mass-projected Armijo descent from v0.
+    """Riemannian preconditioned nonlinear CG on the mass sphere from v0.
 
-    First-order descent flattens out along nearly-neutral modes.  When a
+    The direction is z = P r (P = (M + K)^{-1}, r the tangent gradient) plus
+    beta times the previous direction, with the Polak-Ribiere+ beta =
+    max(0, z.(r - r_prev) / z_prev.r_prev).  The previous direction is
+    carried to the tangent space at v by dropping its M-normal part,
+    d - (v^T M d / mu) v.  The direction restarts at z on the first step,
+    after a step whose line search rejected a trial, after every Newton
+    polish, and whenever r.d <= 0 (not a descent direction).
+
+    First-order steps still crawl along nearly-neutral modes.  When a
     stretch of descent ends short of residual_tol, damped Newton on the
     stationarity system takes over, then descent resumes with a fresh step.
     The first stretch ends when no step is accepted or after 25 steps in a
@@ -372,22 +407,27 @@ def _descend(d: _Descent, v0: np.ndarray,
     pt = d.evaluate(d.project(v0))
     tau, stall, polishes, it = cfg.step, 0, 0, 0
     it_polished, progressed = 0, False
+    prev = None     # (r, z.r, direction) of the last step; None restarts at z
     while it < cfg.max_iters:
         it += 1
         r, _, res = d.tangent_gradient(pt)
         d.record(trace, it, pt, res, tau)
         if res <= cfg.residual_tol or pt.E < cfg.divergence_floor:
             break
-        direction = d.precondition(r)
-        dE = None
-        while tau > 1e-13:
-            cand = d.evaluate(d.project(pt.v - tau * direction))
-            if cand.E <= pt.E + 1e-14 * max(abs(pt.E), d.mu):
-                pt, dE = cand, pt.E - cand.E
-                tau = min(tau * 1.4, 64.0)
-                break
-            tau *= 0.4
-        if dE is not None:
+        z = d.precondition(r)
+        direction = z
+        if prev is not None:
+            r_prev, zr_prev, d_prev = prev
+            beta = max(0.0, float(z @ (r - r_prev)) / zr_prev)
+            # Transport: drop the M-normal part of the old direction at v.
+            d_prev = d_prev - (float(pt.v @ (d.dz.mass_vec * d_prev)) / d.mu) * pt.v
+            cg = z + beta * d_prev
+            if float(r @ cg) > 0:
+                direction = cg
+        new, tau, rejected = d.line_search(pt, direction, tau)
+        prev = None if rejected else (r, float(z @ r), direction)
+        if new is not None:
+            dE, pt = pt.E - new.E, new
             if polishes:
                 progressed = progressed or dE > 0
                 if it - it_polished < STRETCH_STEPS:
@@ -405,6 +445,7 @@ def _descend(d: _Descent, v0: np.ndarray,
         if res <= cfg.residual_tol:
             break
         tau, polishes, it_polished, progressed = cfg.step, polishes + 1, it, False
+        prev = None
     # The carried evaluation describes the returned iterate, also when the
     # loop stopped right after an accepted step.
     _, lam, res = d.tangent_gradient(pt)

@@ -19,7 +19,7 @@ from hexnls.analytic import (build_trial_function, critical_mass_from_constant,
 from hexnls.calculus import from_edge_samples, gradient_norms, integrate_power
 from hexnls.cli import main as cli_main
 from hexnls.functionals import (energy, estimate_sharp_constant, inequality_ratio,
-                                random_corpus)
+                                random_corpus, truncation_boundary)
 from hexnls.graph_core import build_line
 from hexnls.honeycomb import build_honeycomb, decompose_bridges, decompose_paths
 from hexnls.solver import bisect_critical_mass, demonstrate_unbounded, minimize
@@ -152,22 +152,31 @@ class TestSubcriticalWitness:
         run_check(acceptance, "criterion 6 (subcritical ground states, R=20)", ok,
                   "; ".join(details) + "; mu=0.1 R-stability tracked separately")
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="At mass 0.1 the R=20 global discrete minimizer is a "
-               "boundary-leaning state created by the free truncation boundary "
-               "(free ends mimic a half-line and attract mass); its energy is "
-               "~3x the centered ground state's, so the energy is not stable "
-               "under R -> 30.  This is a truncation artifact of the small-mass "
-               "regime, not a solver failure; see the decisions ledger.")
     def test_criterion_06_small_mass_truncation_stability(self, acceptance, lat20,
                                                           solves_r20):
         e20 = solves_r20[0.1].final_energy
         e30 = minimize(build_honeycomb(30, 1.0), 3.0, 0.1).final_energy
         rel = abs(e30 - e20) / abs(e30) if e30 != 0 else math.inf
-        acceptance("criterion 6 (mu=0.1 R-stability subcheck)", rel < 1e-3,
-                   f"expected failure: boundary-truncation artifact, rel {rel:.1e}")
-        assert rel < 1e-3
+        run_check(acceptance, "criterion 6 (mu=0.1 R-stability subcheck)", rel < 1e-3,
+                  f"E20={e20:.6e}, E30={e30:.6e}, rel {rel:.1e} (tol 1e-3)")
+
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="At mass 0.1 the R=20 minimizer (and the R=30 one, equal in "
+               "energy to 2e-8) peaks mid-edge on a corner edge of the "
+               "truncation boundary, between two degree-2 boundary vertices "
+               "41 edge lengths from the center (60 at R=30): the free "
+               "truncation boundary pulls the small-mass state onto it.  A "
+               "zero truncation boundary (ROADMAP item 1) removes it.")
+    def test_criterion_06_small_mass_state_is_interior(self, acceptance, lat20, solves_r20):
+        u = solves_r20[0.1].minimizer
+        eid = int(np.argmax(np.abs(u.values)) // u.samples_per_edge)
+        edge = lat20.graph.edges[eid]
+        interior = not {edge.tail, edge.head} & set(truncation_boundary(lat20))
+        acceptance("criterion 6 (mu=0.1 peak away from the truncation boundary)", interior,
+                   f"expected failure: peak on edge {edge.tail}-{edge.head}, "
+                   f"{'interior' if interior else 'touching the truncation boundary'}")
+        assert interior
 
 
 class TestSupercriticalStructure:

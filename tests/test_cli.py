@@ -187,7 +187,8 @@ class TestPhaseDiagram:
     @pytest.mark.xfail(
         strict=True,
         reason="At the default radius 20, p=3, mass 0.01 ends SpreadToZero at "
-               "the flat-state energy (-4.69e-6), so the default sweep's "
+               "E = -8.39e-6 (the flat state has -4.69e-6), a state with 28% of "
+               "its mass on the truncation boundary, so the default sweep's "
                "'GroundState at every mass for p < 4' assertion fails.  It is "
                "the small-mass truncation artifact of the free boundary behind "
                "the acceptance xfails; the defaults are not changed to hide it.")

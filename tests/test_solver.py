@@ -103,31 +103,55 @@ class TestDescentInvariants:
         assert out.classification == "GroundState"
 
 
-def _minimize_counting_polishes(R, p, mu, init):
-    polishes = []
-    polish = _Descent.newton_polish
+def _minimize_logging_steps(R, p, mu, init):
+    """minimize with a log of its descent: ("polish",) per Newton polish and,
+    per line search, ("step", direction == z, r.direction, accepted, any
+    trial rejected), where z = precondition(r).  Returns (outcome, log)."""
+    log, last = [], {}
+    inverse, search, polish = (hexnls.solver._condensed_inverse, _Descent.line_search,
+                               _Descent.newton_polish)
 
-    def counting(self, *args, **kwargs):
-        polishes.append(1)
+    def logging_inverse(dz):
+        solve = inverse(dz)
+
+        def logged(r):
+            last["r"], last["z"] = r, solve(r)
+            return last["z"]
+        return logged
+
+    def logging_search(self, pt, direction, tau):
+        new, tau, rejected = search(self, pt, direction, tau)
+        log.append(("step", np.array_equal(direction, last["z"]),
+                    float(last["r"] @ direction), new is not None, rejected))
+        return new, tau, rejected
+
+    def logging_polish(self, *args, **kwargs):
+        log.append(("polish",))
         return polish(self, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_Descent, "newton_polish", counting)
+        mp.setattr(hexnls.solver, "_condensed_inverse", logging_inverse)
+        mp.setattr(_Descent, "line_search", logging_search)
+        mp.setattr(_Descent, "newton_polish", logging_polish)
         out = minimize(build_honeycomb(R, 1.0), p, mu, init=init)
-    return out, len(polishes)
+    return out, log
+
+
+def _polishes(log):
+    return sum(entry[0] == "polish" for entry in log)
 
 
 @pytest.fixture(scope="module")
 def polished():
     """A start that leaves the flat state only through repeated Newton polish
-    and descent between polishes; returns (outcome, polishes)."""
-    return _minimize_counting_polishes(7, 5.0, 10.0, "trial-eps")
+    and descent between polishes; returns (outcome, log)."""
+    return _minimize_logging_steps(7, 5.0, 10.0, "trial-eps")
 
 
 class TestDescentLoop:
     def test_every_iteration_traced_across_polishes(self, polished):
-        out, polishes = polished
-        assert polishes >= 2
+        out, log = polished
+        assert _polishes(log) >= 2
         assert [r["iteration"] for r in out.trace] == list(range(1, out.iterations + 1))
 
     def test_newton_fallback_converges(self, polished):
@@ -140,11 +164,12 @@ class TestDescentLoop:
         assert out.final_energy == pytest.approx(-3427.964389135137, rel=1e-9)
 
     def test_stretches_after_polish_reach_tolerance(self):
-        # Under a stall exit after each polish this start stops at residual 1e-4.
-        out, polishes = _minimize_counting_polishes(3, 3.0, 0.1, "soliton-bump")
-        assert polishes >= 2
+        # Under a stall exit after each polish this start stops at residual
+        # 6.7e-6, Inconclusive at E = -0.1074.
+        out, log = _minimize_logging_steps(7, 2.5, 1.0, "soliton-bump")
+        assert _polishes(log) >= 2
         assert out.residual <= SolverConfig().residual_tol
-        assert out.final_energy == pytest.approx(-8.94457429956535e-4, rel=1e-9)
+        assert out.final_energy == pytest.approx(-0.15018236306091887, rel=1e-9)
 
     def test_residual_describes_returned_iterate_at_max_iters(self, lat):
         cfg = SolverConfig(max_iters=5)
@@ -256,6 +281,33 @@ class TestCondensedNewton:
         lam = 2.0 / (dz.h[0] * dz.mass_vec[V]) - 2.0
         with pytest.raises(RuntimeError, match="pivot"):
             d.newton_direction(v, lam, r)
+
+
+class TestConjugateDirections:
+    def test_iteration_count(self, polished):
+        # Steepest descent took 3,059 iterations on this start.
+        out, _ = polished
+        assert out.iterations <= 1000
+
+    def test_restart_after_rejected_trial(self, polished):
+        _, log = polished
+        steps = [entry for entry in log if entry[0] == "step"]
+        after_rejection = [b for a, b in zip(steps, steps[1:]) if a[4]]
+        assert after_rejection and all(b[1] for b in after_rejection)
+        # Clean steps are followed by conjugate directions, not only restarts.
+        assert not all(b[1] for a, b in zip(steps, steps[1:]) if not a[4])
+
+    def test_restart_after_polish_and_at_start(self, polished):
+        _, log = polished
+        # The first step, and the step after each polish that left the
+        # residual above tolerance.
+        first = [b for a, b in zip([("polish",)] + log, log) if a[0] == "polish"]
+        assert len(first) >= 2 and all(b[0] == "step" and b[1] for b in first)
+
+    def test_every_accepted_direction_descends(self, polished):
+        _, log = polished
+        accepted = [entry[2] for entry in log if entry[0] == "step" and entry[3]]
+        assert accepted and all(rd > 0 for rd in accepted)
 
 
 class _CountingK:
