@@ -4,7 +4,8 @@ Each experiment kind writes plot-ready CSV/JSON artifacts plus a manifest
 recording the resolved configuration, package version, and timings.  Exit
 codes: 0 all embedded assertions pass, 1 assertion failure, 2 usage or I/O
 error.  Given a seed, the data files are byte-identical across reruns; the
-manifest (which carries timings) is the only non-deterministic artifact.
+manifest (which carries timings) is the only non-deterministic artifact, so
+every timing goes there.
 """
 
 from __future__ import annotations
@@ -101,7 +102,7 @@ def _load_config(args: argparse.Namespace) -> dict:
 
 # --- experiment bodies ------------------------------------------------------
 
-def run_inequalities(cfg: dict, outdir: Path) -> list[str]:
+def run_inequalities(cfg: dict, outdir: Path, manifest: dict) -> list[str]:
     lat = build_honeycomb(cfg["radius"], cfg["edge_length"])
     bounds = {"sobolev2d": 2.0 * math.sqrt(2.0 * cfg["edge_length"]), "gn1d": 1.0}
     slack = cfg["slack"]
@@ -138,7 +139,7 @@ def run_inequalities(cfg: dict, outdir: Path) -> list[str]:
     return failures
 
 
-def run_trial_forms(cfg: dict, outdir: Path) -> list[str]:
+def run_trial_forms(cfg: dict, outdir: Path, manifest: dict) -> list[str]:
     tol = cfg["tolerance"]
     rows = ["eps,p,quantity,closed_form,quadrature,rel_error,status"]
     failures = []
@@ -170,24 +171,29 @@ def run_trial_forms(cfg: dict, outdir: Path) -> list[str]:
 
 
 def render_phase_csv(points: list[dict]) -> str:
-    """Plot-ready sweep table, sorted by (p, mu)."""
-    rows = ["p,mu,classification,energy,runtime_ms"]
+    """Plot-ready sweep table, sorted by (p, mu): each point's label and
+    energy, and how the winning start got there."""
+    rows = ["p,mu,classification,energy,iterations,residual,init_used"]
     for pt in sorted(points, key=lambda q: (q["p"], q["mu"])):
         rows.append(f"{pt['p']!r},{pt['mu']!r},{pt['classification']},"
-                    f"{pt['energy']!r},{pt['runtime_ms']}")
+                    f"{pt['energy']!r},{pt['iterations']},{pt['residual']!r},"
+                    f"{pt['init_used']}")
     return "\n".join(rows) + "\n"
 
 
-def run_phase_diagram(cfg: dict, outdir: Path) -> list[str]:
+def run_phase_diagram(cfg: dict, outdir: Path, manifest: dict) -> list[str]:
     lat = build_honeycomb(cfg["radius"], cfg["edge_length"])
-    points = []
+    points, runtimes = [], []
     for p in cfg["p_list"]:
         for mu in cfg["mu_list"]:
             t0 = time.perf_counter()
             out = minimize(lat, p, mu)
+            runtimes.append({"p": p, "mu": mu,
+                             "runtime_ms": int(1000 * (time.perf_counter() - t0))})
             points.append({"p": p, "mu": mu, "classification": out.classification,
-                           "energy": out.final_energy,
-                           "runtime_ms": int(1000 * (time.perf_counter() - t0))})
+                           "energy": out.final_energy, "iterations": out.iterations,
+                           "residual": out.residual, "init_used": out.init_used})
+    manifest["point_runtimes"] = runtimes
     (outdir / "phase_diagram.csv").write_text(render_phase_csv(points))
     failures = []
     for p in cfg["p_list"]:
@@ -204,7 +210,7 @@ def run_phase_diagram(cfg: dict, outdir: Path) -> list[str]:
     return failures
 
 
-def run_critical_mass(cfg: dict, outdir: Path) -> list[str]:
+def run_critical_mass(cfg: dict, outdir: Path, manifest: dict) -> list[str]:
     lat = build_honeycomb(cfg["radius"], cfg["edge_length"])
     p = cfg["p"]
     mid, (lo, hi) = bisect_critical_mass(lat, p, cfg["mu_lo"], cfg["mu_hi"],
@@ -224,7 +230,7 @@ def run_critical_mass(cfg: dict, outdir: Path) -> list[str]:
     return failures
 
 
-def run_unbounded_p6(cfg: dict, outdir: Path) -> list[str]:
+def run_unbounded_p6(cfg: dict, outdir: Path, manifest: dict) -> list[str]:
     lat = build_honeycomb(cfg["radius"], cfg["edge_length"])
     rows = ["mu,width,energy"]
     failures = []
@@ -241,7 +247,7 @@ def run_unbounded_p6(cfg: dict, outdir: Path) -> list[str]:
     return failures
 
 
-def run_soliton_check(cfg: dict, outdir: Path) -> list[str]:
+def run_soliton_check(cfg: dict, outdir: Path, manifest: dict) -> list[str]:
     graph = build_line(cfg["half_length"])
     p, mu = cfg["p"], cfg["mu"]
     scfg = SolverConfig(samples_per_edge=cfg["samples_per_edge"])
@@ -302,18 +308,15 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    # A runner may add its own timings to the manifest.
+    manifest = {"kind": args.kind, "config": cfg, "version": __version__}
     t0 = time.perf_counter()
     try:
-        failures = RUNNERS[args.kind](cfg, outdir)
+        failures = RUNNERS[args.kind](cfg, outdir, manifest)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    manifest = {
-        "kind": args.kind,
-        "config": cfg,
-        "version": __version__,
-        "runtime_seconds": time.perf_counter() - t0,
-    }
+    manifest["runtime_seconds"] = time.perf_counter() - t0
     (outdir / "manifest.json").write_text(json.dumps(manifest, indent=1) + "\n")
     if failures:
         for line in failures:

@@ -3,11 +3,13 @@
 Riemannian preconditioned nonlinear conjugate gradients on the mass sphere
 (Danaila & Protas, SIAM J. Sci. Comput. 2017; Antoine, Levitt & Tang,
 J. Comput. Phys. 2017).  Each step moves along a search direction built from
-the (M + K)^{-1}-preconditioned tangent gradient (alone, one backward-Euler
-step of the normalized gradient flow) and the previous direction, and
-reprojects onto the sphere, so the mass is exact.  A step is accepted only
-when it does not raise E, so the energy is monotone.  _descend gives the
-direction and when it restarts.
+the (sigma*M + K)^{-1}-preconditioned tangent gradient (alone, one
+backward-Euler step of the normalized gradient flow) and the previous
+direction, and reprojects onto the sphere, so the mass is exact.  The shift
+sigma follows the Lagrange multiplier lam: it is the power of two nearest
+max(1, -lam), and the one factor is rebuilt only when max(1, -lam) leaves
+[sigma/2, 2*sigma].  A step is accepted only when it does not raise E, so the
+energy is monotone.  _descend gives the direction and when it restarts.
 
 One loop runs the descent.  When it stalls short of the residual tolerance,
 damped Newton on the stationarity system is the fallback; descent then
@@ -18,7 +20,7 @@ Each line-search candidate is evaluated once: one product K v, one power
 |v|^{p-2} and the squares v^2 give its energy, and the accepted candidate
 hands them on to the next gradient and trace row, which form none of them.
 
-(M + K)^{-1} is applied exactly by static condensation.  The interior
+(sigma*M + K)^{-1} is applied exactly by static condensation.  The interior
 samples of an edge form a tridiagonal chain coupled only to the edge's two
 end vertices, and every chain diagonalizes in the same sine basis, so the
 chains are solved in closed form, all edges at once.  Eliminating them
@@ -33,7 +35,7 @@ factorized.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import partial
 from typing import ClassVar, NamedTuple
 
 import numpy as np
@@ -177,17 +179,19 @@ def _chain_solve(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarr
     return x
 
 
-def _condensed_inverse(dz: Discretization):
-    """Exact solve with M + K, eliminating the edge-interior samples.
+def _condensed_inverse(dz: Discretization, sigma: float):
+    """Exact solve with sigma*M + K, eliminating the edge-interior samples.
 
-    In M + K the n - 2 interior samples of edge e form the chain
-    h_e*I + (1/h_e)*tridiag(-1, 2, -1), coupled to the tail and head vertices
-    through -1/h_e at its first and last sample.  tridiag(-1, 2, -1) =
-    Q diag(lam) Q with the symmetric orthogonal sine matrix Q, the same for
-    every edge, so each chain inverse is Q diag(1/(h_e + lam/h_e)) Q.  The
-    chains are solved in that eigenbasis, all edges at once, and only the
+    In sigma*M + K the n - 2 interior samples of edge e form the chain
+    sigma*h_e*I + (1/h_e)*tridiag(-1, 2, -1), coupled to the tail and head
+    vertices through -1/h_e at its first and last sample.  tridiag(-1, 2, -1)
+    = Q diag(lam) Q with the symmetric orthogonal sine matrix Q, the same for
+    every edge, so each chain inverse is Q diag(1/(sigma*h_e + lam/h_e)) Q.
+    The chains are solved in that eigenbasis, all edges at once, and only the
     vertex Schur complement S = A_VV - A_VI A_II^{-1} A_IV is factorized.
-    With no interior samples (n = 2) the chain terms are empty and S = M + K.
+    With no interior samples (n = 2) the chain terms are empty and
+    S = sigma*M + K.  At sigma = 1 every product by sigma is exact, so the
+    operator is (M + K)^{-1} bit for bit.
     """
     V, E, m = dz.num_vertices, dz.num_edges, dz.n - 2
     ends = dz.dof_of[:, [0, -1]]               # (E, 2) tail and head vertices
@@ -197,13 +201,13 @@ def _condensed_inverse(dz: Discretization):
     # Q[:, [0, -1]], written out so that m = 0 needs no special case.
     q_ends = np.sqrt(2.0 / (m + 1)) * np.sin(np.outer(k, [1, m]) * np.pi / (m + 1))
     h = dz.h[:, None]
-    d = 1.0 / (h + lam / h)                  # (E, m) chain-inverse eigenvalues
+    d = 1.0 / (sigma * h + lam / h)          # (E, m) chain-inverse eigenvalues
     # Per edge, A_VI A_II^{-1} A_IV is the 2x2 block (q_ends^T diag(d) q_ends) / h^2.
     blocks = np.einsum("em,mi,mj->eij", d, q_ends, q_ends) / (h[:, :, None] ** 2)
     C = sp.coo_matrix((blocks.ravel(),
                        (np.repeat(ends, 2, axis=1).ravel(), np.tile(ends, 2).ravel())),
                       shape=(V, V))
-    S = sp.diags(dz.mass_vec[:V]) + dz.stiffness[:V, :V] - C
+    S = sp.diags(sigma * dz.mass_vec[:V]) + dz.stiffness[:V, :V] - C
     solve_vertices = factorized(S.tocsc())
 
     def solve(r: np.ndarray) -> np.ndarray:
@@ -232,13 +236,28 @@ class _Descent:
         self.cfg = cfg
         self.K = dz.stiffness
         self.inv_mass = 1.0 / dz.mass_vec
+        self.sigma = 1.0
+        self.precondition = None    # set by shift_to
 
-    @cached_property
-    def precondition(self):
-        # SPD preconditioner: inverse-Hessian-like for the stiff kinetic modes,
-        # identity-like (in the mass inner product) for the smooth ones.
-        # Built on first use, so residual-only callers never factorize.
-        return _condensed_inverse(self.dz)
+    def shift_to(self, lam: float) -> bool:
+        """Keep self.precondition = (sigma*M + K)^{-1} fitted to the multiplier
+        lam; returns whether it was (re)built.
+
+        The SPD preconditioner is inverse-Hessian-like for the stiff kinetic
+        modes and, through sigma*M, for the -lam*M part of the Hessian of the
+        constrained energy (Antoine, Levitt & Tang, J. Comput. Phys. 2017).
+        sigma is the power of two nearest max(1, -lam); the factor is built on
+        first use, so residual-only callers never factorize, and rebuilt only
+        when max(1, -lam) leaves [sigma/2, 2*sigma].  One factor is alive at
+        a time.
+        """
+        target = max(1.0, -lam)
+        if self.precondition is not None and self.sigma / 2 <= target <= 2 * self.sigma:
+            return False
+        self.sigma = 2.0 ** round(np.log2(target))
+        self.precondition = None    # free the old factor before the new one is made
+        self.precondition = _condensed_inverse(self.dz, self.sigma)
+        return True
 
     def project(self, v: np.ndarray) -> np.ndarray:
         return v * np.sqrt(self.mu / self.dz.mass(v))
@@ -265,7 +284,7 @@ class _Descent:
         nonlinear = mv * pt.w                       # M |v|^{p-2} v
         lam = (float(v @ pt.Kv) - float(nonlinear @ v)) / self.mu
         r = pt.Kv - nonlinear - lam * mv
-        res = np.sqrt(float(r ** 2 @ self.inv_mass)) / np.sqrt(self.mu)
+        res = float(np.sqrt(float(r ** 2 @ self.inv_mass)) / np.sqrt(self.mu))
         return r, lam, res
 
     def multiplier_residual(self, v: np.ndarray) -> tuple[float, float]:
@@ -385,13 +404,15 @@ def _descend(d: _Descent, v0: np.ndarray,
              trace: list[dict] | None = None) -> tuple[np.ndarray, float, float, float, int]:
     """Riemannian preconditioned nonlinear CG on the mass sphere from v0.
 
-    The direction is z = P r (P = (M + K)^{-1}, r the tangent gradient) plus
-    beta times the previous direction, with the Polak-Ribiere+ beta =
+    The direction is z = P r (P = (sigma*M + K)^{-1}, r the tangent
+    gradient, sigma from the multiplier by _Descent.shift_to) plus beta
+    times the previous direction, with the Polak-Ribiere+ beta =
     max(0, z.(r - r_prev) / z_prev.r_prev).  The previous direction is
     carried to the tangent space at v by dropping its M-normal part,
     d - (v^T M d / mu) v.  The direction restarts at z on the first step,
     after a step whose line search rejected a trial, after every Newton
-    polish, and whenever r.d <= 0 (not a descent direction).
+    polish, after every rebuild of P, and whenever r.d <= 0 (not a descent
+    direction).
 
     First-order steps still crawl along nearly-neutral modes.  When a
     stretch of descent ends short of residual_tol, damped Newton on the
@@ -410,10 +431,12 @@ def _descend(d: _Descent, v0: np.ndarray,
     prev = None     # (r, z.r, direction) of the last step; None restarts at z
     while it < cfg.max_iters:
         it += 1
-        r, _, res = d.tangent_gradient(pt)
+        r, lam, res = d.tangent_gradient(pt)
         d.record(trace, it, pt, res, tau)
         if res <= cfg.residual_tol or pt.E < cfg.divergence_floor:
             break
+        if d.shift_to(lam):
+            prev = None
         z = d.precondition(r)
         direction = z
         if prev is not None:

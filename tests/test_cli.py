@@ -16,16 +16,16 @@ def write_config(tmp_path, name, cfg):
 class TestRenderPhaseCsv:
     POINTS = [
         {"p": 5.0, "mu": 1.0, "classification": "GroundState",
-         "energy": -0.5, "runtime_ms": 12},
+         "energy": -0.5, "iterations": 163, "residual": 7.6e-11, "init_used": "trial-eps"},
         {"p": 3.0, "mu": 2.0, "classification": "GroundState",
-         "energy": -1.25, "runtime_ms": 7},
+         "energy": -1.25, "iterations": 59, "residual": 4.7e-07, "init_used": "soliton-bump"},
         {"p": 3.0, "mu": 0.5, "classification": "SpreadToZero",
-         "energy": -1e-9, "runtime_ms": 4},
+         "energy": -1e-9, "iterations": 4, "residual": 1e-12, "init_used": "uniform"},
     ]
 
     def test_header_and_sorting(self):
         lines = render_phase_csv(self.POINTS).strip().split("\n")
-        assert lines[0] == "p,mu,classification,energy,runtime_ms"
+        assert lines[0] == "p,mu,classification,energy,iterations,residual,init_used"
         keys = [tuple(float(x) for x in ln.split(",")[:2]) for ln in lines[1:]]
         assert keys == sorted(keys)
 
@@ -36,9 +36,10 @@ class TestRenderPhaseCsv:
         lines = render_phase_csv(self.POINTS).strip().split("\n")
         parsed = []
         for ln in lines[1:]:
-            p, mu, cls, e, ms = ln.split(",")
+            p, mu, cls, e, it, res, init = ln.split(",")
             parsed.append({"p": float(p), "mu": float(mu), "classification": cls,
-                           "energy": float(e), "runtime_ms": int(ms)})
+                           "energy": float(e), "iterations": int(it),
+                           "residual": float(res), "init_used": init})
         assert parsed == sorted(self.POINTS, key=lambda q: (q["p"], q["mu"]))
 
 
@@ -172,6 +173,23 @@ class TestPhaseDiagram:
         rows = (out / "phase_diagram.csv").read_text().strip().split("\n")
         assert len(rows) == 3
         assert all("GroundState" in row for row in rows[1:])
+
+    def test_rerun_byte_identical(self, tmp_path):
+        # Timings go to the manifest only, so the table repeats byte for byte.
+        cfg = write_config(tmp_path, "c.json",
+                           {"radius": 3, "p_list": [3.0, 5.0], "mu_list": [5.0, 10.0]})
+        d1, d2 = tmp_path / "a", tmp_path / "b"
+        for out in (d1, d2):
+            assert main(["phase-diagram", "--config", cfg, "--out", str(out)]) == 0
+        assert (d1 / "phase_diagram.csv").read_bytes() == (d2 / "phase_diagram.csv").read_bytes()
+        for row in (d1 / "phase_diagram.csv").read_text().strip().split("\n")[1:]:
+            _, _, _, _, it, res, init = row.split(",")
+            assert int(it) > 0 and float(res) >= 0
+            assert init in ("soliton-bump", "trial-eps", "uniform")
+        manifest = json.loads((d1 / "manifest.json").read_text())
+        assert [(q["p"], q["mu"]) for q in manifest["point_runtimes"]] == \
+            [(3.0, 5.0), (3.0, 10.0), (5.0, 5.0), (5.0, 10.0)]
+        assert all(q["runtime_ms"] >= 0 for q in manifest["point_runtimes"])
 
     def test_structure_violation_exits_one(self, tmp_path, capsys):
         # On a tiny truncation a small subcritical mass relaxes to the flat

@@ -106,23 +106,30 @@ class TestDescentInvariants:
 def _minimize_logging_steps(R, p, mu, init):
     """minimize with a log of its descent: ("polish",) per Newton polish and,
     per line search, ("step", direction == z, r.direction, accepted, any
-    trial rejected), where z = precondition(r).  Returns (outcome, log)."""
+    trial rejected, lam, preconditioner rebuilt, sigma), where
+    z = precondition(r) and lam is the multiplier shift_to saw before the
+    step.  Returns (outcome, log)."""
     log, last = [], {}
-    inverse, search, polish = (hexnls.solver._condensed_inverse, _Descent.line_search,
-                               _Descent.newton_polish)
+    inverse, shift, search, polish = (hexnls.solver._condensed_inverse, _Descent.shift_to,
+                                      _Descent.line_search, _Descent.newton_polish)
 
-    def logging_inverse(dz):
-        solve = inverse(dz)
+    def logging_inverse(dz, sigma):
+        solve = inverse(dz, sigma)
 
         def logged(r):
             last["r"], last["z"] = r, solve(r)
             return last["z"]
         return logged
 
+    def logging_shift(self, lam):
+        last["lam"], last["rebuilt"] = lam, shift(self, lam)
+        return last["rebuilt"]
+
     def logging_search(self, pt, direction, tau):
         new, tau, rejected = search(self, pt, direction, tau)
         log.append(("step", np.array_equal(direction, last["z"]),
-                    float(last["r"] @ direction), new is not None, rejected))
+                    float(last["r"] @ direction), new is not None, rejected,
+                    last["lam"], last["rebuilt"], self.sigma))
         return new, tau, rejected
 
     def logging_polish(self, *args, **kwargs):
@@ -131,6 +138,7 @@ def _minimize_logging_steps(R, p, mu, init):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hexnls.solver, "_condensed_inverse", logging_inverse)
+        mp.setattr(_Descent, "shift_to", logging_shift)
         mp.setattr(_Descent, "line_search", logging_search)
         mp.setattr(_Descent, "newton_polish", logging_polish)
         out = minimize(build_honeycomb(R, 1.0), p, mu, init=init)
@@ -143,9 +151,10 @@ def _polishes(log):
 
 @pytest.fixture(scope="module")
 def polished():
-    """A start that leaves the flat state only through repeated Newton polish
-    and descent between polishes; returns (outcome, log)."""
-    return _minimize_logging_steps(7, 5.0, 10.0, "trial-eps")
+    """A start that sits near E = -0.0562 for hundreds of steps and leaves
+    only through repeated Newton polish and descent between polishes;
+    returns (outcome, log)."""
+    return _minimize_logging_steps(8, 3.0, 2.0, "soliton-bump")
 
 
 class TestDescentLoop:
@@ -156,12 +165,12 @@ class TestDescentLoop:
 
     def test_newton_fallback_converges(self, polished):
         # Stretches after a polish start with |E| << mu, where a 25-step stall
-        # exit scaled by max(|E|, mu) would end them while E still falls and
-        # leave this start near the flat state (E ~ -3.6e-3).
+        # exit scaled by max(|E|, mu) would end them while E still falls: this
+        # start would stop Inconclusive at E = -0.0562 after 8 polishes.
         out, _ = polished
         assert out.classification == "GroundState"
         assert out.residual <= SolverConfig().residual_tol
-        assert out.final_energy == pytest.approx(-3427.964389135137, rel=1e-9)
+        assert out.final_energy == pytest.approx(-0.15102897916442432, rel=1e-9)
 
     def test_stretches_after_polish_reach_tolerance(self):
         # Under a stall exit after each polish this start stops at residual
@@ -227,15 +236,54 @@ class TestCondensedPreconditioner:
 
         monkeypatch.setattr(hexnls.solver, "factorized", spy)
         dz = make_discretization(graph, n)
-        solve = _Descent(dz, 3.0, 1.0, SolverConfig()).precondition
-        A = (sp.diags(dz.mass_vec) + dz.stiffness).tocsc()
-        rng = np.random.default_rng(n)
-        for r in (rng.standard_normal(dz.n_dofs), dz.mass_vec * rng.uniform(0, 1, dz.n_dofs)):
-            x = solve(r)
-            ref = spsolve(A, r)
-            assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
         V = dz.num_vertices
-        assert factored == [(V, V)]
+        for sigma in (1.0, 2.0, 2.0 ** 14):
+            factored.clear()
+            d = _Descent(dz, 3.0, 1.0, SolverConfig())
+            # A power-of-two -lam >= 1 is its own shift.
+            assert d.shift_to(-sigma) and d.sigma == sigma
+            A = (sp.diags(sigma * dz.mass_vec) + dz.stiffness).tocsc()
+            rng = np.random.default_rng(n)
+            for r in (rng.standard_normal(dz.n_dofs),
+                      dz.mass_vec * rng.uniform(0, 1, dz.n_dofs)):
+                assert not d.shift_to(-sigma)
+                x = d.precondition(r)
+                ref = spsolve(A, r)
+                assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+            assert factored == [(V, V)]
+
+
+class TestShiftedPreconditioner:
+    def test_small_multiplier_keeps_unit_shift(self):
+        # -lam rises to 1.63, past sqrt(2), where the nearest power of two is
+        # 2; the band [1/2, 2] keeps the first factor, so the run applies
+        # (M + K)^{-1} throughout.
+        out, log = _minimize_logging_steps(3, 4.0, 2.5, "soliton-bump")
+        steps = [entry for entry in log if entry[0] == "step"]
+        assert out.classification == "GroundState"
+        assert max(-entry[5] for entry in steps) > np.sqrt(2.0)
+        assert [entry[6] for entry in steps] == [True] + [False] * (len(steps) - 1)
+        assert all(entry[7] == 1.0 for entry in steps)
+
+    def test_large_mass_rebuilds_on_band_exits(self):
+        # -lam grows from 2.6 to 12,188; with the unit shift this start
+        # takes 198 iterations.
+        out, log = _minimize_logging_steps(7, 5.0, 100.0, "trial-eps")
+        assert out.classification == "GroundState"
+        assert out.residual <= SolverConfig().residual_tol
+        assert out.iterations <= 60
+        sigma, sigmas = None, []
+        for entry in (entry for entry in log if entry[0] == "step"):
+            restarted, lam, rebuilt, new_sigma = entry[1], entry[5], entry[6], entry[7]
+            target = max(1.0, -lam)
+            assert rebuilt == (sigma is None or not sigma / 2 <= target <= 2 * sigma)
+            if rebuilt:
+                # The power of two nearest the target, and a restart at z.
+                assert new_sigma == 2.0 ** round(np.log2(target)) and restarted
+                sigmas.append(new_sigma)
+            assert new_sigma == sigmas[-1]
+            sigma = new_sigma
+        assert len(sigmas) >= 3 and sigmas[-1] >= 2.0 ** 13
 
 
 class TestCondensedNewton:
@@ -285,7 +333,7 @@ class TestCondensedNewton:
 
 class TestConjugateDirections:
     def test_iteration_count(self, polished):
-        # Steepest descent took 3,059 iterations on this start.
+        # Steepest descent stopped Inconclusive after 3,263 iterations here.
         out, _ = polished
         assert out.iterations <= 1000
 
