@@ -78,6 +78,30 @@ def from_edge_samples(graph: MetricGraph, values: np.ndarray) -> GraphFunction:
     return GraphFunction(graph, dofs)
 
 
+def _abs_power(v: np.ndarray, e: float, sq: np.ndarray | None = None) -> np.ndarray:
+    """|v|^e.  A whole e from 1 to 8 is formed by products, |v| (odd e) or
+    v*v (even e) times v*v until the power is reached, all in one new array
+    (sq, when given, is v*v; at e = 2 it is returned itself); any other e
+    by the general pow.  For a whole e from 3 to 8, |v|^(e-2) * (v*v) is
+    |v|^e bit for bit, which the ratios' lp term relies on."""
+    if not (1 <= e <= 8 and e == int(e)):
+        return np.abs(v) ** e
+    if sq is None:
+        sq = v * v
+    k = int(e)
+    if k == 2:
+        return sq
+    if k % 2:
+        w = np.abs(v)
+        products = k // 2
+    else:
+        w = sq * sq
+        products = k // 2 - 2
+    for _ in range(products):
+        w *= sq
+    return w
+
+
 def edge_lengths(graph: MetricGraph) -> np.ndarray:
     return np.array([e.length for e in graph.edges])
 
@@ -189,11 +213,20 @@ class Discretization:
             raise ValueError("function is not on this discretization's graph and sampling")
         return u.dofs
 
+    def cells_constant(self, dofs: np.ndarray) -> bool:
+        """Whether every cell difference is exactly zero: each edge's interior
+        samples and head equal its tail, compared on the DOF vector's
+        contiguous (edge, interior sample) block without gathering the cells."""
+        tails = dofs[self.dof_of[:, 0]]
+        return bool(np.array_equal(dofs[self.dof_of[:, -1]], tails) and
+                    (dofs[self.num_vertices:].reshape(self.num_edges, self.n - 2)
+                     == tails[:, None]).all())
+
     def mass(self, dofs: np.ndarray) -> float:
         return float(self.mass_vec @ dofs ** 2)
 
     def lp(self, dofs: np.ndarray, p: float) -> float:
-        return float(self.mass_vec @ np.abs(dofs) ** p)
+        return float(self.mass_vec @ _abs_power(dofs, p))
 
     def kinetic(self, dofs: np.ndarray) -> float:
         return float(dofs @ (self.stiffness @ dofs))

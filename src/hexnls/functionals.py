@@ -9,7 +9,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import dijkstra
 
 from .analytic import build_trial_function
-from .calculus import (Discretization, GraphFunction, _layout, edge_lengths,
+from .calculus import (Discretization, GraphFunction, _abs_power, _layout, edge_lengths,
                        from_vertex_values, gradient_norms, integrate_power)
 from .graph_core import MetricGraph
 from .honeycomb import HoneycombLattice
@@ -86,12 +86,12 @@ def inequality_ratio(u: GraphFunction, name: str, p: float = 2.0) -> InequalityR
     terms, the peak |u| and the (edge, sample) where the per-edge view has it."""
     obj = _RatioObjective(u.layout, name, p)
     t = obj.terms(u.dofs)
-    vals = u.values
     # Every ratio divides by a gradient norm.  The cell differences of a
     # constant are exactly zero; its v.Kv is rounding noise, not always zero.
-    if np.array_equal(vals[:, 1:], vals[:, :-1]) or \
+    if u.layout.cells_constant(u.dofs) or \
             any(t[term] <= 0 for term, e in obj.exponents.items() if e < 0):
         raise ZeroDivisionError(f"{name} ratio undefined (zero denominator)")
+    vals = u.values
     eid, k = np.unravel_index(int(np.abs(vals).argmax()), vals.shape)
     witness = {term: float(t[term]) for term in obj.exponents}
     witness.update(linf=float(np.abs(u.dofs).max()), argmax_edge=int(eid),
@@ -146,23 +146,28 @@ class _RatioObjective:
         self.exponents = _ratio_exponents(name, p)
 
     def terms(self, v: np.ndarray) -> dict:
-        """The table's norm terms at v, plus the Kv and cell differences grad reuses."""
-        dz = self.dz
+        """The table's norm terms at v, plus what grad reuses: |v|^(p-2) ("w"),
+        K v, the cell differences and the peak's index.  One square v*v gives
+        both the mass and int |v|^p = M . (|v|^(p-2) v*v)."""
+        dz, ex = self.dz, self.exponents
         t = {}
-        for term in self.exponents:
-            if term == "mass":
-                t[term] = dz.mass(v)
-            elif term == "lp":
-                t[term] = dz.lp(v, self.p)
-            elif term == "linf":
-                t[term] = np.abs(v).max()
-            elif term == "grad_l1":
-                d0, d1 = dz.cells
-                t["diffs"] = v[d1] - v[d0]
-                t[term] = np.abs(t["diffs"]).sum()
-            else:  # grad_l2sq
-                t["Kv"] = dz.stiffness @ v
-                t[term] = float(v @ t["Kv"])
+        if "mass" in ex or "lp" in ex:
+            sq = v * v
+            t["mass"] = float(dz.mass_vec @ sq)
+            if "lp" in ex:
+                t["w"] = _abs_power(v, self.p - 2, sq)
+                t["lp"] = float(dz.mass_vec @ (t["w"] * sq))
+        if "linf" in ex:
+            a = np.abs(v)
+            t["argmax"] = int(a.argmax())
+            t["linf"] = a[t["argmax"]]
+        if "grad_l1" in ex:
+            d0, d1 = dz.cells
+            t["diffs"] = v[d1] - v[d0]
+            t["grad_l1"] = np.abs(t["diffs"]).sum()
+        if "grad_l2sq" in ex:
+            t["Kv"] = dz.stiffness @ v
+            t["grad_l2sq"] = float(v @ t["Kv"])
         return t
 
     def log_ratio(self, terms: dict) -> float:
@@ -174,25 +179,25 @@ class _RatioObjective:
         return self.log_ratio(t), t
 
     def grad(self, v: np.ndarray, terms: dict) -> np.ndarray:
-        dz, p = self.dz, self.p
-        g = np.zeros_like(v)
-        for term, e in self.exponents.items():
-            if term == "mass":
-                dlog = 2.0 * dz.mass_vec * v / terms["mass"]
-            elif term == "lp":
-                dlog = p * dz.mass_vec * np.abs(v) ** (p - 2) * v / terms["lp"]
-            elif term == "linf":
-                i = int(np.abs(v).argmax())
-                dlog = np.zeros_like(v)
-                dlog[i] = np.sign(v[i]) / abs(v[i])
-            elif term == "grad_l1":
-                d0, d1 = dz.cells
-                s = np.sign(terms["diffs"])
-                dlog = np.bincount(d1, s, v.size) - np.bincount(d0, s, v.size)
-                dlog /= max(terms["grad_l1"], 1e-300)
-            else:  # grad_l2sq
-                dlog = 2.0 * terms["Kv"] / terms["grad_l2sq"]
-            g += e * dlog
+        """The log-ratio's gradient in one expression, M v (a + b |v|^(p-2))
+        + c K v, with a, b and c each smooth term's exponent over its value
+        (times 2, p and 2), plus the l1 and l-infinity subgradient terms.
+        It forms no K v and no power: terms carries them."""
+        ex, t = self.exponents, terms
+        a = 2.0 * ex["mass"] / t["mass"] if "mass" in ex else 0.0
+        g = self.dz.mass_vec * v
+        g *= (a + self.p * ex["lp"] / t["lp"] * t["w"]) if "lp" in ex else a
+        if "grad_l2sq" in ex:
+            g += 2.0 * ex["grad_l2sq"] / t["grad_l2sq"] * t["Kv"]
+        if "grad_l1" in ex:
+            d0, d1 = self.dz.cells
+            s = np.sign(t["diffs"])
+            s *= ex["grad_l1"] / max(t["grad_l1"], 1e-300)
+            g += np.bincount(d1, s, v.size)
+            g -= np.bincount(d0, s, v.size)
+        if "linf" in ex:
+            i = t["argmax"]
+            g[i] += ex["linf"] / v[i]       # d|v_i|/dv_i / |v_i| = 1 / v_i
         return g
 
 
@@ -236,16 +241,19 @@ def estimate_sharp_constant(name: str, p: float, graph, budget: int, seed: int,
     obj = _RatioObjective(dz, name, p)
     boundary = truncation_boundary(graph)
 
-    def project(v):
-        v = v.copy()
-        v[boundary] = 0.0
+    def normalize(v):
+        """v scaled in place to unit mass, unless it has none."""
         m = dz.mass(v)
-        return v / np.sqrt(m) if m > 0 else v
+        if m > 0:
+            v /= np.sqrt(m)
+        return m > 0
 
+    # v and the gradient vanish on the boundary, so every candidate
+    # v + tau*g does too, and the witness extends by zero.
     best_val, best_v = -np.inf, None
-    for v0 in _ascent_starts(graph, dz, num_starts, seed):
-        v = project(v0)
-        if dz.mass(v) == 0:
+    for v in _ascent_starts(graph, dz, num_starts, seed):
+        v[boundary] = 0.0
+        if not normalize(v):
             continue
         val, terms = obj.evaluate(v)
         tau = 0.1
@@ -255,9 +263,12 @@ def estimate_sharp_constant(name: str, p: float, graph, budget: int, seed: int,
             gn = np.linalg.norm(g)
             if gn < 1e-14:
                 break
+            g /= gn
             accepted = False
             while tau > 1e-14:
-                cand = project(v + tau * g / gn)
+                cand = tau * g
+                cand += v
+                normalize(cand)
                 cval, cterms = obj.evaluate(cand)
                 if cval > val:
                     v, terms, val = cand, cterms, cval

@@ -44,8 +44,8 @@ import scipy.sparse.linalg
 from scipy.sparse.linalg import splu
 
 from .analytic import build_trial_function, soliton_params, soliton_profile
-from .calculus import (Discretization, GraphFunction, constant_function, from_vertex_values,
-                       rescale_mass)
+from .calculus import (Discretization, GraphFunction, _abs_power, constant_function,
+                       from_vertex_values, rescale_mass)
 from .functionals import (_bare_graph, _center_vertex, energy, make_discretization,
                           truncation_boundary, vertex_distances)
 from .honeycomb import HoneycombLattice, path_coordinate
@@ -265,14 +265,8 @@ class _Descent:
     def evaluate(self, v: np.ndarray) -> _Point:
         """v with its energy; the one place an iterate meets K and the power."""
         Kv = self.K @ v
-        sq, e = v * v, self.p - 2
-        if e == int(e):
-            # Whole powers by products, about 3x faster than the general pow.
-            w = np.abs(v) if e % 2 else sq
-            for _ in range(int(e - 1) // 2):
-                w = w * sq
-        else:
-            w = np.abs(v) ** e
+        sq = v * v
+        w = _abs_power(v, self.p - 2, sq)
         E = 0.5 * float(v @ Kv) - float(self.dz.mass_vec @ (w * sq)) / self.p
         return _Point(v, E, Kv, w)
 

@@ -8,7 +8,7 @@ import pytest
 
 import hexnls.solver
 from hexnls.analytic import build_trial_function, trial_kinetic_integral, trial_lp_integral
-from hexnls.calculus import (Discretization, GraphFunction, constant_function,
+from hexnls.calculus import (Discretization, GraphFunction, _abs_power, constant_function,
                              from_edge_samples, from_vertex_values, gradient_norms,
                              integrate_power, rescale_mass)
 from hexnls.functionals import make_discretization, random_corpus
@@ -62,6 +62,40 @@ class TestIntegratePower:
         u = constant_function(build_line(2), 1.0)
         with pytest.raises(ValueError):
             integrate_power(u, 0.5)
+
+
+class TestAbsPower:
+    """The whole-power helper against the general pow."""
+
+    @pytest.fixture(scope="class")
+    def v(self):
+        v = np.random.default_rng(3).standard_normal(5000) * 10.0 ** np.linspace(-3, 3, 5000)
+        v[::97] = 0.0
+        return v
+
+    @pytest.mark.parametrize("e", [1, 2, 3, 4, 5, 6])
+    def test_whole_powers_within_ulps(self, v, e):
+        got, ref = _abs_power(v, float(e)), np.abs(v) ** e
+        # e - 1 rounded products, each off by at most half an ulp.
+        assert np.all(np.abs(got - ref) <= e * np.spacing(ref))
+        assert np.array_equal(got == 0, v == 0)
+
+    def test_other_powers_are_pow_bit_for_bit(self, v):
+        for e in (2.5, 0.5, 9.0):
+            assert np.array_equal(_abs_power(v, e), np.abs(v) ** e)
+
+    @pytest.mark.parametrize("e", [3, 4, 5, 6, 7, 8])
+    def test_power_times_square_is_next_power(self, v, e):
+        # What lets the ratios share one square between mass and int |u|^p.
+        sq = v * v
+        assert np.array_equal(_abs_power(v, e - 2.0, sq) * sq, _abs_power(v, float(e)))
+
+    def test_leaves_its_inputs(self, v):
+        before, sq = v.copy(), v * v
+        sq_before = sq.copy()
+        for e in range(1, 9):
+            _abs_power(v, float(e), sq)
+        assert np.array_equal(v, before) and np.array_equal(sq, sq_before)
 
 
 def _edge_trapezoid(u: GraphFunction, p: float) -> float:

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from hexnls.analytic import build_trial_function, trial_energy, trial_truncation_radius
-from hexnls.calculus import (constant_function, from_edge_samples, gradient_norms,
-                             integrate_power, rescale_mass)
+from hexnls.calculus import (GraphFunction, constant_function, from_edge_samples,
+                             gradient_norms, integrate_power, rescale_mass)
 from hexnls.functionals import (RATIO_NAMES, _ascent_starts, _RatioObjective, energy,
                                 estimate_sharp_constant, inequality_ratio, make_discretization,
                                 random_corpus, vertex_distances)
-from hexnls.graph_core import GraphBuilder, build_line, build_star
+from hexnls.graph_core import GraphBuilder, MetricGraph, build_line, build_star
 from hexnls.honeycomb import build_honeycomb, build_square_grid
 
 SOBOLEV2D_BOUND = 2.0 * math.sqrt(2.0)
@@ -86,6 +86,27 @@ class TestInequalityRatio:
                     with pytest.raises(ZeroDivisionError):
                         inequality_ratio(u, name, 3.0)
 
+    def test_constant_per_component_rejected(self):
+        # Two components, each constant at its own value: every cell
+        # difference is zero, though the function is not one constant.  The
+        # builder refuses a disconnected graph, so it is put together directly.
+        b = GraphBuilder()
+        a0, a1, c0, c1 = (b.add_vertex(float(x)) for x in range(4))
+        b.add_edge(a0, a1, 1.0)
+        b.add_edge(c0, c1, 2.0)
+        g = MetricGraph(b.vertices, b.edges)
+        dz = make_discretization(g, 9)
+        dofs = np.full(dz.n_dofs, 1.5)
+        dofs[[c0, c1]] = -0.25
+        dofs[dz.dof_of[1, 1:-1]] = -0.25
+        u = GraphFunction(g, dofs)
+        for name in RATIO_NAMES:
+            with pytest.raises(ZeroDivisionError):
+                inequality_ratio(u, name, 3.0)
+        dofs = dofs.copy()
+        dofs[dz.dof_of[1, 4]] = 0.0
+        assert inequality_ratio(GraphFunction(g, dofs), "gn1d", 3.0).value > 0
+
     def test_invalid_name_and_power(self, corpus):
         with pytest.raises(ValueError):
             inequality_ratio(corpus[0], "nosuch")
@@ -106,8 +127,10 @@ class TestInequalityRatio:
         assert w["linf"] == abs(u.values[w["argmax_edge"], w["argmax_sample"]]) > 0
 
 
+# p = 4.5 takes the general power, the whole powers the products.
 RATIO_CASES = [("sobolev2d", 2.0), ("sobolev1d", 2.0)] + [
-    (name, p) for name in ("gn1d", "gn2d", "gn_interp") for p in (3.0, 5.0)]
+    (name, p) for name in ("gn1d", "gn2d", "gn_interp") for p in (3.0, 5.0)] + [
+    ("gn_interp", 4.5)]
 
 # Each ratio written out from its inequality, in the norms (mass, int |u|^p,
 # |u|_inf, |u'|_1, |u'|_2^2), apart from the objective's exponent table.
@@ -137,12 +160,9 @@ class TestRatioObjective:
             expected = math.log(RATIO_ORACLE[name](*norms, p))
             assert obj.evaluate(v)[0] == pytest.approx(expected, rel=0, abs=1e-12)
 
-    @pytest.mark.parametrize("name,p", RATIO_CASES)
-    def test_grad_matches_central_differences(self, dz, corpus, name, p):
-        obj = _RatioObjective(dz, name, p)
-        v = dz.to_dofs(corpus[0])
+    @staticmethod
+    def _check_grad(obj, v, rng):
         g = obj.grad(v, obj.evaluate(v)[1])
-        rng = np.random.default_rng(0)
         h = 1e-6
         for _ in range(3):
             d = rng.standard_normal(v.size)
@@ -150,6 +170,21 @@ class TestRatioObjective:
             fd = (obj.evaluate(v + h * d)[0] - obj.evaluate(v - h * d)[0]) / (2 * h)
             # Relative to |g|: a unit direction can be nearly orthogonal to g.
             assert abs(g @ d - fd) <= 1e-6 * np.linalg.norm(g)
+
+    @pytest.mark.parametrize("name,p", RATIO_CASES)
+    def test_grad_matches_central_differences(self, dz, corpus, name, p):
+        self._check_grad(_RatioObjective(dz, name, p), dz.to_dofs(corpus[0]),
+                         np.random.default_rng(0))
+
+    @pytest.mark.parametrize("p", [3.0, 4.5, 5.0])
+    @pytest.mark.parametrize("name", RATIO_NAMES)
+    def test_grad_matches_central_differences_on_ascent_point(self, lat, dz, name, p):
+        # A point like the ascent's: random, zero on the truncation boundary.
+        # p = 4.5 takes the general power, the others the products.
+        rng = np.random.default_rng(11)
+        v = rng.standard_normal(dz.n_dofs)
+        v[lat.boundary_vertices()] = 0.0
+        self._check_grad(_RatioObjective(dz, name, p), v, rng)
 
 
 class TestCorpusBounds:
@@ -202,6 +237,17 @@ class TestRandomCorpus:
             assert vv[far].max() < 0.05 * max(vv.max(), 1e-300)
 
 
+class _CountingK:
+    """Stand-in for the stiffness matrix that counts products with it."""
+
+    def __init__(self, K):
+        self.K, self.products = K, 0
+
+    def __matmul__(self, x):
+        self.products += 1
+        return self.K @ x
+
+
 class TestSharpConstantAscent:
     def test_sobolev2d_respects_theoretical_bound(self, lat):
         c_hat, witness = estimate_sharp_constant("sobolev2d", 2.0, lat,
@@ -250,6 +296,31 @@ class TestSharpConstantAscent:
         bump = _ascent_starts(graph, dz, 3, seed=0)[2]
         peak = graph.vertices[int(np.argmax(bump[:graph.num_vertices]))]
         assert (peak.x, peak.y) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("name,p", [("gn_interp", 5.0), ("gn1d", 4.5)])
+    def test_one_stiffness_product_per_candidate(self, monkeypatch, lat, name, p):
+        dz = make_discretization(lat, 9)
+        counting = _CountingK(dz.stiffness)
+        monkeypatch.setitem(vars(dz), "stiffness", counting)
+        evaluated, in_grad = [], []
+        evaluate, grad = _RatioObjective.evaluate, _RatioObjective.grad
+
+        def counting_evaluate(self, v):
+            evaluated.append(1)
+            return evaluate(self, v)
+
+        def counting_grad(self, v, terms):
+            before = counting.products
+            out = grad(self, v, terms)
+            in_grad.append(counting.products - before)
+            return out
+
+        monkeypatch.setattr(_RatioObjective, "evaluate", counting_evaluate)
+        monkeypatch.setattr(_RatioObjective, "grad", counting_grad)
+        estimate_sharp_constant(name, p, lat, budget=20, seed=0, num_starts=6)
+        # Every start and every trial candidate is evaluated once.
+        assert counting.products == len(evaluated) > len(in_grad) > 6
+        assert not any(in_grad)
 
     def test_invalid_budget(self, lat):
         with pytest.raises(ValueError):
