@@ -44,8 +44,8 @@ def _prototype_constants(p: float) -> tuple[float, float]:
 def soliton_params(p: float, mu: float) -> SolitonParams:
     if not (2 < p < 6):
         raise ValueError(f"soliton scaling needs 2 < p < 6, got {p}")
-    if mu <= 0:
-        raise ValueError(f"mass must be positive, got {mu}")
+    if not 0 < mu < math.inf:
+        raise ValueError(f"mass must be positive and finite, got {mu}")
     C, c = _prototype_constants(p)
     # Mass-preserving two-parameter scaling: with a unit-mass prototype,
     # alpha = 2/(6-p) and beta = (p-2)/(6-p) give mass exactly mu.
@@ -84,8 +84,8 @@ def trial_kinetic_integral(eps: float) -> float:
 
 def trial_normalization(eps: float, mu: float) -> float:
     """Factor k_eps with k_eps^2 * integral(u_eps^2) = mu, algebraically."""
-    if eps <= 0 or mu <= 0:
-        raise ValueError(f"eps and mu must be positive, got {eps}, {mu}")
+    if eps <= 0 or not 0 < mu < math.inf:
+        raise ValueError(f"eps and mu must be positive (mu finite), got {eps}, {mu}")
     return math.sqrt(2.0 * eps * math.tanh(eps) / 3.0 * mu)
 
 

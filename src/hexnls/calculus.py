@@ -138,8 +138,8 @@ def gradient_norms(u: GraphFunction) -> tuple[float, float]:
 
 
 def rescale_mass(u: GraphFunction, mu: float) -> GraphFunction:
-    if mu <= 0:
-        raise ValueError(f"target mass must be positive, got {mu}")
+    if not 0 < mu < np.inf:
+        raise ValueError(f"target mass must be positive and finite, got {mu}")
     m = integrate_power(u, 2)
     if m <= 0:
         raise ValueError("cannot rescale a function with zero mass")
@@ -176,6 +176,14 @@ class Discretization:
     def cells(self) -> tuple[np.ndarray, np.ndarray]:
         """The (left, right) DOF of every sample cell, edge by edge."""
         return self.dof_of[:, :-1].ravel(), self.dof_of[:, 1:].ravel()
+
+    @cached_property
+    def first_position(self) -> np.ndarray:
+        """Each DOF's first row-major position, edge * n + sample, in the
+        per-edge view; a vertex, an end of several edges, takes its first."""
+        pos = np.full(self.n_dofs, self.dof_of.size)
+        np.minimum.at(pos, self.dof_of.ravel(), np.arange(self.dof_of.size))
+        return pos
 
     @cached_property
     def stiffness(self) -> sp.csr_matrix:

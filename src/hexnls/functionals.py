@@ -83,7 +83,7 @@ def _ratio_exponents(name: str, p: float) -> dict[str, float]:
 def inequality_ratio(u: GraphFunction, name: str, p: float = 2.0) -> InequalityRatio:
     """Ratio LHS / (RHS without its constant) for one of the inequalities: the
     exponential of the ascent's log-ratio.  The witness holds the ratio's norm
-    terms, the peak |u| and the (edge, sample) where the per-edge view has it."""
+    terms, the peak |u| and its first (edge, sample) in the per-edge view."""
     obj = _RatioObjective(u.layout, name, p)
     t = obj.terms(u.dofs)
     # Every ratio divides by a gradient norm.  The cell differences of a
@@ -91,11 +91,15 @@ def inequality_ratio(u: GraphFunction, name: str, p: float = 2.0) -> InequalityR
     if u.layout.cells_constant(u.dofs) or \
             any(t[term] <= 0 for term, e in obj.exponents.items() if e < 0):
         raise ZeroDivisionError(f"{name} ratio undefined (zero denominator)")
-    vals = u.values
-    eid, k = np.unravel_index(int(np.abs(vals).argmax()), vals.shape)
+    # The peak's first place in the view is the least first position of the
+    # DOFs that tie for it; a nan peak (peak != peak) is the nan DOFs, as
+    # argmax has it.
+    a = np.abs(u.dofs)
+    peak = a.max()
+    ties = a == peak if peak == peak else np.isnan(a)
+    eid, k = divmod(int(u.layout.first_position[ties].min()), u.layout.n)
     witness = {term: float(t[term]) for term in obj.exponents}
-    witness.update(linf=float(np.abs(u.dofs).max()), argmax_edge=int(eid),
-                   argmax_sample=int(k))
+    witness.update(linf=float(peak), argmax_edge=eid, argmax_sample=k)
     return InequalityRatio(name=name, value=float(np.exp(obj.log_ratio(t))), witness=witness)
 
 

@@ -20,20 +20,19 @@ Each line-search candidate is evaluated once: one product K v, one power
 |v|^{p-2} and the squares v^2 give its energy, and the accepted candidate
 hands them on to the next gradient and trace row, which form none of them.
 
-(sigma*M + K)^{-1} is applied exactly by static condensation.  The interior
-samples of an edge form a tridiagonal chain coupled only to the edge's two
-end vertices, and every chain diagonalizes in the same sine basis, so the
-chains are solved in closed form, all edges at once.  Eliminating them
-leaves a vertex-only Schur complement (a weighted graph Laplacian plus a
-diagonal), the one matrix that is factorized, in minimum-degree order.
-Newton's bordered system is condensed the same way, except that its chains
-carry a per-sample diagonal: they are solved by batched tridiagonal
-elimination over all edges, and only the bordered vertex system is
-factorized.
+(sigma*M + K)^{-1} and Newton's bordered system are both solved by one
+static condensation, _condense.  The interior samples of an edge form a
+tridiagonal chain coupled only to the edge's two end vertices; every chain
+is factored once by batched tridiagonal (Thomas) elimination, all edges at
+once, and eliminating them leaves a vertex-only Schur complement (a weighted
+graph Laplacian plus a diagonal), the one matrix that is factorized, in
+minimum-degree order.  Newton borders that vertex system with one row for
+the mass constraint.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import partial
 from typing import ClassVar, NamedTuple
@@ -156,66 +155,69 @@ def factorized(A: sp.spmatrix):
     return scipy.sparse.linalg.splu(A, permc_spec="MMD_AT_PLUS_A").solve
 
 
-def _chain_solve(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve every edge's tridiagonal chain at once by elimination (Thomas).
+def _condense(dz: Discretization, s: np.ndarray):
+    """Static condensation of A = K + diag(s), s one entry per DOF.
 
-    Chain e has diagonal diag[e] (length m) and the constant off-diagonal
-    off[e]; rhs is (E, m, k), k right-hand sides per chain.  There is no
+    The m = n - 2 interior samples of edge e form a tridiagonal chain A_II
+    with the constant off-diagonal -1/h_e, coupled to the edge's tail and
+    head vertices through -1/h_e at its first and last sample.  Every chain
+    is factored once, all edges at once, by elimination (Thomas) stored
+    sample-major, (m, E), so each step reads contiguous rows.  There is no
     pivoting, so a zero or non-finite pivot raises RuntimeError.
+
+    Returns the vertex Schur complement S = A_VV - A_VI X (not factorized),
+    the chain solve y = A_II^{-1} rhs for rhs of E*m interior rows (one or k
+    columns), X = A_II^{-1} A_IV (two columns per edge, tail and head) and
+    A_VI.  With no interior samples (n = 2) X and A_VI are empty and S = A.
     """
-    m = diag.shape[1]
-    piv, x = diag.copy(), rhs.copy()
+    V, E, m = dz.num_vertices, dz.num_edges, dz.n - 2
+    K = dz.stiffness
+    off = -1.0 / dz.h
+    piv = (K.diagonal() + s)[V:].reshape(E, m).T.copy()
+    ratio = np.empty_like(piv)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for i in range(1, m):
-            ratio = off / piv[:, i - 1]
-            piv[:, i] -= ratio * off
-            x[:, i] -= ratio[:, None] * x[:, i - 1]
+            ratio[i] = off / piv[i - 1]
+            piv[i] -= ratio[i] * off
     if not np.all(np.isfinite(piv) & (piv != 0)):
         raise RuntimeError("zero or non-finite pivot in an edge chain")
-    for i in reversed(range(m)):
-        if i < m - 1:
-            x[:, i] -= off[:, None] * x[:, i + 1]
-        x[:, i] /= piv[:, i, None]
-    return x
+
+    def chain_solve(rhs: np.ndarray) -> np.ndarray:
+        # Sample-major (m, E, k) copy of the (E, m, k) right-hand sides.
+        x = rhs.reshape(E, m, math.prod(rhs.shape[1:])).transpose(1, 0, 2).copy()
+        for i in range(1, m):
+            x[i] -= ratio[i, :, None] * x[i - 1]
+        for i in reversed(range(m)):
+            if i < m - 1:
+                x[i] -= off[:, None] * x[i + 1]
+            x[i] /= piv[i, :, None]
+        return x.transpose(1, 0, 2).reshape(rhs.shape)
+
+    # A_IV's two columns per edge are -1/h at the first and the last sample.
+    sample = np.arange(m)
+    y = chain_solve(np.stack([off[:, None] * (sample == 0), off[:, None] * (sample == m - 1)],
+                             axis=-1).reshape(E * m, 2))
+    X = sp.csr_matrix((y.ravel(),
+                       (np.repeat(np.arange(E * m), 2),
+                        np.broadcast_to(dz.dof_of[:, None, [0, -1]], (E, m, 2)).ravel())),
+                      shape=(E * m, V))
+    A_VI = K[:V, V:]
+    S = K[:V, :V] + sp.diags(s[:V]) - A_VI @ X
+    return S, chain_solve, X, A_VI
 
 
 def _condensed_inverse(dz: Discretization, sigma: float):
-    """Exact solve with sigma*M + K, eliminating the edge-interior samples.
-
-    In sigma*M + K the n - 2 interior samples of edge e form the chain
-    sigma*h_e*I + (1/h_e)*tridiag(-1, 2, -1), coupled to the tail and head
-    vertices through -1/h_e at its first and last sample.  tridiag(-1, 2, -1)
-    = Q diag(lam) Q with the symmetric orthogonal sine matrix Q, the same for
-    every edge, so each chain inverse is Q diag(1/(sigma*h_e + lam/h_e)) Q.
-    The chains are solved in that eigenbasis, all edges at once, and only the
-    vertex Schur complement S = A_VV - A_VI A_II^{-1} A_IV is factorized.
-    With no interior samples (n = 2) the chain terms are empty and
-    S = sigma*M + K.  At sigma = 1 every product by sigma is exact, so the
-    operator is (M + K)^{-1} bit for bit.
-    """
-    V, E, m = dz.num_vertices, dz.num_edges, dz.n - 2
-    ends = dz.dof_of[:, [0, -1]]               # (E, 2) tail and head vertices
-    k = np.arange(1, m + 1)
-    Q = np.sqrt(2.0 / (m + 1)) * np.sin(np.outer(k, k) * np.pi / (m + 1))
-    lam = 4.0 * np.sin(0.5 * np.pi * k / (m + 1)) ** 2
-    # Q[:, [0, -1]], written out so that m = 0 needs no special case.
-    q_ends = np.sqrt(2.0 / (m + 1)) * np.sin(np.outer(k, [1, m]) * np.pi / (m + 1))
-    h = dz.h[:, None]
-    d = 1.0 / (sigma * h + lam / h)          # (E, m) chain-inverse eigenvalues
-    # Per edge, A_VI A_II^{-1} A_IV is the 2x2 block (q_ends^T diag(d) q_ends) / h^2.
-    blocks = np.einsum("em,mi,mj->eij", d, q_ends, q_ends) / (h[:, :, None] ** 2)
-    C = sp.coo_matrix((blocks.ravel(),
-                       (np.repeat(ends, 2, axis=1).ravel(), np.tile(ends, 2).ravel())),
-                      shape=(V, V))
-    S = sp.diags(sigma * dz.mass_vec[:V]) + dz.stiffness[:V, :V] - C
+    """Exact solve with sigma*M + K by _condense: the chains are eliminated
+    and only the vertex Schur complement S is factorized.  At sigma = 1
+    every product by sigma is exact, so the operator is (M + K)^{-1}."""
+    V = dz.num_vertices
+    S, chain_solve, X, A_VI = _condense(dz, sigma * dz.mass_vec)
     solve_vertices = factorized(S.tocsc())
 
     def solve(r: np.ndarray) -> np.ndarray:
-        yd = d * (r[V:].reshape(E, m) @ Q)     # A_II^{-1} r_I in eigen-coordinates
-        b = r[:V] + np.bincount(ends.ravel(), ((yd @ q_ends) / h).ravel(), minlength=V)
-        x = solve_vertices(b)
-        interior = (yd + d * ((x[ends] / h) @ q_ends.T)) @ Q
-        return np.concatenate([x, interior.ravel()])
+        y = chain_solve(r[V:])                  # A_II^{-1} r_I
+        x = solve_vertices(r[:V] - A_VI @ y)
+        return np.concatenate([x, y - X @ x])
 
     return solve
 
@@ -313,38 +315,25 @@ class _Descent:
 
             [[K - diag(c), M v], [(M v)^T, 0]] [delta; eta] = [r; 0],
 
-        with c = (p - 1) M |v|^{p-2} + lam M, solved by static condensation.
-        Each edge's interior chain J_II (K - diag(c) restricted to it) is
-        eliminated for four right-hand sides at once: r, M v and the chain's
-        couplings to its tail and head vertices.  That leaves the bordered
-        vertex system, V + 1 rows, the one matrix factorized.  Raises
-        RuntimeError when either elimination meets a zero pivot.
+        with c = (p - 1) M |v|^{p-2} + lam M, solved by _condense of
+        K - diag(c): the chains are eliminated for two right-hand sides, r and
+        M v, which leaves the bordered vertex system, V + 1 rows, the one
+        matrix factorized.  Raises RuntimeError when either elimination meets
+        a zero pivot.
         """
         dz = self.dz
-        V, E, m = dz.num_vertices, dz.num_edges, dz.n - 2
+        V = dz.num_vertices
         # Regularize |v|^{p-2} near zeros of v (singular for p < 3); the
         # Jacobian only steers the step, acceptance is residual descent.
         floor = 1e-8 * float(np.abs(v).max())
         c = (self.p - 1.0) * dz.mass_vec * (v * v + floor * floor) ** (self.p / 2.0 - 1.0) \
             + lam * dz.mass_vec
         b = dz.mass_vec * v
-        K = dz.stiffness
-        K_VI = K[:V, V:]
-        inv_h = (1.0 / dz.h)[:, None]
-        i = np.arange(m)
-        # K_IV's two columns per edge are -1/h at the first and the last sample.
-        rhs = np.stack([r[V:].reshape(E, m), b[V:].reshape(E, m),
-                        -inv_h * (i == 0), -inv_h * (i == m - 1)], axis=-1)
-        y = _chain_solve((K.diagonal() - c)[V:].reshape(E, m), -inv_h[:, 0], rhs)
-        y_r, y_b = y[..., 0].ravel(), y[..., 1].ravel()
-        # X = J_II^{-1} K_IV, two columns per edge, tail and head.
-        X = sp.csr_matrix((y[..., 2:].ravel(),
-                           (np.repeat(np.arange(E * m), 2),
-                            np.broadcast_to(dz.dof_of[:, None, [0, -1]], (E, m, 2)).ravel())),
-                          shape=(E * m, V))
+        S, chain_solve, X, K_VI = _condense(dz, -c)
+        y = chain_solve(np.stack([r[V:], b[V:]], axis=-1))
+        y_r, y_b = y[:, 0], y[:, 1]
         # delta_I = y_r - eta*y_b - X delta_V leaves, on the vertices,
         # [[S, g], [g^T, -b_I.y_b]] [delta_V; eta] = [r_V - K_VI y_r; -b_I.y_r].
-        S = K[:V, :V] - sp.diags(c[:V]) - K_VI @ X
         g = b[:V] - K_VI @ y_b
         A = sp.bmat([[S, sp.csc_matrix(g[:, None])],
                      [sp.csc_matrix(g[None, :]), sp.csc_matrix([[-(b[V:] @ y_b)]])]],
@@ -519,8 +508,8 @@ def minimize(graph, p: float, mu: float, cfg: SolverConfig | None = None,
     """
     if not (2 < p <= 6):
         raise ValueError(f"nonlinearity power must be in (2, 6], got {p}")
-    if mu <= 0:
-        raise ValueError(f"mass must be positive, got {mu}")
+    if not 0 < mu < np.inf:
+        raise ValueError(f"mass must be positive and finite, got {mu}")
     cfg = cfg or SolverConfig()
     dz = make_discretization(graph, cfg.samples_per_edge)
     d = _Descent(dz, p, mu, cfg)
@@ -558,8 +547,8 @@ def bisect_critical_mass(graph, p: float, mu_lo: float, mu_hi: float, tol: float
     # A zero or negative width would bisect forever.
     if not tol > 0:
         raise ValueError(f"relative bracket width must be positive, got {tol}")
-    if not 0 < mu_lo < mu_hi:
-        raise ValueError(f"need 0 < mu_lo < mu_hi, got {mu_lo} and {mu_hi}")
+    if not 0 < mu_lo < mu_hi < np.inf:
+        raise ValueError(f"need 0 < mu_lo < mu_hi < inf, got {mu_lo} and {mu_hi}")
 
     def ground(mu: float) -> bool:
         out = minimize(graph, p, mu)

@@ -71,6 +71,13 @@ class TestUsageErrors:
         assert f"{flag} does not apply" in capsys.readouterr().err
         assert not (tmp_path / "manifest.json").exists()
 
+    @pytest.mark.parametrize("kind", ["unbounded-p6", "phase-diagram"])
+    @pytest.mark.parametrize("mu", ["nan", "inf"])
+    def test_non_finite_mass_refused(self, tmp_path, capsys, kind, mu):
+        assert main([kind, "--mu", mu, "--out", str(tmp_path)]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", {"eps_list": [0.5], "radius": 3})
         out = tmp_path / "run"

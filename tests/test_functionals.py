@@ -7,7 +7,8 @@ import pytest
 
 from hexnls.analytic import build_trial_function, trial_energy, trial_truncation_radius
 from hexnls.calculus import (GraphFunction, constant_function, from_edge_samples,
-                             gradient_norms, integrate_power, rescale_mass)
+                             from_vertex_values, gradient_norms, integrate_power,
+                             rescale_mass)
 from hexnls.functionals import (RATIO_NAMES, _ascent_starts, _RatioObjective, energy,
                                 estimate_sharp_constant, inequality_ratio, make_discretization,
                                 random_corpus, vertex_distances)
@@ -125,6 +126,32 @@ class TestInequalityRatio:
         assert w["lp"] == integrate_power(u, 4.0)
         assert w["grad_l2sq"] == pytest.approx(gradient_norms(u)[1], rel=1e-12)
         assert w["linf"] == abs(u.values[w["argmax_edge"], w["argmax_sample"]]) > 0
+
+    def test_argmax_is_first_in_view(self, lat, corpus):
+        # The witness places the peak where argmax over the per-edge view does:
+        # the first (edge, sample) in row-major order among all that tie.
+        g = lat.graph
+        dz = make_discretization(lat, 9)
+        # A +-peak pair: the vertex DOF (smaller index) sits later in the view
+        # than the interior sample of edge 0, which must win.
+        v = corpus[0].dofs.copy()
+        P = 2.0 * np.abs(v).max()
+        v[dz.dof_of[-1, 0]], v[dz.dof_of[0, 1]] = P, -P
+        pm = GraphFunction(g, v)
+        # The peak at a vertex where several edges meet.
+        hub = from_vertex_values(g, np.exp(-vertex_distances(g, lat.origin_vertex)), 9)
+        assert np.count_nonzero(np.abs(hub.values) == 1.0) >= 3
+        # nan samples: the first nan in the view, as argmax has it.
+        v = corpus[1].dofs.copy()
+        v[[dz.dof_of[-1, 0], dz.dof_of[2, 4]]] = np.nan
+        for u in corpus + [pm, pm.scaled(-1.0), hub, GraphFunction(g, v)]:
+            a = np.abs(u.values)
+            want = np.unravel_index(int(a.argmax()), a.shape)
+            for name, p in (("sobolev2d", 2.0), ("gn1d", 4.0)):
+                w = inequality_ratio(u, name, p).witness
+                assert (w["argmax_edge"], w["argmax_sample"]) == want
+        w = inequality_ratio(pm, "sobolev2d").witness
+        assert (w["argmax_edge"], w["argmax_sample"]) == (0, 1)
 
 
 # p = 4.5 takes the general power, the whole powers the products.

@@ -60,6 +60,13 @@ class TestConfigAndInputs:
         with pytest.raises(ValueError):
             minimize(lat, 3.0, 1.0, init="nosuch")
 
+    @pytest.mark.parametrize("mu", [float("nan"), float("inf")])
+    def test_non_finite_mass_refused(self, lat, mu):
+        with pytest.raises(ValueError, match="finite"):
+            minimize(lat, 3.0, mu)
+        with pytest.raises(ValueError, match="finite"):
+            demonstrate_unbounded(lat, mu, [1.0, 0.5])
+
     @pytest.mark.parametrize("tag", INITIALIZERS)
     def test_initializers_have_exact_mass(self, lat, tag):
         u = initial_function(lat, tag, 3.0, 2.5, 9)
