@@ -6,10 +6,17 @@ J. Comput. Phys. 2017).  Each step moves along a search direction built from
 the (sigma*M + K)^{-1}-preconditioned tangent gradient (alone, one
 backward-Euler step of the normalized gradient flow) and the previous
 direction, and reprojects onto the sphere, so the mass is exact.  The shift
-sigma follows the Lagrange multiplier lam: it is the power of two nearest
-max(1, -lam), and the one factor is rebuilt only when max(1, -lam) leaves
-[sigma/2, 2*sigma].  A step is accepted only when it does not raise E, so the
-energy is monotone.  _descend gives the direction and when it restarts.
+sigma follows the Lagrange multiplier lam, also below 1: it is the power of
+two nearest max(SolverConfig.shift_floor, -lam), and the one factor is rebuilt
+only when that target leaves [sigma/2, 2*sigma].  A step is accepted only when
+it does not raise E, so the energy is monotone.  _descend gives the direction
+and when it restarts.
+
+The multi-start runs the uniform start first.  On the free truncation
+boundary the constant is an exact critical point, so that start stops after
+one iteration, and a spreading point reports the constant's own energy: a
+later start that reaches the same energy within _beats' tie does not replace
+it.
 
 One loop runs the descent.  When it stalls short of the residual tolerance,
 damped Newton on the stationarity system is the fallback; descent then
@@ -27,7 +34,7 @@ is factored once by batched tridiagonal (Thomas) elimination, all edges at
 once, and eliminating them leaves a vertex-only Schur complement (a weighted
 graph Laplacian plus a diagonal), the one matrix that is factorized, in
 minimum-degree order.  Newton borders that vertex system with one row for
-the mass constraint.
+the mass constraint and factorizes it in the same order.
 """
 
 from __future__ import annotations
@@ -49,7 +56,7 @@ from .functionals import (_bare_graph, _center_vertex, energy, make_discretizati
                           truncation_boundary, vertex_distances)
 from .honeycomb import HoneycombLattice, path_coordinate
 
-INITIALIZERS = ("soliton-bump", "trial-eps", "uniform")
+INITIALIZERS = ("uniform", "soliton-bump", "trial-eps")
 MAX_POLISHES = 8         # Newton polishes per descent
 MAX_NEWTON_STEPS = 40    # accepted Newton steps per polish
 STRETCH_STEPS = 400      # descent steps after a polish before the next one
@@ -67,8 +74,11 @@ class BracketError(ValueError):
 class SolverConfig:
     """The sampling and the iteration budget, the two settings a caller varies.
 
-    The step and the tolerances are fixed class constants; they read like
-    fields (cfg.residual_tol) but cannot be passed to the constructor.
+    The step, the tolerances and the preconditioner's shift floor are fixed
+    class constants; they read like fields (cfg.residual_tol) but cannot be
+    passed to the constructor.  shift_floor bounds the shift sigma of
+    (sigma*M + K)^{-1} from below: on the free boundary K annihilates the
+    constants, so sigma*M + K becomes singular as sigma -> 0.
     """
     samples_per_edge: int = 9
     max_iters: int = 4000
@@ -78,6 +88,7 @@ class SolverConfig:
     residual_tol: ClassVar[float] = 1e-6      # relative stationarity residual of a converged run
     spread_threshold: ClassVar[float] = 0.05  # boundary mass share of a flat-like spreading run
     divergence_floor: ClassVar[float] = -1e12  # energy below which a run is UnboundedBelow
+    shift_floor: ClassVar[float] = 2.0 ** -10  # least preconditioner shift sigma
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -208,8 +219,8 @@ def _condense(dz: Discretization, s: np.ndarray):
 
 def _condensed_inverse(dz: Discretization, sigma: float):
     """Exact solve with sigma*M + K by _condense: the chains are eliminated
-    and only the vertex Schur complement S is factorized.  At sigma = 1
-    every product by sigma is exact, so the operator is (M + K)^{-1}."""
+    and only the vertex Schur complement S is factorized.  shift_to passes a
+    power of two, so every product by sigma is exact."""
     V = dz.num_vertices
     S, chain_solve, X, A_VI = _condense(dz, sigma * dz.mass_vec)
     solve_vertices = factorized(S.tocsc())
@@ -248,12 +259,13 @@ class _Descent:
         The SPD preconditioner is inverse-Hessian-like for the stiff kinetic
         modes and, through sigma*M, for the -lam*M part of the Hessian of the
         constrained energy (Antoine, Levitt & Tang, J. Comput. Phys. 2017).
-        sigma is the power of two nearest max(1, -lam); the factor is built on
-        first use, so residual-only callers never factorize, and rebuilt only
-        when max(1, -lam) leaves [sigma/2, 2*sigma].  One factor is alive at
-        a time.
+        sigma is the power of two nearest max(shift_floor, -lam), so it follows
+        -lam below 1 too, where a spreading run's Hessian is nearly K; the
+        floor keeps sigma*M + K nonsingular.  The factor is built on first use,
+        so residual-only callers never factorize, and rebuilt only when the
+        target leaves [sigma/2, 2*sigma].  One factor is alive at a time.
         """
-        target = max(1.0, -lam)
+        target = max(self.cfg.shift_floor, -lam)
         if self.precondition is not None and self.sigma / 2 <= target <= 2 * self.sigma:
             return False
         self.sigma = 2.0 ** round(np.log2(target))
@@ -319,7 +331,8 @@ class _Descent:
         K - diag(c): the chains are eliminated for two right-hand sides, r and
         M v, which leaves the bordered vertex system, V + 1 rows, the one
         matrix factorized.  Raises RuntimeError when either elimination meets
-        a zero pivot.
+        a zero pivot.  The bordered system is ordered by minimum degree on
+        A^T + A, like the preconditioner's S.
         """
         dz = self.dz
         V = dz.num_vertices
@@ -338,7 +351,8 @@ class _Descent:
         A = sp.bmat([[S, sp.csc_matrix(g[:, None])],
                      [sp.csc_matrix(g[None, :]), sp.csc_matrix([[-(b[V:] @ y_b)]])]],
                     format="csc")
-        x = splu(A).solve(np.append(r[:V] - K_VI @ y_r, -(b[V:] @ y_r)))
+        x = splu(A, permc_spec="MMD_AT_PLUS_A").solve(
+            np.append(r[:V] - K_VI @ y_r, -(b[V:] @ y_r)))
         return np.concatenate([x[:V], y_r - x[V] * y_b - X @ x[:V]])
 
     def newton_polish(self, pt: _Point, trace: list[dict] | None = None,
@@ -377,8 +391,8 @@ def euler_lagrange_residual(u: GraphFunction, p: float) -> tuple[float, float]:
     """Rayleigh-type multiplier and relative stationarity residual of the
     constrained problem at u."""
     mu = u.layout.mass(u.dofs)
-    if mu <= 0:
-        raise ValueError("zero-mass function has no Euler-Lagrange residual")
+    if not 0 < mu < np.inf:
+        raise ValueError(f"Euler-Lagrange residual needs a positive, finite mass, got {mu}")
     d = _Descent(u.layout, p, mu, SolverConfig())
     return d.multiplier_residual(u.dofs)
 
@@ -576,8 +590,8 @@ def squeezed_profile(lat: HoneycombLattice, mu: float, width: float,
                      samples_per_edge: int | None = None) -> GraphFunction:
     """Mass-mu sech profile of given width concentrated on the path L_0,
     linearly grounded on the edges leaving the path."""
-    if width <= 0:
-        raise ValueError(f"width must be positive, got {width}")
+    if not 0 < width < np.inf:
+        raise ValueError(f"width must be positive and finite, got {width}")
     if samples_per_edge is None:
         samples_per_edge = max(17, int(np.ceil(8.0 / width)) + 1)
     n = samples_per_edge
@@ -597,8 +611,8 @@ def demonstrate_unbounded(lat: HoneycombLattice, mu: float,
     For mass beyond the critical value the energies decrease without bound as
     the width shrinks; for small mass they stay near or above zero.
     """
-    if any(w <= 0 for w in width_sequence):
-        raise ValueError("widths must be positive")
+    if not all(0 < w < np.inf for w in width_sequence):
+        raise ValueError("widths must be positive and finite")
     if sorted(width_sequence, reverse=True) != list(width_sequence):
         raise ValueError("widths must be decreasing")
     return [energy(squeezed_profile(lat, mu, w, samples_per_edge), 6.0).total

@@ -39,7 +39,7 @@ class TestConfigAndInputs:
                 SolverConfig(**bad)
         # The step and the tolerances are constants, not settings.
         for fixed in ("step", "energy_tol", "residual_tol", "spread_threshold",
-                      "divergence_floor"):
+                      "divergence_floor", "shift_floor"):
             with pytest.raises(TypeError):
                 SolverConfig(**{fixed: getattr(SolverConfig, fixed)})
 
@@ -48,7 +48,8 @@ class TestConfigAndInputs:
             ["samples_per_edge", "max_iters"]
         cfg = SolverConfig(samples_per_edge=17)
         assert (cfg.step, cfg.energy_tol, cfg.residual_tol, cfg.spread_threshold,
-                cfg.divergence_floor) == (1.0, 1e-8, 1e-6, 0.05, -1e12)
+                cfg.divergence_floor, cfg.shift_floor) == (1.0, 1e-8, 1e-6, 0.05, -1e12,
+                                                           2.0 ** -10)
 
     def test_invalid_problem_parameters(self, lat):
         with pytest.raises(ValueError):
@@ -158,10 +159,10 @@ def _polishes(log):
 
 @pytest.fixture(scope="module")
 def polished():
-    """A start that sits near E = -0.0562 for hundreds of steps and leaves
+    """A start that sits near E = -0.1153 for hundreds of steps and leaves
     only through repeated Newton polish and descent between polishes;
     returns (outcome, log)."""
-    return _minimize_logging_steps(8, 3.0, 2.0, "soliton-bump")
+    return _minimize_logging_steps(7, 2.8, 2.0, "trial-eps")
 
 
 class TestDescentLoop:
@@ -173,16 +174,16 @@ class TestDescentLoop:
     def test_newton_fallback_converges(self, polished):
         # Stretches after a polish start with |E| << mu, where a 25-step stall
         # exit scaled by max(|E|, mu) would end them while E still falls: this
-        # start would stop Inconclusive at E = -0.0562 after 8 polishes.
+        # start would stop Inconclusive at E = -0.1153, residual 6.7e-6.
         out, _ = polished
         assert out.classification == "GroundState"
         assert out.residual <= SolverConfig().residual_tol
-        assert out.final_energy == pytest.approx(-0.15102897916442432, rel=1e-9)
+        assert out.final_energy == pytest.approx(-0.22271377111285018, rel=1e-9)
 
     def test_stretches_after_polish_reach_tolerance(self):
         # Under a stall exit after each polish this start stops at residual
-        # 6.7e-6, Inconclusive at E = -0.1074.
-        out, log = _minimize_logging_steps(7, 2.5, 1.0, "soliton-bump")
+        # 5.8e-6, Inconclusive at E = -0.1074.
+        out, log = _minimize_logging_steps(7, 2.5, 1.0, "trial-eps")
         assert _polishes(log) >= 2
         assert out.residual <= SolverConfig().residual_tol
         assert out.final_energy == pytest.approx(-0.15018236306091887, rel=1e-9)
@@ -260,17 +261,36 @@ class TestCondensedPreconditioner:
             assert factored == [(V, V)]
 
 
+def _band_rebuilds(log):
+    """Check every step of a logged run against the shift rule: sigma is
+    rebuilt exactly when max(shift_floor, -lam) leaves [sigma/2, 2*sigma], to
+    the power of two nearest that target, with a restart at z.  Returns the
+    sigmas built, in order."""
+    sigma, sigmas = None, []
+    for entry in (entry for entry in log if entry[0] == "step"):
+        restarted, lam, rebuilt, new_sigma = entry[1], entry[5], entry[6], entry[7]
+        target = max(SolverConfig.shift_floor, -lam)
+        assert rebuilt == (sigma is None or not sigma / 2 <= target <= 2 * sigma)
+        if rebuilt:
+            assert new_sigma == 2.0 ** round(np.log2(target)) and restarted
+            sigmas.append(new_sigma)
+        assert new_sigma == sigmas[-1]
+        sigma = new_sigma
+    return sigmas
+
+
 class TestShiftedPreconditioner:
-    def test_small_multiplier_keeps_unit_shift(self):
-        # -lam rises to 1.63, past sqrt(2), where the nearest power of two is
-        # 2; the band [1/2, 2] keeps the first factor, so the run applies
-        # (M + K)^{-1} throughout.
+    def test_small_multiplier_shifts_below_one(self):
+        # lam starts positive, so the first factor sits on the floor; -lam
+        # then rises to 1.72 and sigma follows it up through the band exits.
+        # With sigma held at 1 this start takes 62 iterations.
         out, log = _minimize_logging_steps(3, 4.0, 2.5, "soliton-bump")
-        steps = [entry for entry in log if entry[0] == "step"]
         assert out.classification == "GroundState"
-        assert max(-entry[5] for entry in steps) > np.sqrt(2.0)
-        assert [entry[6] for entry in steps] == [True] + [False] * (len(steps) - 1)
-        assert all(entry[7] == 1.0 for entry in steps)
+        assert out.iterations <= 45
+        sigmas = _band_rebuilds(log)
+        assert sigmas[0] == SolverConfig.shift_floor
+        assert sum(s < 1.0 for s in sigmas) >= 3 and sigmas[-1] == 1.0
+        assert sigmas == sorted(sigmas)
 
     def test_large_mass_rebuilds_on_band_exits(self):
         # -lam grows from 2.6 to 12,188; with the unit shift this start
@@ -279,18 +299,17 @@ class TestShiftedPreconditioner:
         assert out.classification == "GroundState"
         assert out.residual <= SolverConfig().residual_tol
         assert out.iterations <= 60
-        sigma, sigmas = None, []
-        for entry in (entry for entry in log if entry[0] == "step"):
-            restarted, lam, rebuilt, new_sigma = entry[1], entry[5], entry[6], entry[7]
-            target = max(1.0, -lam)
-            assert rebuilt == (sigma is None or not sigma / 2 <= target <= 2 * sigma)
-            if rebuilt:
-                # The power of two nearest the target, and a restart at z.
-                assert new_sigma == 2.0 ** round(np.log2(target)) and restarted
-                sigmas.append(new_sigma)
-            assert new_sigma == sigmas[-1]
-            sigma = new_sigma
+        sigmas = _band_rebuilds(log)
         assert len(sigmas) >= 3 and sigmas[-1] >= 2.0 ** 13
+
+    def test_spreading_start_iteration_count(self):
+        # -lam falls to ~4e-5, so sigma sits on the floor: 10 iterations.
+        # With sigma held at 1 this start took 87 and a Newton polish.
+        out, log = _minimize_logging_steps(8, 5.0, 1.0, "soliton-bump")
+        assert out.classification == "SpreadToZero"
+        assert out.residual <= SolverConfig().residual_tol
+        assert out.iterations <= 20
+        assert _band_rebuilds(log) == [SolverConfig.shift_floor]
 
 
 class TestCondensedNewton:
@@ -340,7 +359,7 @@ class TestCondensedNewton:
 
 class TestConjugateDirections:
     def test_iteration_count(self, polished):
-        # Steepest descent stopped Inconclusive after 3,263 iterations here.
+        # Steepest descent stopped Inconclusive after 3,238 iterations here.
         out, _ = polished
         assert out.iterations <= 1000
 
@@ -378,8 +397,8 @@ class _CountingK:
 
 class TestWorkPerIteration:
     def test_one_stiffness_product_per_candidate(self, monkeypatch):
-        lat = build_honeycomb(3, 1.0)
-        d = _Descent(make_discretization(lat, 9), 3.0, 0.1, SolverConfig())
+        lat = build_honeycomb(4, 1.0)
+        d = _Descent(make_discretization(lat, 9), 3.0, 5.0, SolverConfig())
         d.K = counting = _CountingK(d.K)
         evaluated, polishes, in_gradient, points = [], [], [], []
         evaluate, gradient, polish = (_Descent.evaluate, _Descent.tangent_gradient,
@@ -403,7 +422,7 @@ class TestWorkPerIteration:
         monkeypatch.setattr(_Descent, "evaluate", counting_evaluate)
         monkeypatch.setattr(_Descent, "tangent_gradient", counting_gradient)
         monkeypatch.setattr(_Descent, "newton_polish", counting_polish)
-        v0 = initial_function(lat, "soliton-bump", 3.0, 0.1, 9).dofs
+        v0 = initial_function(lat, "trial-eps", 3.0, 5.0, 9).dofs
         v, E, lam, res, it = _descend(d, v0)
         assert polishes             # the Newton line search is counted too
         assert counting.products == len(evaluated) > it
@@ -457,6 +476,13 @@ class TestEulerLagrangeResidual:
         with pytest.raises(ValueError):
             euler_lagrange_residual(u, 3.0)
 
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    def test_non_finite_mass_rejected(self, lat, bad):
+        u = constant_function(lat.graph, 1.0, 9)
+        u.dofs[5] = bad
+        with pytest.raises(ValueError, match="finite"):
+            euler_lagrange_residual(u, 3.0)
+
 
 class TestLineSolitonOracle:
     def test_ground_state_matches_sech_profile(self, line_outcome):
@@ -496,6 +522,17 @@ class TestClassification:
         out = minimize(lat, 3.5, 0.01, init="uniform")
         assert out.classification == "SpreadToZero"
         assert out.residual < 1e-10
+
+    def test_spreading_point_reports_the_constant(self, lat):
+        # The uniform start runs first and stops at once; the other starts
+        # reach the same energy within the tie, so the constant stays.
+        out = minimize(lat, 5.0, 1.0, init="multi")
+        assert out.classification == "SpreadToZero"
+        assert out.init_used == "uniform" == INITIALIZERS[0]
+        assert out.iterations == 1 and out.residual <= 1e-12
+        d = _Descent(make_discretization(lat, 9), 5.0, 1.0, SolverConfig())
+        v0 = initial_function(lat, "uniform", 5.0, 1.0, 9).dofs
+        assert out.final_energy == d.evaluate(d.project(v0)).E
 
     @pytest.mark.parametrize("mu", [0.1, 10.0])
     def test_p6_never_ground_state(self, lat, mu):
@@ -562,6 +599,14 @@ class TestCriticalPowerProbes:
             demonstrate_unbounded(lat, 1.0, [0.5, 1.0])
         with pytest.raises(ValueError):
             demonstrate_unbounded(lat, 1.0, [1.0, -0.5])
+
+    @pytest.mark.parametrize("width", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("samples_per_edge", [None, 33])
+    def test_non_finite_width_refused(self, lat, width, samples_per_edge):
+        with pytest.raises(ValueError, match="finite"):
+            squeezed_profile(lat, 1.0, width, samples_per_edge)
+        with pytest.raises(ValueError, match="finite"):
+            demonstrate_unbounded(lat, 1.0, [width], samples_per_edge)
 
     def test_squeezed_profile_mass(self, lat):
         u = squeezed_profile(lat, 3.0, 0.5)
