@@ -154,4 +154,6 @@ def build_trial_function(lat: HoneycombLattice, eps: float,
 
 def trial_truncation_radius(eps: float) -> int:
     """Radius making the neglected exponential tail negligible at 1e-3 scale."""
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     return max(2, math.ceil(10.0 / eps))

@@ -7,6 +7,11 @@ one checked way back.  Functions on the same (graph, n) share one
 Discretization, which the solver uses too; its lumped (trapezoid) mass vector
 is the quadrature, and forward differences on the sample intervals pair with
 it exactly, keeping norms orientation independent.
+
+One evaluator per energy term: Discretization.potential (mass and int |v|^p)
+for the descent, the ratios and energy(); Discretization.kinetic, the cell
+differences without K (exactly 0 on a constant), for energy() and
+gradient_norms.  v.(K v) stays where a gradient needs K v anyway.
 """
 
 from __future__ import annotations
@@ -124,17 +129,14 @@ def from_vertex_values(graph: MetricGraph, vertex_vals: np.ndarray,
 
 def integrate_power(u: GraphFunction, p: float) -> float:
     """Composite-trapezoid approximation of the integral of |u|^p."""
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+    if not 1 <= p < np.inf:
+        raise ValueError(f"p must be >= 1 and finite, got {p}")
     return u.layout.lp(u.dofs, p)
 
 
 def gradient_norms(u: GraphFunction) -> tuple[float, float]:
     """(L1 norm, squared L2 norm) of the edgewise derivative."""
-    dv = np.diff(u.values, axis=1)
-    grad_l1 = float(np.abs(dv).sum())
-    grad_l2sq = float((dv ** 2).sum(axis=1) @ (1.0 / u.layout.h))
-    return grad_l1, grad_l2sq
+    return float(np.abs(np.diff(u.values, axis=1)).sum()), u.layout.kinetic(u.dofs)
 
 
 def rescale_mass(u: GraphFunction, mu: float) -> GraphFunction:
@@ -236,8 +238,17 @@ class Discretization:
     def lp(self, dofs: np.ndarray, p: float) -> float:
         return float(self.mass_vec @ _abs_power(dofs, p))
 
+    def potential(self, dofs: np.ndarray, p: float) -> tuple[np.ndarray, float, float]:
+        """(|v|^(p-2), mass, int |v|^p = M . (|v|^(p-2) v*v)) from one square v*v."""
+        sq = dofs * dofs
+        w, mass = _abs_power(dofs, p - 2, sq), float(self.mass_vec @ sq)
+        # w * sq in sq's memory, one array fewer at the peak, unless w is sq (p = 4).
+        return w, mass, float(self.mass_vec @ (w * sq if w is sq else np.multiply(w, sq, out=sq)))
+
     def kinetic(self, dofs: np.ndarray) -> float:
-        return float(dofs @ (self.stiffness @ dofs))
+        """v.(K v) without K, sum_e h_e^-1 sum (cell difference)^2: 0 on a constant."""
+        dv = np.diff(dofs[self.dof_of], axis=1)
+        return float((dv ** 2).sum(axis=1) @ (1.0 / self.h))
 
     def boundary_mass_fraction(self, dofs: np.ndarray, weights: np.ndarray) -> float:
         """Share of the mass that boundary_weights puts near the boundary."""

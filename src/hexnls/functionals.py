@@ -9,8 +9,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import dijkstra
 
 from .analytic import build_trial_function
-from .calculus import (Discretization, GraphFunction, _abs_power, _layout, edge_lengths,
-                       from_vertex_values, gradient_norms, integrate_power)
+from .calculus import Discretization, GraphFunction, _layout, edge_lengths, from_vertex_values
 from .graph_core import MetricGraph
 from .honeycomb import HoneycombLattice
 
@@ -58,10 +57,9 @@ class EnergyReport:
 def energy(u: GraphFunction, p: float) -> EnergyReport:
     if not (2 < p <= 6):
         raise ValueError(f"nonlinearity power must be in (2, 6], got {p}")
-    kinetic = 0.5 * gradient_norms(u)[1]
-    potential = integrate_power(u, p) / p
-    return EnergyReport(kinetic=kinetic, potential=potential, total=kinetic - potential,
-                        mass=integrate_power(u, 2), p=p)
+    kinetic = 0.5 * u.layout.kinetic(u.dofs)
+    _, mass, lp = u.layout.potential(u.dofs, p)
+    return EnergyReport(kinetic=kinetic, potential=lp / p, total=kinetic - lp / p, mass=mass, p=p)
 
 
 @dataclass(slots=True)
@@ -74,6 +72,8 @@ class InequalityRatio:
 def _ratio_exponents(name: str, p: float) -> dict[str, float]:
     if name not in _EXPONENTS:
         raise ValueError(f"unknown inequality {name!r}")
+    if not abs(p) < np.inf:
+        raise ValueError(f"the power must be finite, got {p}")
     exponents = _EXPONENTS[name](p)
     if "lp" in exponents and p <= 2:
         raise ValueError(f"Gagliardo-Nirenberg ratios need p > 2, got {p}")
@@ -130,6 +130,8 @@ def random_corpus(lat: HoneycombLattice, count: int, seed: int) -> list[GraphFun
     """Randomized test functions: i.i.d. uniform vertex values modulated by an
     exponential envelope around the origin, piecewise linear on edges with 9
     samples each.  The envelope rates cycle through _ENVELOPE_GAMMAS."""
+    if count < 0:
+        raise ValueError(f"corpus size must be >= 0, got {count}")
     dist = vertex_distances(lat.graph, lat.origin_vertex)
     streams = np.random.SeedSequence(seed).spawn(count)
     return [_random_envelope(lat.graph, dist, np.random.default_rng(stream),
@@ -151,16 +153,14 @@ class _RatioObjective:
 
     def terms(self, v: np.ndarray) -> dict:
         """The table's norm terms at v, plus what grad reuses: |v|^(p-2) ("w"),
-        K v, the cell differences and the peak's index.  One square v*v gives
-        both the mass and int |v|^p = M . (|v|^(p-2) v*v)."""
+        K v, the cell differences and the peak's index.  The mass and
+        int |v|^p come from Discretization.potential, as the energy's do."""
         dz, ex = self.dz, self.exponents
         t = {}
-        if "mass" in ex or "lp" in ex:
-            sq = v * v
-            t["mass"] = float(dz.mass_vec @ sq)
-            if "lp" in ex:
-                t["w"] = _abs_power(v, self.p - 2, sq)
-                t["lp"] = float(dz.mass_vec @ (t["w"] * sq))
+        if "lp" in ex:
+            t["w"], t["mass"], t["lp"] = dz.potential(v, self.p)
+        elif "mass" in ex:
+            t["mass"] = dz.mass(v)
         if "linf" in ex:
             a = np.abs(v)
             t["argmax"] = int(a.argmax())

@@ -23,9 +23,9 @@ damped Newton on the stationarity system is the fallback; descent then
 resumes, up to MAX_POLISHES times.  Every iteration of either kind is one
 trace row.
 
-Each line-search candidate is evaluated once: one product K v, one power
-|v|^{p-2} and the squares v^2 give its energy, and the accepted candidate
-hands them on to the next gradient and trace row, which form none of them.
+Each line-search candidate is evaluated once: one product K v and
+Discretization.potential give its energy, and the accepted candidate hands
+them on to the next gradient and trace row, which form none of them.
 
 (sigma*M + K)^{-1} and Newton's bordered system are both solved by one
 static condensation, _condense.  The interior samples of an edge form a
@@ -50,8 +50,8 @@ import scipy.sparse.linalg
 from scipy.sparse.linalg import splu
 
 from .analytic import build_trial_function, soliton_params, soliton_profile
-from .calculus import (Discretization, GraphFunction, _abs_power, constant_function,
-                       from_vertex_values, rescale_mass)
+from .calculus import (Discretization, GraphFunction, constant_function, from_vertex_values,
+                       rescale_mass)
 from .functionals import (_bare_graph, _center_vertex, energy, make_discretization,
                           truncation_boundary, vertex_distances)
 from .honeycomb import HoneycombLattice, path_coordinate
@@ -279,10 +279,8 @@ class _Descent:
     def evaluate(self, v: np.ndarray) -> _Point:
         """v with its energy; the one place an iterate meets K and the power."""
         Kv = self.K @ v
-        sq = v * v
-        w = _abs_power(v, self.p - 2, sq)
-        E = 0.5 * float(v @ Kv) - float(self.dz.mass_vec @ (w * sq)) / self.p
-        return _Point(v, E, Kv, w)
+        w, _, lp = self.dz.potential(v, self.p)
+        return _Point(v, 0.5 * float(v @ Kv) - lp / self.p, Kv, w)
 
     def tangent_gradient(self, pt: _Point) -> tuple[np.ndarray, float, float]:
         """Projected gradient r = grad E - lambda*M*v, its multiplier, and the

@@ -113,6 +113,11 @@ class TestTrialClosedForms:
         with pytest.raises(ValueError):
             trial_normalization(0.1, 0.0)
 
+    @pytest.mark.parametrize("eps", [0.0, -1.0, math.inf, math.nan])
+    def test_truncation_radius_refuses_non_positive_or_non_finite_eps(self, eps):
+        with pytest.raises(ValueError, match="eps"):
+            trial_truncation_radius(eps)
+
 
 class TestTrialEnergy:
     def test_kinetic_term_is_exact_half_mu_eps_sq(self):

@@ -60,8 +60,9 @@ class TestIntegratePower:
 
     def test_invalid_power(self):
         u = constant_function(build_line(2), 1.0)
-        with pytest.raises(ValueError):
-            integrate_power(u, 0.5)
+        for bad in (0.5, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                integrate_power(u, bad)
 
 
 class TestAbsPower:
@@ -338,7 +339,12 @@ class TestDiscretization:
         v = dz.to_dofs(u)
         assert dz.mass(v) == pytest.approx(integrate_power(u, 2), rel=1e-13)
         assert dz.lp(v, 4.0) == pytest.approx(integrate_power(u, 4), rel=1e-13)
-        assert dz.kinetic(v) == pytest.approx(gradient_norms(u)[1], rel=1e-13)
+        # kinetic forms v.(K v) from the cell differences, without K.
+        assert dz.kinetic(v) == pytest.approx(v @ (dz.stiffness @ v), rel=1e-13)
+
+    def test_kinetic_vanishes_on_a_constant(self):
+        u = constant_function(build_honeycomb(2, 1.0).graph, 0.3, 9)
+        assert u.layout.kinetic(u.dofs) == 0.0
 
     def test_dof_count(self):
         g = build_star(4, 2.0)

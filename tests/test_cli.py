@@ -78,6 +78,23 @@ class TestUsageErrors:
         assert "finite" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("p", ["nan", "inf"])
+    def test_non_finite_power_refused(self, tmp_path, capsys, p):
+        assert main(["inequalities", "--p", p, "--out", str(tmp_path)]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("kind, spec, message", [
+        ("trial-forms", {"eps_list": [0.0]}, "eps must be positive"),
+        ("inequalities", {"radius": 2, "corpus_size": -1}, "corpus size"),
+    ])
+    def test_out_of_range_setting_refused(self, tmp_path, capsys, kind, spec, message):
+        cfg = write_config(tmp_path, "c.json", spec)
+        out = tmp_path / "run"
+        assert main([kind, "--config", cfg, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", {"eps_list": [0.5], "radius": 3})
         out = tmp_path / "run"

@@ -14,6 +14,7 @@ from hexnls.functionals import (RATIO_NAMES, _ascent_starts, _RatioObjective, en
                                 random_corpus, vertex_distances)
 from hexnls.graph_core import GraphBuilder, MetricGraph, build_line, build_star
 from hexnls.honeycomb import build_honeycomb, build_square_grid
+from hexnls.solver import SolverConfig, _Descent
 
 SOBOLEV2D_BOUND = 2.0 * math.sqrt(2.0)
 
@@ -55,6 +56,21 @@ class TestEnergy:
         for bad in (2.0, 6.5, 1.0):
             with pytest.raises(ValueError):
                 energy(corpus[0], bad)
+
+    @pytest.mark.parametrize("p", [3.0, 4.0, 4.5, 5.5])
+    def test_one_evaluator_with_the_ratios_and_the_descent(self, corpus, p):
+        # energy(), the ratios' terms and the descent's energy read the same
+        # evaluators, so they agree bit for bit, also at a non-whole p, where
+        # |v|^p and |v|^(p-2) v^2 differ in the last bits.  At p = 4 the
+        # power |v|^2 is the square itself.
+        for u in corpus[:30]:
+            rep = energy(u, p)
+            w = inequality_ratio(u, "gn1d", p).witness
+            assert rep.potential == w["lp"] / p
+            assert rep.mass == w["mass"]
+            assert 2 * rep.kinetic == gradient_norms(u)[1]
+            d = _Descent(u.layout, p, rep.mass, SolverConfig())
+            assert d.evaluate(u.dofs).E == 0.5 * w["grad_l2sq"] - w["lp"] / p
 
 
 class TestInequalityRatio:
@@ -113,6 +129,10 @@ class TestInequalityRatio:
             inequality_ratio(corpus[0], "nosuch")
         with pytest.raises(ValueError):
             inequality_ratio(corpus[0], "gn1d", p=2.0)
+        for name in ("gn1d", "sobolev2d"):
+            for bad in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError, match="finite"):
+                    inequality_ratio(corpus[0], name, bad)
 
     def test_witness_summary_fields(self, corpus):
         # The witness is the ratio's own norm terms plus the peak and its place.
@@ -255,6 +275,11 @@ class TestRandomCorpus:
         assert all(np.array_equal(from_edge_samples(lat.graph, u.values).dofs, u.dofs)
                    for u in c)
 
+    def test_negative_count_refused(self, lat):
+        assert random_corpus(lat, 0, seed=0) == []
+        with pytest.raises(ValueError, match="corpus size"):
+            random_corpus(lat, -1, seed=0)
+
     def test_envelope_localizes(self, lat):
         # The gamma = 1 members decay away from the origin.
         dist = vertex_distances(lat.graph, lat.origin_vertex)
@@ -352,6 +377,11 @@ class TestSharpConstantAscent:
     def test_invalid_budget(self, lat):
         with pytest.raises(ValueError):
             estimate_sharp_constant("gn1d", 4.0, lat, budget=0, seed=0)
+
+    @pytest.mark.parametrize("p", [math.nan, math.inf])
+    def test_non_finite_power_refused(self, lat, p):
+        with pytest.raises(ValueError, match="finite"):
+            estimate_sharp_constant("gn_interp", p, lat, budget=5, seed=0)
 
     def test_no_starts_refused(self, lat):
         with pytest.raises(ValueError, match="num_starts"):
