@@ -68,7 +68,8 @@ def _load_config(args: argparse.Namespace) -> dict:
 
     A setting the kind does not read is refused, so that a manifest lists
     only values the run used, and so is a value of another type than the
-    setting's default.
+    setting's default, or a number (alone or in a list) that is not finite:
+    json reads NaN and Infinity, and either would switch off a gate.
     """
     defaults = DEFAULTS[args.kind]
     cfg = dict(defaults)
@@ -97,15 +98,21 @@ def _load_config(args: argparse.Namespace) -> dict:
             raise ValueError(f"{args.kind} reads no {flag}; --{flag} does not apply")
         for k in used:
             cfg[k] = [value] if k.endswith("_list") else value
+    for key, value in cfg.items():
+        for x in value if isinstance(value, list) else (value,):
+            if isinstance(x, float) and not math.isfinite(x):
+                raise ValueError(f"{args.kind} setting {key!r} must be finite, got {x!r}")
     return cfg
 
 
 # --- experiment bodies ------------------------------------------------------
 
 def run_inequalities(cfg: dict, outdir: Path, manifest: dict) -> list[str]:
+    slack = cfg["slack"]
+    if slack < 0:
+        raise ValueError(f"slack must be non-negative, got {slack!r}")
     lat = build_honeycomb(cfg["radius"], cfg["edge_length"])
     bounds = {"sobolev2d": 2.0 * math.sqrt(2.0 * cfg["edge_length"]), "gn1d": 1.0}
-    slack = cfg["slack"]
     corpus = random_corpus(lat, cfg["corpus_size"], cfg["seed"])
     rows = ["name,p,ratio,bound,status"]
     failures = []
@@ -141,6 +148,8 @@ def run_inequalities(cfg: dict, outdir: Path, manifest: dict) -> list[str]:
 
 def run_trial_forms(cfg: dict, outdir: Path, manifest: dict) -> list[str]:
     tol = cfg["tolerance"]
+    if tol <= 0:
+        raise ValueError(f"tolerance must be positive, got {tol!r}")
     rows = ["eps,p,quantity,closed_form,quadrature,rel_error,status"]
     failures = []
     for eps in cfg["eps_list"]:
@@ -248,6 +257,9 @@ def run_unbounded_p6(cfg: dict, outdir: Path, manifest: dict) -> list[str]:
 
 
 def run_soliton_check(cfg: dict, outdir: Path, manifest: dict) -> list[str]:
+    tol = cfg["profile_tolerance"]
+    if tol <= 0:
+        raise ValueError(f"profile_tolerance must be positive, got {tol!r}")
     graph = build_line(cfg["half_length"])
     p, mu = cfg["p"], cfg["mu"]
     scfg = SolverConfig(samples_per_edge=cfg["samples_per_edge"])
@@ -267,8 +279,8 @@ def run_soliton_check(cfg: dict, outdir: Path, manifest: dict) -> list[str]:
         doc = {"classification": out.classification, "energy": out.final_energy,
                "profile_l2_rel_discrepancy": l2_rel, "residual": out.residual,
                "lagrange_multiplier": out.lagrange_multiplier}
-        if l2_rel >= cfg["profile_tolerance"]:
-            failures.append(f"profile discrepancy {l2_rel} >= {cfg['profile_tolerance']}")
+        if l2_rel >= tol:
+            failures.append(f"profile discrepancy {l2_rel} >= {tol}")
         if out.final_energy >= 0:
             failures.append(f"line ground-state energy not negative: {out.final_energy}")
     (outdir / "soliton_check.json").write_text(

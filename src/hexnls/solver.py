@@ -18,8 +18,9 @@ one iteration, and a spreading point reports the constant's own energy: a
 later start that reaches the same energy within _beats' tie does not replace
 it.
 
-One loop runs the descent.  When it stalls short of the residual tolerance,
-damped Newton on the stationarity system is the fallback; descent then
+One loop runs the descent.  A stretch of descent ends at the first step
+that does not lower E; when that happens short of the residual tolerance,
+damped Newton on the stationarity system is the fallback, and descent then
 resumes, up to MAX_POLISHES times.  Every iteration of either kind is one
 trace row.
 
@@ -59,7 +60,6 @@ from .honeycomb import HoneycombLattice, path_coordinate
 INITIALIZERS = ("uniform", "soliton-bump", "trial-eps")
 MAX_POLISHES = 8         # Newton polishes per descent
 MAX_NEWTON_STEPS = 40    # accepted Newton steps per polish
-STRETCH_STEPS = 400      # descent steps after a polish before the next one
 
 
 class ResolutionError(ValueError):
@@ -84,7 +84,7 @@ class SolverConfig:
     max_iters: int = 4000
 
     step: ClassVar[float] = 1.0               # first descent step, and again after each polish
-    energy_tol: ClassVar[float] = 1e-8        # relative energy drop below which a step stalls
+    energy_tol: ClassVar[float] = 1e-8        # only sets the spreading threshold -10*energy_tol*mu
     residual_tol: ClassVar[float] = 1e-6      # relative stationarity residual of a converged run
     spread_threshold: ClassVar[float] = 0.05  # boundary mass share of a flat-like spreading run
     divergence_floor: ClassVar[float] = -1e12  # energy below which a run is UnboundedBelow
@@ -409,20 +409,17 @@ def _descend(d: _Descent, v0: np.ndarray,
     polish, after every rebuild of P, and whenever r.d <= 0 (not a descent
     direction).
 
-    First-order steps still crawl along nearly-neutral modes.  When a
-    stretch of descent ends short of residual_tol, damped Newton on the
-    stationarity system takes over, then descent resumes with a fresh step.
-    The first stretch ends when no step is accepted or after 25 steps in a
-    row with negligible energy decrease.  Later stretches start near a
-    critical point, where steps are small against max(|E|, mu) yet still
-    make progress, so they end only when no step is accepted or after
-    STRETCH_STEPS steps.  Gives up after MAX_POLISHES polishes or a stretch
-    without energy progress.
+    A stretch of descent ends when the line search returns no step, or a
+    step that does not lower E (one it accepted within rounding): E has
+    reached its rounding floor, or first-order steps crawl along a
+    nearly-neutral mode.  Short of residual_tol, damped Newton on the
+    stationarity system then takes over, and descent resumes with a fresh
+    step.  Gives up after MAX_POLISHES polishes or a stretch that lowered
+    E not once.
     """
     cfg = d.cfg
     pt = d.evaluate(d.project(v0))
-    tau, stall, polishes, it = cfg.step, 0, 0, 0
-    it_polished, progressed = 0, False
+    tau, polishes, it, progressed = cfg.step, 0, 0, False
     prev = None     # (r, z.r, direction) of the last step; None restarts at z
     while it < cfg.max_iters:
         it += 1
@@ -445,15 +442,10 @@ def _descend(d: _Descent, v0: np.ndarray,
         new, tau, rejected = d.line_search(pt, direction, tau)
         prev = None if rejected else (r, float(z @ r), direction)
         if new is not None:
-            dE, pt = pt.E - new.E, new
-            if polishes:
-                progressed = progressed or dE > 0
-                if it - it_polished < STRETCH_STEPS:
-                    continue
-            else:
-                stall = stall + 1 if dE <= cfg.energy_tol * max(abs(pt.E), d.mu) else 0
-                if stall < 25:
-                    continue
+            lowered, pt = new.E < pt.E, new
+            progressed = progressed or lowered
+            if lowered:
+                continue
         # The stretch ended short of residual_tol.
         if (polishes == MAX_POLISHES or (polishes and not progressed)
                 or pt.E < cfg.divergence_floor or it >= cfg.max_iters):
@@ -462,7 +454,7 @@ def _descend(d: _Descent, v0: np.ndarray,
         it += done
         if res <= cfg.residual_tol:
             break
-        tau, polishes, it_polished, progressed = cfg.step, polishes + 1, it, False
+        tau, polishes, progressed = cfg.step, polishes + 1, False
         prev = None
     # The carried evaluation describes the returned iterate, also when the
     # loop stopped right after an accepted step.

@@ -95,6 +95,27 @@ class TestUsageErrors:
         assert message in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("kind, spec, message", [
+        ("inequalities", {"slack": float("inf")}, "'slack' must be finite"),
+        ("inequalities", {"slack": float("-inf")}, "'slack' must be finite"),
+        ("inequalities", {"p_list": [3.0, float("nan")]}, "'p_list' must be finite"),
+        ("trial-forms", {"tolerance": float("nan")}, "'tolerance' must be finite"),
+        ("trial-forms", {"tolerance": float("inf")}, "'tolerance' must be finite"),
+        ("soliton-check", {"half_length": float("inf")}, "'half_length' must be finite"),
+        ("inequalities", {"radius": 2, "slack": -1e-3}, "slack must be non-negative"),
+        ("trial-forms", {"tolerance": 0.0}, "tolerance must be positive"),
+        ("soliton-check", {"profile_tolerance": -1e-2}, "profile_tolerance must be positive"),
+    ])
+    def test_non_finite_or_out_of_range_setting_refused(self, tmp_path, capsys, kind,
+                                                        spec, message):
+        # json reads NaN and Infinity; an infinite slack or tolerance switches
+        # its gate off, and a nan one fails every check as if the run had.
+        cfg = write_config(tmp_path, "c.json", spec)
+        out = tmp_path / "run"
+        assert main([kind, "--config", cfg, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists() or list(out.iterdir()) == []
+
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", {"eps_list": [0.5], "radius": 3})
         out = tmp_path / "run"

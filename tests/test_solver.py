@@ -114,7 +114,7 @@ class TestDescentInvariants:
 def _minimize_logging_steps(R, p, mu, init):
     """minimize with a log of its descent: ("polish",) per Newton polish and,
     per line search, ("step", direction == z, r.direction, accepted, any
-    trial rejected, lam, preconditioner rebuilt, sigma), where
+    trial rejected, lam, preconditioner rebuilt, sigma, E lowered), where
     z = precondition(r) and lam is the multiplier shift_to saw before the
     step.  Returns (outcome, log)."""
     log, last = [], {}
@@ -137,7 +137,8 @@ def _minimize_logging_steps(R, p, mu, init):
         new, tau, rejected = search(self, pt, direction, tau)
         log.append(("step", np.array_equal(direction, last["z"]),
                     float(last["r"] @ direction), new is not None, rejected,
-                    last["lam"], last["rebuilt"], self.sigma))
+                    last["lam"], last["rebuilt"], self.sigma,
+                    new is not None and new.E < pt.E))
         return new, tau, rejected
 
     def logging_polish(self, *args, **kwargs):
@@ -159,34 +160,46 @@ def _polishes(log):
 
 @pytest.fixture(scope="module")
 def polished():
-    """A start that sits near E = -0.1153 for hundreds of steps and leaves
-    only through repeated Newton polish and descent between polishes;
-    returns (outcome, log)."""
-    return _minimize_logging_steps(7, 2.8, 2.0, "trial-eps")
+    """A start whose first stretch of descent ends after 60 steps at
+    E = -0.01401, residual 3.3e-4.  The Newton polish there accepts no step;
+    descent restarts with a fresh step and takes 397 more to E = -0.03866.
+    Returns (outcome, log)."""
+    return _minimize_logging_steps(12, 3.0, 1.0, "trial-eps")
 
 
 class TestDescentLoop:
     def test_every_iteration_traced_across_polishes(self, polished):
         out, log = polished
-        assert _polishes(log) >= 2
+        assert _polishes(log) >= 1
         assert [r["iteration"] for r in out.trace] == list(range(1, out.iterations + 1))
 
     def test_newton_fallback_converges(self, polished):
-        # Stretches after a polish start with |E| << mu, where a 25-step stall
-        # exit scaled by max(|E|, mu) would end them while E still falls: this
-        # start would stop Inconclusive at E = -0.1153, residual 6.7e-6.
+        # Stopping after the polish would leave this start Inconclusive at
+        # E = -0.01401, residual 3.3e-4.
         out, _ = polished
         assert out.classification == "GroundState"
         assert out.residual <= SolverConfig().residual_tol
-        assert out.final_energy == pytest.approx(-0.22271377111285018, rel=1e-9)
+        assert out.final_energy == pytest.approx(-0.03865829083534402, rel=1e-9)
 
-    def test_stretches_after_polish_reach_tolerance(self):
-        # Under a stall exit after each polish this start stops at residual
-        # 5.8e-6, Inconclusive at E = -0.1074.
-        out, log = _minimize_logging_steps(7, 2.5, 1.0, "trial-eps")
-        assert _polishes(log) >= 2
+    def test_stretches_after_polish_reach_tolerance(self, polished):
+        # The stretch after the polish ends on its own, at residual_tol, after
+        # hundreds of steps that each lower E: no step count cuts it short.
+        out, log = polished
+        after = log[[entry[0] for entry in log].index("polish") + 1:]
+        assert len(after) >= 300 and all(entry[0] == "step" for entry in after)
+        assert all(entry[8] for entry in after)
         assert out.residual <= SolverConfig().residual_tol
-        assert out.final_energy == pytest.approx(-0.15018236306091887, rel=1e-9)
+
+    def test_stretch_ends_at_first_step_not_lowering_energy(self):
+        # E reaches its rounding floor at step 13; a rule that waits for more
+        # steps there before polishing takes 34 iterations.
+        out, log = _minimize_logging_steps(4, 5.0, 20.0, "soliton-bump")
+        assert out.classification == "GroundState" and out.iterations <= 20
+        assert out.final_energy == pytest.approx(-3201.088375932758, rel=1e-9)
+        first = log[:[entry[0] for entry in log].index("polish")]
+        assert [entry[8] for entry in first] == [True] * (len(first) - 1) + [False]
+        energies = [row["energy"] for row in out.trace[:len(first)]]
+        assert all(b < a for a, b in zip(energies, energies[1:]))
 
     def test_residual_describes_returned_iterate_at_max_iters(self, lat):
         cfg = SolverConfig(max_iters=5)
@@ -359,7 +372,7 @@ class TestCondensedNewton:
 
 class TestConjugateDirections:
     def test_iteration_count(self, polished):
-        # Steepest descent stopped Inconclusive after 3,238 iterations here.
+        # CG with one polish takes 458 iterations here.
         out, _ = polished
         assert out.iterations <= 1000
 
@@ -398,7 +411,7 @@ class _CountingK:
 class TestWorkPerIteration:
     def test_one_stiffness_product_per_candidate(self, monkeypatch):
         lat = build_honeycomb(4, 1.0)
-        d = _Descent(make_discretization(lat, 9), 3.0, 5.0, SolverConfig())
+        d = _Descent(make_discretization(lat, 9), 5.0, 20.0, SolverConfig())
         d.K = counting = _CountingK(d.K)
         evaluated, polishes, in_gradient, points = [], [], [], []
         evaluate, gradient, polish = (_Descent.evaluate, _Descent.tangent_gradient,
@@ -422,7 +435,7 @@ class TestWorkPerIteration:
         monkeypatch.setattr(_Descent, "evaluate", counting_evaluate)
         monkeypatch.setattr(_Descent, "tangent_gradient", counting_gradient)
         monkeypatch.setattr(_Descent, "newton_polish", counting_polish)
-        v0 = initial_function(lat, "trial-eps", 3.0, 5.0, 9).dofs
+        v0 = initial_function(lat, "trial-eps", 5.0, 20.0, 9).dofs
         v, E, lam, res, it = _descend(d, v0)
         assert polishes             # the Newton line search is counted too
         assert counting.products == len(evaluated) > it
