@@ -68,8 +68,9 @@ def _load_config(args: argparse.Namespace) -> dict:
 
     A setting the kind does not read is refused, so that a manifest lists
     only values the run used, and so is a value of another type than the
-    setting's default, or a number (alone or in a list) that is not finite:
-    json reads NaN and Infinity, and either would switch off a gate.
+    setting's default, a number (alone or in a list) that is not finite, and
+    an empty list: json reads NaN and Infinity, and either, like a list with
+    nothing to check, would switch off a gate.
     """
     defaults = DEFAULTS[args.kind]
     cfg = dict(defaults)
@@ -99,6 +100,8 @@ def _load_config(args: argparse.Namespace) -> dict:
         for k in used:
             cfg[k] = [value] if k.endswith("_list") else value
     for key, value in cfg.items():
+        if value == []:
+            raise ValueError(f"{args.kind} setting {key!r} must not be empty")
         for x in value if isinstance(value, list) else (value,):
             if isinstance(x, float) and not math.isfinite(x):
                 raise ValueError(f"{args.kind} setting {key!r} must be finite, got {x!r}")

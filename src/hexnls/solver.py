@@ -29,13 +29,16 @@ Discretization.potential give its energy, and the accepted candidate hands
 them on to the next gradient and trace row, which form none of them.
 
 (sigma*M + K)^{-1} and Newton's bordered system are both solved by one
-static condensation, _condense.  The interior samples of an edge form a
-tridiagonal chain coupled only to the edge's two end vertices; every chain
-is factored once by batched tridiagonal (Thomas) elimination, all edges at
-once, and eliminating them leaves a vertex-only Schur complement (a weighted
-graph Laplacian plus a diagonal), the one matrix that is factorized, in
-minimum-degree order.  Newton borders that vertex system with one row for
-the mass constraint and factorizes it in the same order.
+static condensation, _condensed_solver of K + diag(s).  The interior samples
+of an edge form a tridiagonal chain coupled only to the edge's two end
+vertices; every chain is factored once by batched tridiagonal (Thomas)
+elimination, all edges at once, and eliminating them leaves a vertex-only
+Schur complement (a weighted graph Laplacian plus a diagonal), the one
+matrix that is factorized, in minimum-degree order.  Newton's one mass
+constraint row is eliminated by a second right-hand side: K - diag(c) is
+solved for r and M v as one 2-column block, and the multiplier follows from
+the constraint (the range-space method for saddle-point systems; Benzi,
+Golub & Liesen, Acta Numer. 2005).
 """
 
 from __future__ import annotations
@@ -166,20 +169,20 @@ def factorized(A: sp.spmatrix):
     return scipy.sparse.linalg.splu(A, permc_spec="MMD_AT_PLUS_A").solve
 
 
-def _condense(dz: Discretization, s: np.ndarray):
-    """Static condensation of A = K + diag(s), s one entry per DOF.
+def _condensed_solver(dz: Discretization, s: np.ndarray, factor):
+    """Solve function of A = K + diag(s), s one entry per DOF, by static
+    condensation; it takes one right-hand side or a block of k columns.
 
     The m = n - 2 interior samples of edge e form a tridiagonal chain A_II
     with the constant off-diagonal -1/h_e, coupled to the edge's tail and
     head vertices through -1/h_e at its first and last sample.  Every chain
     is factored once, all edges at once, by elimination (Thomas) stored
     sample-major, (m, E), so each step reads contiguous rows.  There is no
-    pivoting, so a zero or non-finite pivot raises RuntimeError.
-
-    Returns the vertex Schur complement S = A_VV - A_VI X (not factorized),
-    the chain solve y = A_II^{-1} rhs for rhs of E*m interior rows (one or k
-    columns), X = A_II^{-1} A_IV (two columns per edge, tail and head) and
-    A_VI.  With no interior samples (n = 2) X and A_VI are empty and S = A.
+    pivoting, so a zero or non-finite pivot raises RuntimeError.  Eliminating
+    the chains leaves the vertex Schur complement S = A_VV - A_VI X with
+    X = A_II^{-1} A_IV (two columns per edge, tail and head); factor(S), S in
+    CSC, returns the solve function of S.  With no interior samples (n = 2)
+    S = A.
     """
     V, E, m = dz.num_vertices, dz.num_edges, dz.n - 2
     K = dz.stiffness
@@ -213,17 +216,7 @@ def _condense(dz: Discretization, s: np.ndarray):
                         np.broadcast_to(dz.dof_of[:, None, [0, -1]], (E, m, 2)).ravel())),
                       shape=(E * m, V))
     A_VI = K[:V, V:]
-    S = K[:V, :V] + sp.diags(s[:V]) - A_VI @ X
-    return S, chain_solve, X, A_VI
-
-
-def _condensed_inverse(dz: Discretization, sigma: float):
-    """Exact solve with sigma*M + K by _condense: the chains are eliminated
-    and only the vertex Schur complement S is factorized.  shift_to passes a
-    power of two, so every product by sigma is exact."""
-    V = dz.num_vertices
-    S, chain_solve, X, A_VI = _condense(dz, sigma * dz.mass_vec)
-    solve_vertices = factorized(S.tocsc())
+    solve_vertices = factor((K[:V, :V] + sp.diags(s[:V]) - A_VI @ X).tocsc())
 
     def solve(r: np.ndarray) -> np.ndarray:
         y = chain_solve(r[V:])                  # A_II^{-1} r_I
@@ -270,7 +263,9 @@ class _Descent:
             return False
         self.sigma = 2.0 ** round(np.log2(target))
         self.precondition = None    # free the old factor before the new one is made
-        self.precondition = _condensed_inverse(self.dz, self.sigma)
+        # A power of two, so every product by sigma is exact.
+        self.precondition = _condensed_solver(self.dz, self.sigma * self.dz.mass_vec,
+                                              factorized)
         return True
 
     def project(self, v: np.ndarray) -> np.ndarray:
@@ -323,35 +318,30 @@ class _Descent:
     def newton_direction(self, v: np.ndarray, lam: float, r: np.ndarray) -> np.ndarray:
         """Newton step delta of the bordered stationarity system at v,
 
-            [[K - diag(c), M v], [(M v)^T, 0]] [delta; eta] = [r; 0],
+            [[A, b], [b^T, 0]] [delta; eta] = [r; 0],  A = K - diag(c),  b = M v,
 
-        with c = (p - 1) M |v|^{p-2} + lam M, solved by _condense of
-        K - diag(c): the chains are eliminated for two right-hand sides, r and
-        M v, which leaves the bordered vertex system, V + 1 rows, the one
-        matrix factorized.  Raises RuntimeError when either elimination meets
-        a zero pivot.  The bordered system is ordered by minimum degree on
-        A^T + A, like the preconditioner's S.
+        with c = (p - 1) M |v|^{p-2} + lam M.  The border is eliminated: one
+        _condensed_solver of A (its vertex Schur complement factorized like
+        the preconditioner's, by splu in minimum-degree order on A^T + A)
+        solves A [y_r, y_b] = [r, b] as one 2-column block, and b^T delta = 0
+        gives delta = y_r - (b.y_r / b.y_b) y_b.  Raises RuntimeError on a
+        zero pivot in a chain, a singular vertex factor (SuperLU raises it) or
+        a zero or non-finite b.y_b.
         """
         dz = self.dz
-        V = dz.num_vertices
         # Regularize |v|^{p-2} near zeros of v (singular for p < 3); the
         # Jacobian only steers the step, acceptance is residual descent.
         floor = 1e-8 * float(np.abs(v).max())
         c = (self.p - 1.0) * dz.mass_vec * (v * v + floor * floor) ** (self.p / 2.0 - 1.0) \
             + lam * dz.mass_vec
         b = dz.mass_vec * v
-        S, chain_solve, X, K_VI = _condense(dz, -c)
-        y = chain_solve(np.stack([r[V:], b[V:]], axis=-1))
+        solve = _condensed_solver(dz, -c, lambda S: splu(S, permc_spec="MMD_AT_PLUS_A").solve)
+        y = solve(np.stack([r, b], axis=-1))
         y_r, y_b = y[:, 0], y[:, 1]
-        # delta_I = y_r - eta*y_b - X delta_V leaves, on the vertices,
-        # [[S, g], [g^T, -b_I.y_b]] [delta_V; eta] = [r_V - K_VI y_r; -b_I.y_r].
-        g = b[:V] - K_VI @ y_b
-        A = sp.bmat([[S, sp.csc_matrix(g[:, None])],
-                     [sp.csc_matrix(g[None, :]), sp.csc_matrix([[-(b[V:] @ y_b)]])]],
-                    format="csc")
-        x = splu(A, permc_spec="MMD_AT_PLUS_A").solve(
-            np.append(r[:V] - K_VI @ y_r, -(b[V:] @ y_r)))
-        return np.concatenate([x[:V], y_r - x[V] * y_b - X @ x[:V]])
+        b_yb = float(b @ y_b)
+        if not (math.isfinite(b_yb) and b_yb != 0):
+            raise RuntimeError(f"mass border pivot b.y_b = {b_yb}")
+        return y_r - (float(b @ y_r) / b_yb) * y_b
 
     def newton_polish(self, pt: _Point, trace: list[dict] | None = None,
                       it0: int = 0) -> tuple[_Point, float, int]:

@@ -105,11 +105,16 @@ class TestUsageErrors:
         ("inequalities", {"radius": 2, "slack": -1e-3}, "slack must be non-negative"),
         ("trial-forms", {"tolerance": 0.0}, "tolerance must be positive"),
         ("soliton-check", {"profile_tolerance": -1e-2}, "profile_tolerance must be positive"),
+        ("unbounded-p6", {"radius": 2, "width_list": []}, "'width_list' must not be empty"),
+        ("inequalities", {"radius": 2, "p_list": []}, "'p_list' must not be empty"),
+        ("trial-forms", {"eps_list": []}, "'eps_list' must not be empty"),
+        ("phase-diagram", {"radius": 2, "mu_list": []}, "'mu_list' must not be empty"),
     ])
     def test_non_finite_or_out_of_range_setting_refused(self, tmp_path, capsys, kind,
                                                         spec, message):
         # json reads NaN and Infinity; an infinite slack or tolerance switches
         # its gate off, and a nan one fails every check as if the run had.
+        # An empty list leaves its kind nothing to check.
         cfg = write_config(tmp_path, "c.json", spec)
         out = tmp_path / "run"
         assert main([kind, "--config", cfg, "--out", str(out)]) == 2

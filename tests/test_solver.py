@@ -112,25 +112,24 @@ class TestDescentInvariants:
 
 
 def _minimize_logging_steps(R, p, mu, init):
-    """minimize with a log of its descent: ("polish",) per Newton polish and,
-    per line search, ("step", direction == z, r.direction, accepted, any
-    trial rejected, lam, preconditioner rebuilt, sigma, E lowered), where
-    z = precondition(r) and lam is the multiplier shift_to saw before the
-    step.  Returns (outcome, log)."""
+    """minimize with a log of its descent: ("polish", accepted Newton steps,
+    residual returned) per Newton polish and, per line search, ("step",
+    direction == z, r.direction, accepted, any trial rejected, lam,
+    preconditioner rebuilt, sigma, E lowered), where z = precondition(r) and
+    lam is the multiplier shift_to saw before the step.  Returns (outcome,
+    log)."""
     log, last = [], {}
-    inverse, shift, search, polish = (hexnls.solver._condensed_inverse, _Descent.shift_to,
-                                      _Descent.line_search, _Descent.newton_polish)
-
-    def logging_inverse(dz, sigma):
-        solve = inverse(dz, sigma)
-
-        def logged(r):
-            last["r"], last["z"] = r, solve(r)
-            return last["z"]
-        return logged
+    shift, search, polish = _Descent.shift_to, _Descent.line_search, _Descent.newton_polish
 
     def logging_shift(self, lam):
         last["lam"], last["rebuilt"] = lam, shift(self, lam)
+        if last["rebuilt"]:
+            solve = self.precondition
+
+            def logged(r):
+                last["r"], last["z"] = r, solve(r)
+                return last["z"]
+            self.precondition = logged
         return last["rebuilt"]
 
     def logging_search(self, pt, direction, tau):
@@ -142,11 +141,11 @@ def _minimize_logging_steps(R, p, mu, init):
         return new, tau, rejected
 
     def logging_polish(self, *args, **kwargs):
-        log.append(("polish",))
-        return polish(self, *args, **kwargs)
+        pt, res, done = polish(self, *args, **kwargs)
+        log.append(("polish", done, res))
+        return pt, res, done
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(hexnls.solver, "_condensed_inverse", logging_inverse)
         mp.setattr(_Descent, "shift_to", logging_shift)
         mp.setattr(_Descent, "line_search", logging_search)
         mp.setattr(_Descent, "newton_polish", logging_polish)
@@ -173,10 +172,11 @@ class TestDescentLoop:
         assert _polishes(log) >= 1
         assert [r["iteration"] for r in out.trace] == list(range(1, out.iterations + 1))
 
-    def test_newton_fallback_converges(self, polished):
-        # Stopping after the polish would leave this start Inconclusive at
-        # E = -0.01401, residual 3.3e-4.
-        out, _ = polished
+    def test_descent_restart_after_stepless_polish_converges(self, polished):
+        # The polish accepts no Newton step; stopping after it would leave
+        # this start Inconclusive at E = -0.01401, residual 3.3e-4.
+        out, log = polished
+        assert [entry[1] for entry in log if entry[0] == "polish"] == [0]
         assert out.classification == "GroundState"
         assert out.residual <= SolverConfig().residual_tol
         assert out.final_energy == pytest.approx(-0.03865829083534402, rel=1e-9)
@@ -200,6 +200,14 @@ class TestDescentLoop:
         assert [entry[8] for entry in first] == [True] * (len(first) - 1) + [False]
         energies = [row["energy"] for row in out.trace[:len(first)]]
         assert all(b < a for a, b in zip(energies, energies[1:]))
+
+    def test_newton_polish_accepts_steps_to_tolerance(self):
+        # The polish after the first stretch takes the residual from the
+        # descent's rounding floor to residual_tol by Newton steps alone.
+        _, log = _minimize_logging_steps(4, 5.0, 20.0, "soliton-bump")
+        polishes = [entry for entry in log if entry[0] == "polish"]
+        assert polishes[0][1] >= 1
+        assert polishes[0][2] <= SolverConfig().residual_tol
 
     def test_residual_describes_returned_iterate_at_max_iters(self, lat):
         cfg = SolverConfig(max_iters=5)
@@ -265,12 +273,15 @@ class TestCondensedPreconditioner:
             assert d.shift_to(-sigma) and d.sigma == sigma
             A = (sp.diags(sigma * dz.mass_vec) + dz.stiffness).tocsc()
             rng = np.random.default_rng(n)
-            for r in (rng.standard_normal(dz.n_dofs),
-                      dz.mass_vec * rng.uniform(0, 1, dz.n_dofs)):
+            rs = [rng.standard_normal(dz.n_dofs), dz.mass_vec * rng.uniform(0, 1, dz.n_dofs)]
+            # Each right-hand side alone, then both as one 2-column block.
+            for r in rs + [np.stack(rs, axis=-1)]:
                 assert not d.shift_to(-sigma)
                 x = d.precondition(r)
-                ref = spsolve(A, r)
-                assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+                assert x.shape == r.shape
+                for x_col, r_col in zip(x.reshape(dz.n_dofs, -1).T, r.reshape(dz.n_dofs, -1).T):
+                    ref = spsolve(A, r_col)
+                    assert np.linalg.norm(x_col - ref) <= 1e-12 * np.linalg.norm(ref)
             assert factored == [(V, V)]
 
 
@@ -354,8 +365,9 @@ class TestCondensedNewton:
                      [sp.csc_matrix(mv[None, :]), sp.csc_matrix((1, 1))]], format="csc")
         ref = spsolve(A, np.append(r, 0.0))[:-1]
         assert np.linalg.norm(delta - ref) <= 1e-10 * np.linalg.norm(ref)
+        # The mass border is eliminated, so only the vertex system is factorized.
         V = dz.num_vertices
-        assert factored == [(V + 1, V + 1)]
+        assert factored == [(V, V)]
 
     def test_zero_chain_pivot_raises(self):
         # n = 3: each chain is the single sample with diagonal 2/h - c.
@@ -368,6 +380,22 @@ class TestCondensedNewton:
         lam = 2.0 / (dz.h[0] * dz.mass_vec[V]) - 2.0
         with pytest.raises(RuntimeError, match="pivot"):
             d.newton_direction(v, lam, r)
+
+    @pytest.mark.parametrize("graph, n, v0, lam, message", [
+        # n = 2 leaves no chains, so the vertex system is K - diag(c) itself;
+        # v = 1 and lam = -(p - 1) make c = 0 and that system K, singular on
+        # the free boundary (exactly so in SuperLU's elimination on the line).
+        (build_line(2.5), 2, 1.0, -2.0, "singular"),
+        # v = 0 and lam = -1: A = K + M is SPD, but b = M v = 0 makes b.y_b
+        # zero, and the bordered system singular.
+        (build_honeycomb(2, 1.0), 5, 0.0, -1.0, "border"),
+    ], ids=["singular-vertex-factor", "zero-border-pivot"])
+    def test_degenerate_system_raises(self, graph, n, v0, lam, message):
+        dz = make_discretization(graph, n)
+        d = _Descent(dz, 3.0, 1.0, SolverConfig())
+        r = np.random.default_rng(0).standard_normal(dz.n_dofs)
+        with pytest.raises(RuntimeError, match=message):
+            d.newton_direction(np.full(dz.n_dofs, v0), lam, r)
 
 
 class TestConjugateDirections:
