@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calculus import GraphFunction, from_edge_samples
-from .honeycomb import HoneycombLattice, bridge_line_index, path_coordinate
+from .honeycomb import HoneycombLattice
 
 
 # --- line soliton -----------------------------------------------------------
@@ -133,22 +133,13 @@ def build_trial_function(lat: HoneycombLattice, eps: float,
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    E = lat.graph.num_edges
-    n = samples_per_edge
-    t = np.linspace(0.0, 1.0, n)
-    offsets = np.empty(E)      # constant part of the exponent
-    x0 = np.zeros(E)           # path coordinate at the tail (L edges only)
-    is_path = np.zeros(E, dtype=bool)
-    for eid, (kind, a, _) in enumerate(lat.edge_roles):
-        if kind == "down":  # a = m: the bridge joins L_m and L_{m+1}
-            offsets[eid] = abs(bridge_line_index(lat, eid)) + (a if a >= 0 else -a - 1)
-        else:
-            is_path[eid] = True
-            x0[eid] = path_coordinate(lat, eid, 0.0)[1]
-            offsets[eid] = abs(a)
-    arg = np.empty((E, n))
-    arg[is_path] = np.abs(x0[is_path, None] + t[None, :]) + offsets[is_path, None]
-    arg[~is_path] = t[None, :] + offsets[~is_path, None]
+    on_path, a, coord = lat.edge_coordinates
+    t = np.linspace(0.0, 1.0, samples_per_edge)
+    # Constant part of the exponent: |a| on L_a; on a bridge a = m joining
+    # L_m and L_{m+1} on line k = coord, |k| + m for m >= 0, else |k| + |m+1|.
+    offsets = np.where(on_path, np.abs(a), np.abs(coord) + np.where(a >= 0, a, -a - 1))
+    arg = np.where(on_path[:, None], np.abs(coord[:, None] + t) + offsets[:, None],
+                   t + offsets[:, None])
     return from_edge_samples(lat.graph, np.exp(-eps * lat.edge_length * arg))
 
 

@@ -154,8 +154,9 @@ class Discretization:
     Vertex samples shared between edges collapse to one DOF; interior samples
     are their own DOFs.  The lumped (trapezoid) mass vector and the chain
     stiffness matrix give integrate_power(u, 2) and the squared L2 gradient
-    norm.  The cells and the stiffness are built on first use.  A layout keeps
-    the graph's vertex and edge counts, not the graph, which caches it.
+    norm.  The cells and the stiffness are built on first use, like the
+    solver's condensation frame, which it keeps too.  A layout keeps the
+    graph's vertex and edge counts, not the graph, which caches it.
     """
 
     def __init__(self, graph: MetricGraph, samples_per_edge: int = 33):

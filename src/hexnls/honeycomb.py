@@ -30,13 +30,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from .graph_core import GraphBuilder, MetricGraph
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
 
 
-@dataclass(slots=True)
+@dataclass
 class HoneycombLattice:
     graph: MetricGraph
     edge_length: float
@@ -50,6 +53,19 @@ class HoneycombLattice:
 
     def boundary_vertices(self) -> list[int]:
         return [v for v, d in enumerate(self.graph.degrees()) if d < 3]
+
+    @cached_property
+    def edge_coordinates(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """edge_roles as arrays, for builders that work on all edges at once:
+        (on_path, index, coordinate).  An edge of L_i has on_path True, index i
+        and its tail's L_i coordinate (path_coordinate at t = 0); a bridge
+        ("down", m, j) has on_path False, index m and its transversal line k
+        (bridge_line_index).  Built on first use and kept, read-only."""
+        kind, index, j = (np.array(col) for col in zip(*self.edge_roles))
+        arrays = kind != "down", index, 2 * j - index + (kind == "up")
+        for a in arrays:
+            a.flags.writeable = False
+        return arrays
 
 
 @dataclass(slots=True)

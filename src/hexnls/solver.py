@@ -34,7 +34,11 @@ of an edge form a tridiagonal chain coupled only to the edge's two end
 vertices; every chain is factored once by batched tridiagonal (Thomas)
 elimination, all edges at once, and eliminating them leaves a vertex-only
 Schur complement (a weighted graph Laplacian plus a diagonal), the one
-matrix that is factorized, in minimum-degree order.  Newton's one mass
+matrix that is factorized, in minimum-degree order.  What does not depend on
+the shift is analysed once per Discretization and kept on it
+(_CondensationFrame): the Schur complement's pattern with its columns in that
+order, found once, and where each product lands; each shift and each Newton
+step fills values only and factorizes in the given order.  Newton's one mass
 constraint row is eliminated by a second right-hand side: K - diag(c) is
 solved for r and M v as one 2-column block, and the multiplier follows from
 the constraint (the range-space method for saddle-point systems; Benzi,
@@ -58,7 +62,7 @@ from .calculus import (Discretization, GraphFunction, constant_function, from_ve
                        rescale_mass)
 from .functionals import (_bare_graph, _center_vertex, energy, make_discretization,
                           truncation_boundary, vertex_distances)
-from .honeycomb import HoneycombLattice, path_coordinate
+from .honeycomb import HoneycombLattice
 
 INITIALIZERS = ("uniform", "soliton-bump", "trial-eps")
 MAX_POLISHES = 8         # Newton polishes per descent
@@ -117,16 +121,15 @@ class SolveOutcome:
 def _path_profile(lat: HoneycombLattice, f, n: int) -> GraphFunction:
     """f of the arclength coordinate on the path L_0 through the center, every
     other edge linear between its end-vertex values."""
-    path = [eid for eid, (kind, i, _) in enumerate(lat.edge_roles)
-            if kind != "down" and i == 0]
-    t = np.linspace(0.0, 1.0, n)
-    profiles = [f(lat.edge_length * (path_coordinate(lat, eid, 0.0)[1] + t)) for eid in path]
+    on_path, i, coord = lat.edge_coordinates
+    path = np.flatnonzero(on_path & (i == 0))
+    profiles = f(lat.edge_length * (coord[path, None] + np.linspace(0.0, 1.0, n)))
+    dof_of = make_discretization(lat, n).dof_of[path]
     vertex_val = np.zeros(lat.graph.num_vertices)
-    for eid, prof in zip(path, profiles):
-        e = lat.graph.edges[eid]
-        vertex_val[e.tail], vertex_val[e.head] = prof[0], prof[-1]
+    # Adjacent path edges give their shared vertex the same value.
+    vertex_val[dof_of[:, [0, -1]]] = profiles[:, [0, -1]]
     u = from_vertex_values(lat.graph, vertex_val, n)
-    u.dofs[u.layout.dof_of[path, 1:-1]] = np.array(profiles)[:, 1:-1]
+    u.dofs[dof_of[:, 1:-1]] = profiles[:, 1:-1]
     return u
 
 
@@ -162,11 +165,85 @@ def initial_function(graph, tag: str, p: float, mu: float,
 # --- descent core -----------------------------------------------------------
 
 def factorized(A: sp.spmatrix):
-    """Solve function of a sparse LU of A in minimum-degree order on A^T + A,
-    which fills the vertex Schur complement far less than column ordering."""
+    """Solve function of a sparse LU of A with its columns in the order given:
+    the condensation puts them in minimum-degree order beforehand."""
     # Called through its module, not as this module's splu, which stays
     # Newton's factorization alone for code that wraps it by name.
-    return scipy.sparse.linalg.splu(A, permc_spec="MMD_AT_PLUS_A").solve
+    return scipy.sparse.linalg.splu(A, permc_spec="NATURAL").solve
+
+
+class _CondensationFrame:
+    """What the condensation of K + diag(s) on one Discretization keeps from
+    shift to shift: structure and K's entries, no value of s.
+
+    The vertex Schur complement S = K_VV + diag(s_V) - A_VI X has a diagonal
+    and one entry per edge and direction, (tail, head) and (head, tail).  Its
+    CSC pattern (indptr, indices) has the columns in the minimum-degree order
+    on S^T + S that SuperLU computes (MMD_AT_PLUS_A), found once from the
+    pattern: column j is vertex order[j], the rows stay as they are.
+    Factorized in natural order, S[:, order] has the factor SuperLU's own
+    ordering of S gives, bit for bit, except where partial pivoting meets an
+    exact tie: SuperLU prefers column j's diagonal among equally large pivots
+    and takes row j for it, so it may pick another of them.
+
+    k_vertex is K_VV on that pattern and diag its diagonal positions.  A_VI X
+    adds, edge by edge, the tail row's first-sample and the head row's
+    last-sample products with X's tail and head columns; scatter is where
+    they land, (tail, tail), (tail, head), (head, tail), (head, head) per
+    edge in edge order, so np.bincount sums each entry in the order the
+    sparse product A_VI @ X does.  X = A_II^{-1} A_IV has the CSR pattern
+    (x_indptr, x_indices): the tail and the head column in every interior
+    row.  Kept on the Discretization, so it goes with its graph.
+    """
+
+    def __init__(self, dz: Discretization):
+        V, E, m = dz.num_vertices, dz.num_edges, dz.n - 2
+        K = dz.stiffness
+        self.k_interior = K.diagonal()[V:]
+        self.A_VI = K[:V, V:]
+        tail, head = dz.dof_of[:, 0], dz.dof_of[:, -1]
+        ends = np.stack([tail, head], axis=1).astype(np.intc)
+        self.x_indices = np.repeat(ends, m, axis=0).ravel()
+        self.x_indptr = np.arange(0, 2 * E * m + 1, 2, dtype=np.intc)
+
+        rows = np.concatenate([np.arange(V), tail, head])
+        cols = np.concatenate([np.arange(V), head, tail])
+
+        def pattern(column_of):
+            """Sorted (new column, row) keys of S's entries, CSC indptr, indices."""
+            keys = np.unique(column_of[cols] * V + rows)
+            return (keys, np.searchsorted(keys, np.arange(V + 1) * V).astype(np.intc),
+                    (keys % V).astype(np.intc))
+
+        # The order depends on the pattern alone; a diagonal of V keeps the one
+        # factorization that finds it regular (strictly diagonally dominant).
+        keys, indptr, indices = pattern(np.arange(V))
+        dominant = np.where(keys // V == indices, float(V), -1.0)
+        column_of = scipy.sparse.linalg.splu(sp.csc_matrix((dominant, indices, indptr)),
+                                             permc_spec="MMD_AT_PLUS_A").perm_c
+        self.order = np.argsort(column_of)
+        keys, self.indptr, self.indices = pattern(column_of)
+
+        def position(r, c):
+            return np.searchsorted(keys, column_of[c] * V + r)
+
+        self.diag = position(np.arange(V), np.arange(V))
+        K_VV = K[:V, :V].tocoo()
+        self.k_vertex = np.zeros(keys.size)
+        self.k_vertex[position(K_VV.row, K_VV.col)] = K_VV.data
+        # With no interior samples (n = 2) S = K_VV + diag(s_V): nothing to add.
+        self.ends = [0, m - 1] if m else []
+        self.scatter = (position(np.stack([tail, tail, head, head], axis=1),
+                                 np.stack([tail, head, tail, head], axis=1)).ravel()
+                        if m else np.empty(0, dtype=int))
+
+
+def _frame(dz: Discretization) -> _CondensationFrame:
+    """dz's condensation frame, built on first use and kept on dz."""
+    frame = vars(dz).get("condensation_frame")
+    if frame is None:
+        frame = dz.condensation_frame = _CondensationFrame(dz)
+    return frame
 
 
 def _condensed_solver(dz: Discretization, s: np.ndarray, factor):
@@ -180,14 +257,18 @@ def _condensed_solver(dz: Discretization, s: np.ndarray, factor):
     sample-major, (m, E), so each step reads contiguous rows.  There is no
     pivoting, so a zero or non-finite pivot raises RuntimeError.  Eliminating
     the chains leaves the vertex Schur complement S = A_VV - A_VI X with
-    X = A_II^{-1} A_IV (two columns per edge, tail and head); factor(S), S in
-    CSC, returns the solve function of S.  With no interior samples (n = 2)
-    S = A.
+    X = A_II^{-1} A_IV (two columns per edge, tail and head).  Its pattern
+    and minimum-degree column order are dz's _CondensationFrame, analysed
+    once per Discretization; each call fills only values: S's, written
+    straight into that column order, and X's.  factor(S[:, order]), in CSC,
+    returns the solve function of the column-permuted S, whose solution z
+    is put back in vertex order, x[order] = z.  With no interior samples
+    (n = 2) S = A.
     """
     V, E, m = dz.num_vertices, dz.num_edges, dz.n - 2
-    K = dz.stiffness
+    f = _frame(dz)
     off = -1.0 / dz.h
-    piv = (K.diagonal() + s)[V:].reshape(E, m).T.copy()
+    piv = (f.k_interior + s[V:]).reshape(E, m).T.copy()
     ratio = np.empty_like(piv)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for i in range(1, m):
@@ -211,16 +292,18 @@ def _condensed_solver(dz: Discretization, s: np.ndarray, factor):
     sample = np.arange(m)
     y = chain_solve(np.stack([off[:, None] * (sample == 0), off[:, None] * (sample == m - 1)],
                              axis=-1).reshape(E * m, 2))
-    X = sp.csr_matrix((y.ravel(),
-                       (np.repeat(np.arange(E * m), 2),
-                        np.broadcast_to(dz.dof_of[:, None, [0, -1]], (E, m, 2)).ravel())),
-                      shape=(E * m, V))
-    A_VI = K[:V, V:]
-    solve_vertices = factor((K[:V, :V] + sp.diags(s[:V]) - A_VI @ X).tocsc())
+    X = sp.csr_matrix((y.ravel(), f.x_indices, f.x_indptr), shape=(E * m, V))
+    S = f.k_vertex.copy()
+    S[f.diag] += s[:V]
+    S -= np.bincount(f.scatter, (off[:, None, None] * y.reshape(E, m, 2)[:, f.ends]).ravel(),
+                     minlength=S.size)
+    solve_vertices = factor(sp.csc_matrix((S, f.indices, f.indptr), shape=(V, V)))
 
     def solve(r: np.ndarray) -> np.ndarray:
         y = chain_solve(r[V:])                  # A_II^{-1} r_I
-        x = solve_vertices(r[:V] - A_VI @ y)
+        z = solve_vertices(r[:V] - f.A_VI @ y)
+        x = np.empty_like(z)
+        x[f.order] = z
         return np.concatenate([x, y - X @ x])
 
     return solve
@@ -322,11 +405,11 @@ class _Descent:
 
         with c = (p - 1) M |v|^{p-2} + lam M.  The border is eliminated: one
         _condensed_solver of A (its vertex Schur complement factorized like
-        the preconditioner's, by splu in minimum-degree order on A^T + A)
-        solves A [y_r, y_b] = [r, b] as one 2-column block, and b^T delta = 0
-        gives delta = y_r - (b.y_r / b.y_b) y_b.  Raises RuntimeError on a
-        zero pivot in a chain, a singular vertex factor (SuperLU raises it) or
-        a zero or non-finite b.y_b.
+        the preconditioner's, by splu in the frame's minimum-degree column
+        order) solves A [y_r, y_b] = [r, b] as one 2-column block, and
+        b^T delta = 0 gives delta = y_r - (b.y_r / b.y_b) y_b.  Raises
+        RuntimeError on a zero pivot in a chain, a singular vertex factor
+        (SuperLU raises it) or a zero or non-finite b.y_b.
         """
         dz = self.dz
         # Regularize |v|^{p-2} near zeros of v (singular for p < 3); the
@@ -335,7 +418,7 @@ class _Descent:
         c = (self.p - 1.0) * dz.mass_vec * (v * v + floor * floor) ** (self.p / 2.0 - 1.0) \
             + lam * dz.mass_vec
         b = dz.mass_vec * v
-        solve = _condensed_solver(dz, -c, lambda S: splu(S, permc_spec="MMD_AT_PLUS_A").solve)
+        solve = _condensed_solver(dz, -c, lambda S: splu(S, permc_spec="NATURAL").solve)
         y = solve(np.stack([r, b], axis=-1))
         y_r, y_b = y[:, 0], y[:, 1]
         b_yb = float(b @ y_b)
@@ -452,22 +535,22 @@ def _descend(d: _Descent, v0: np.ndarray,
     return pt.v, pt.E, lam, res, it
 
 
-def _classify(d: _Descent, v: np.ndarray, E: float, res: float, p: float,
-              boundary_weights: np.ndarray) -> str:
+def _classify(d: _Descent, v: np.ndarray, E: float, res: float, p: float, graph) -> str:
     dz = d.dz
     if E < SolverConfig.divergence_floor:
         return "UnboundedBelow"
     total_len = float(np.sum(dz.h) * (dz.n - 1))
     flat_energy = -(d.mu / total_len) ** (p / 2.0) * total_len / p
-    boundary_frac = dz.boundary_mass_fraction(v, boundary_weights)
     near_zero = E >= -max(10.0 * SolverConfig.energy_tol * d.mu, 1e-12)
     # A spreading run ends at (or near) the mass-mu constant function, whose
     # energy vanishes as the truncation grows; a ground state, even a broad
     # one squeezed by the window, sits well below that reference.  Mass on
     # the truncation boundary alone is not decisive, because wide ground
-    # states also touch the window edge.
+    # states also touch the window edge; it is measured only for a flat-like
+    # run that is not near zero, the one case it decides.
     flat_like = E >= 2.0 * flat_energy
-    if near_zero or (flat_like and boundary_frac >= SolverConfig.spread_threshold):
+    if near_zero or (flat_like and dz.boundary_mass_fraction(
+            v, dz.boundary_weights(truncation_boundary(graph))) >= SolverConfig.spread_threshold):
         return "SpreadToZero"
     if p == 6:
         # Ground states never exist at the 1D-critical power; a localized
@@ -521,8 +604,7 @@ def minimize(graph, p: float, mu: float, cfg: SolverConfig | None = None,
         if best is None or _beats(E, res, best[1], best[4], mu, cfg.residual_tol):
             best = (tag, E, v, lam, res, it, trace)
     tag, E, v, lam, res, it, trace = best
-    classification = _classify(d, v, E, res, p,
-                               dz.boundary_weights(truncation_boundary(graph)))
+    classification = _classify(d, v, E, res, p, graph)
     minimizer = GraphFunction(_bare_graph(graph)[0], v) if classification == "GroundState" else None
     return SolveOutcome(classification=classification, final_energy=E, minimizer=minimizer,
                         lagrange_multiplier=lam, iterations=it, residual=res,

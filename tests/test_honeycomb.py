@@ -242,6 +242,17 @@ class TestPathCoordinate:
         i, x = path_coordinate(lat, lat.edge_id["horizontal", 1, -1], 0.5)
         assert i == 1 and x == pytest.approx(-3 + 0.5)
 
+    def test_edge_coordinates_match_per_edge_lookups(self):
+        lat = build_honeycomb(3, 1.0)
+        on_path, index, coord = lat.edge_coordinates
+        for eid, (kind, i, _) in enumerate(lat.edge_roles):
+            assert on_path[eid] == (kind != "down") and index[eid] == i
+            assert coord[eid] == (path_coordinate(lat, eid, 0.0)[1] if on_path[eid]
+                                  else bridge_line_index(lat, eid))
+        assert lat.edge_coordinates is lat.edge_coordinates
+        with pytest.raises(ValueError):
+            coord[0] = 0      # shared by every caller, so read-only
+
     def test_bridge_rejected(self):
         lat = build_honeycomb(1, 1.0)
         with pytest.raises(ValueError):

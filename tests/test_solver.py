@@ -1,16 +1,20 @@
 """Mass-constrained minimization: descent invariants, classification, probes."""
 
 import dataclasses
+import gc
+import math
+import weakref
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg
 from scipy.sparse.linalg import splu, spsolve
 
 import hexnls.solver
-from hexnls.analytic import soliton_params, soliton_profile
-from hexnls.calculus import (GraphFunction, constant_function, from_edge_samples,
-                             integrate_power, rescale_mass)
+from hexnls.analytic import build_trial_function, soliton_params, soliton_profile
+from hexnls.calculus import (Discretization, GraphFunction, constant_function,
+                             from_edge_samples, integrate_power, rescale_mass)
 from hexnls.functionals import truncation_boundary
 from hexnls.solver import (INITIALIZERS, BracketError, ResolutionError, SolverConfig,
                            _beats, _descend, _Descent, bisect_critical_mass,
@@ -18,7 +22,7 @@ from hexnls.solver import (INITIALIZERS, BracketError, ResolutionError, SolverCo
                            initial_function, make_discretization, minimize, soliton_bump,
                            squeezed_profile)
 from hexnls.graph_core import build_line
-from hexnls.honeycomb import build_honeycomb, path_coordinate
+from hexnls.honeycomb import bridge_line_index, build_honeycomb, path_coordinate
 
 
 @pytest.fixture(scope="module")
@@ -252,6 +256,37 @@ class TestPathProfiles:
         assert np.array_equal(squeezed_profile(lat, 2.0, 0.5, n).values, ref)
 
 
+def _per_edge_trial_function(lat, eps, n):
+    """build_trial_function as first written, one edge at a time: the
+    bit-level reference for the vectorized builder."""
+    E = lat.graph.num_edges
+    t = np.linspace(0.0, 1.0, n)
+    offsets = np.empty(E)
+    x0 = np.zeros(E)
+    is_path = np.zeros(E, dtype=bool)
+    for eid, (kind, a, _) in enumerate(lat.edge_roles):
+        if kind == "down":
+            offsets[eid] = abs(bridge_line_index(lat, eid)) + (a if a >= 0 else -a - 1)
+        else:
+            is_path[eid] = True
+            x0[eid] = path_coordinate(lat, eid, 0.0)[1]
+            offsets[eid] = abs(a)
+    arg = np.empty((E, n))
+    arg[is_path] = np.abs(x0[is_path, None] + t[None, :]) + offsets[is_path, None]
+    arg[~is_path] = t[None, :] + offsets[~is_path, None]
+    return from_edge_samples(lat.graph, np.exp(-eps * lat.edge_length * arg)).values
+
+
+class TestTrialFunction:
+    @pytest.mark.parametrize("R", [3, 7, 20])
+    def test_bit_identical_to_per_edge_builder(self, R):
+        lat = build_honeycomb(R, 1.0)
+        for n in (2, 9, 33):
+            for eps in (0.05, 0.3):
+                assert np.array_equal(build_trial_function(lat, eps, n).values,
+                                      _per_edge_trial_function(lat, eps, n))
+
+
 class TestCondensedPreconditioner:
     @pytest.mark.parametrize("n", [2, 3, 9, 33])
     @pytest.mark.parametrize("graph", [build_honeycomb(3, 1.0), build_line(2.5)],
@@ -283,6 +318,166 @@ class TestCondensedPreconditioner:
                     ref = spsolve(A, r_col)
                     assert np.linalg.norm(x_col - ref) <= 1e-12 * np.linalg.norm(ref)
             assert factored == [(V, V)]
+
+
+def _sparse_product_condensation(dz, s):
+    """The condensation of K + diag(s) as it was before the frame: Thomas
+    elimination of the chains, X assembled from COO, S = K_VV + diag(s_V) -
+    A_VI @ X by sparse product and sum, and S factorized by splu in
+    MMD_AT_PLUS_A order.  Returns S (CSC) and the solve function, the
+    bit-level reference of the frame's fill and of both solves."""
+    V, E, m = dz.num_vertices, dz.num_edges, dz.n - 2
+    K = dz.stiffness
+    off = -1.0 / dz.h
+    piv = (K.diagonal() + s)[V:].reshape(E, m).T.copy()
+    ratio = np.empty_like(piv)
+    for i in range(1, m):
+        ratio[i] = off / piv[i - 1]
+        piv[i] -= ratio[i] * off
+
+    def chain_solve(rhs):
+        x = rhs.reshape(E, m, math.prod(rhs.shape[1:])).transpose(1, 0, 2).copy()
+        for i in range(1, m):
+            x[i] -= ratio[i, :, None] * x[i - 1]
+        for i in reversed(range(m)):
+            if i < m - 1:
+                x[i] -= off[:, None] * x[i + 1]
+            x[i] /= piv[i, :, None]
+        return x.transpose(1, 0, 2).reshape(rhs.shape)
+
+    sample = np.arange(m)
+    y = chain_solve(np.stack([off[:, None] * (sample == 0), off[:, None] * (sample == m - 1)],
+                             axis=-1).reshape(E * m, 2))
+    X = sp.csr_matrix((y.ravel(),
+                       (np.repeat(np.arange(E * m), 2),
+                        np.broadcast_to(dz.dof_of[:, None, [0, -1]], (E, m, 2)).ravel())),
+                      shape=(E * m, V))
+    A_VI = K[:V, V:]
+    S = (K[:V, :V] + sp.diags(s[:V]) - A_VI @ X).tocsc()
+    solve_vertices = splu(S, permc_spec="MMD_AT_PLUS_A").solve
+
+    def solve(r):
+        y = chain_solve(r[V:])
+        x = solve_vertices(r[:V] - A_VI @ y)
+        return np.concatenate([x, y - X @ x])
+
+    return S, solve
+
+
+def _newton_point(dz, p):
+    """A Newton linearization point (d, v, lam, r) and the shift -c that
+    newton_direction factorizes there, regularized with the same floor."""
+    rng = np.random.default_rng(dz.n)
+    v = 3.0 * rng.standard_normal(dz.n_dofs)
+    v[::7] = 0.0          # zeros of v: p = 2.5 needs the floor there
+    d = _Descent(dz, p, dz.mass(v), SolverConfig())
+    r, lam, _ = d.tangent_gradient(d.evaluate(v))
+    floor = 1e-8 * np.abs(v).max()
+    c = (p - 1.0) * dz.mass_vec * (v * v + floor * floor) ** (p / 2.0 - 1.0) + lam * dz.mass_vec
+    return d, v, lam, r, -c
+
+
+def _same_row_pivots(dz, s):
+    """Whether partial pivoting picks the same rows for the frame's column
+    order as for SuperLU's own MMD ordering of S.  SuperLU prefers column j's
+    diagonal among equally large pivots, and takes row j for it in natural
+    order, so the two can differ only where pivots tie exactly."""
+    S, _ = _sparse_product_condensation(dz, s)
+    order = hexnls.solver._frame(dz).order
+    return np.array_equal(splu(S, permc_spec="MMD_AT_PLUS_A").perm_r,
+                          splu(S[:, order].tocsc(), permc_spec="NATURAL").perm_r)
+
+
+FRAME_GRAPHS = pytest.mark.parametrize("graph", [build_honeycomb(3, 1.0), build_line(2.5)],
+                                       ids=["honeycomb", "unequal-line"])
+SHIFTS = (2.0 ** -10, 1.0, 2.0 ** 14)
+
+
+class TestCondensationFrame:
+    @pytest.mark.parametrize("n", [2, 3, 9, 33])
+    @FRAME_GRAPHS
+    def test_fill_equals_sparse_product(self, graph, n):
+        dz = make_discretization(graph, n)
+        shifts = [sigma * dz.mass_vec for sigma in SHIFTS] + [_newton_point(dz, 2.5)[4]]
+        for s in shifts:
+            filled = []
+            hexnls.solver._condensed_solver(dz, s, lambda S: filled.append(S))
+            ref, _ = _sparse_product_condensation(dz, s)
+            order = hexnls.solver._frame(dz).order
+            # The frame's columns are S's MMD_AT_PLUS_A order; rows stay.
+            assert np.array_equal(order,
+                                  np.argsort(splu(ref, permc_spec="MMD_AT_PLUS_A").perm_c))
+            assert filled[0].format == "csc" and filled[0].has_sorted_indices
+            assert np.array_equal(filled[0].toarray(), ref[:, order].toarray())
+
+    @pytest.mark.parametrize("n", [2, 3, 9, 33])
+    @FRAME_GRAPHS
+    def test_solves_equal_mmd_reference(self, monkeypatch, graph, n):
+        dz = make_discretization(graph, n)
+        rng = np.random.default_rng(n)
+        rs = [rng.standard_normal(dz.n_dofs), dz.mass_vec * rng.uniform(0, 1, dz.n_dofs)]
+        for sigma in SHIFTS:
+            d = _Descent(dz, 3.0, 1.0, SolverConfig())
+            assert d.shift_to(-sigma) and d.sigma == sigma
+            _, ref = _sparse_product_condensation(dz, sigma * dz.mass_vec)
+            for r in rs + [np.stack(rs, axis=-1)]:
+                assert np.array_equal(d.precondition(r), ref(r))
+        for p in (2.5, 5.0):
+            d, v, lam, r, minus_c = _newton_point(dz, p)
+            with monkeypatch.context() as m:
+                m.setattr(hexnls.solver, "_condensed_solver",
+                          lambda dz, s, factor: _sparse_product_condensation(dz, s)[1])
+                ref = d.newton_direction(v, lam, r)
+            delta = d.newton_direction(v, lam, r)
+            if _same_row_pivots(dz, minus_c):
+                assert np.array_equal(delta, ref)
+            else:
+                assert np.linalg.norm(delta - ref) <= 1e-13 * np.linalg.norm(ref)
+
+    def test_newton_pivot_tie_on_unit_edges(self):
+        # On unit edges at n = 2 every off-diagonal of K - diag(c) is exactly
+        # -1.  At this point two of them tie for the largest pivot of one
+        # column; SuperLU's MMD factorization takes the first it meets, the
+        # natural-order one the entry in row j, which it treats as column j's
+        # diagonal.  Equally large pivots, so the steps agree to rounding
+        # (test_solves_equal_mmd_reference checks 1e-13).
+        dz = make_discretization(build_honeycomb(3, 1.0), 2)
+        assert not _same_row_pivots(dz, _newton_point(dz, 2.5)[4])
+
+    def test_order_found_once_per_discretization(self, monkeypatch):
+        calls = []
+
+        def spy(A, permc_spec=None, **kwargs):
+            calls.append((permc_spec, A.shape))
+            return splu(A, permc_spec=permc_spec, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", spy)
+        monkeypatch.setattr(hexnls.solver, "splu", spy)
+        graph = build_honeycomb(3, 1.0)
+        for n in (5, 9):
+            calls.clear()
+            dz = make_discretization(graph, n)
+            V = dz.num_vertices
+            d, v, lam, r, _ = _newton_point(dz, 3.0)
+            for sigma in (1.0, 8.0, 2.0 ** -10, 1.0):
+                assert d.shift_to(-sigma)
+            for _ in range(2):
+                d.newton_direction(v, lam, r)
+            # One ordering for the Discretization, then one natural-order
+            # factorization of the (V, V) vertex system per build.
+            assert calls == [("MMD_AT_PLUS_A", (V, V))] + [("NATURAL", (V, V))] * 6
+
+    def test_frame_dies_with_its_graph(self):
+        graph = build_honeycomb(2, 1.0)
+        d = _Descent(make_discretization(graph, 5), 3.0, 1.0, SolverConfig())
+        d.shift_to(-1.0)
+        frame = weakref.ref(hexnls.solver._frame(d.dz))
+        del d
+        gc.collect()
+        assert frame() is not None      # the graph's layout holds it
+        del graph
+        gc.collect()
+        assert frame() is None
 
 
 def _band_rebuilds(log):
@@ -350,18 +545,11 @@ class TestCondensedNewton:
 
         monkeypatch.setattr(hexnls.solver, "splu", spy)
         dz = make_discretization(graph, n)
-        rng = np.random.default_rng(n)
-        v = 3.0 * rng.standard_normal(dz.n_dofs)
-        v[::7] = 0.0          # zeros of v: p = 2.5 needs the floor there
-        d = _Descent(dz, p, dz.mass(v), SolverConfig())
-        r, lam, _ = d.tangent_gradient(d.evaluate(v))
+        d, v, lam, r, minus_c = _newton_point(dz, p)
         delta = d.newton_direction(v, lam, r)
         # Reference: the full bordered system, regularized with the same floor.
-        floor = 1e-8 * np.abs(v).max()
-        c = (p - 1.0) * dz.mass_vec * (v * v + floor * floor) ** (p / 2.0 - 1.0) \
-            + lam * dz.mass_vec
         mv = dz.mass_vec * v
-        A = sp.bmat([[dz.stiffness - sp.diags(c), sp.csc_matrix(mv[:, None])],
+        A = sp.bmat([[dz.stiffness + sp.diags(minus_c), sp.csc_matrix(mv[:, None])],
                      [sp.csc_matrix(mv[None, :]), sp.csc_matrix((1, 1))]], format="csc")
         ref = spsolve(A, np.append(r, 0.0))[:-1]
         assert np.linalg.norm(delta - ref) <= 1e-10 * np.linalg.norm(ref)
@@ -574,6 +762,18 @@ class TestClassification:
         d = _Descent(make_discretization(lat, 9), 5.0, 1.0, SolverConfig())
         v0 = initial_function(lat, "uniform", 5.0, 1.0, 9).dofs
         assert out.final_energy == d.evaluate(d.project(v0)).E
+
+    def test_boundary_weights_only_for_flat_like_runs(self, monkeypatch, lat):
+        weighed = []
+        real = Discretization.boundary_weights
+        monkeypatch.setattr(Discretization, "boundary_weights",
+                            lambda dz, boundary: weighed.append(1) or real(dz, boundary))
+        # Far below the flat state: the boundary share decides nothing.
+        assert minimize(lat, 3.0, 10.0).classification == "GroundState" and not weighed
+        # At the flat state, below the near-zero threshold: it decides.
+        out = minimize(lat, 5.0, 1.0)
+        assert out.classification == "SpreadToZero" and out.final_energy < -1e-7
+        assert weighed == [1]
 
     @pytest.mark.parametrize("mu", [0.1, 10.0])
     def test_p6_never_ground_state(self, lat, mu):
