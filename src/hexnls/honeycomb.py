@@ -58,9 +58,11 @@ class HoneycombLattice:
     def edge_coordinates(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """edge_roles as arrays, for builders that work on all edges at once:
         (on_path, index, coordinate).  An edge of L_i has on_path True, index i
-        and its tail's L_i coordinate (path_coordinate at t = 0); a bridge
-        ("down", m, j) has on_path False, index m and its transversal line k
-        (bridge_line_index).  Built on first use and kept, read-only."""
+        and its tail's combinatorial L_i coordinate, 2j - i for ("horizontal",
+        i, j) and 2j - i + 1 for ("up", i, j); a bridge ("down", m, j) has
+        on_path False, index m and its transversal line k = 2j - m.  The one
+        statement of both conventions: path_coordinate and bridge_line_index
+        read it.  Built on first use and kept, read-only."""
         kind, index, j = (np.array(col) for col in zip(*self.edge_roles))
         arrays = kind != "down", index, 2 * j - index + (kind == "up")
         for a in arrays:
@@ -147,20 +149,18 @@ def build_honeycomb(truncation_radius: int, edge_length: float) -> HoneycombLatt
 def path_coordinate(lat: HoneycombLattice, edge_id: int, t: float) -> tuple[int, float]:
     """Path index i and combinatorial L_i coordinate of the point at arclength
     fraction t (tail -> head) along an L-family edge."""
-    kind, i, j = lat.edge_roles[edge_id]
-    if kind == "horizontal":
-        return i, (2 * j - i) + t
-    if kind == "up":
-        return i, (2 * j - i + 1) + t
-    raise ValueError(f"edge {edge_id} is a bridging edge, not on an L path")
+    on_path, index, coord = lat.edge_coordinates
+    if not on_path[edge_id]:
+        raise ValueError(f"edge {edge_id} is a bridging edge, not on an L path")
+    return int(index[edge_id]), int(coord[edge_id]) + t
 
 
 def bridge_line_index(lat: HoneycombLattice, edge_id: int) -> int:
     """Index k of the transversal line containing a bridging edge."""
-    kind, m, j = lat.edge_roles[edge_id]
-    if kind != "down":
+    on_path, _, coord = lat.edge_coordinates
+    if on_path[edge_id]:
         raise ValueError(f"edge {edge_id} is not a bridging edge")
-    return 2 * j - m
+    return int(coord[edge_id])
 
 
 def decompose_paths(lat: HoneycombLattice) -> PathFamily:

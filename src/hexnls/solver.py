@@ -219,8 +219,10 @@ class _CondensationFrame:
         # factorization that finds it regular (strictly diagonally dominant).
         keys, indptr, indices = pattern(np.arange(V))
         dominant = np.where(keys // V == indices, float(V), -1.0)
+        # perm_c is C int: widened, so the keys column * V + row cannot wrap
+        # once V * V passes 2^31 (V > 46,340).
         column_of = scipy.sparse.linalg.splu(sp.csc_matrix((dominant, indices, indptr)),
-                                             permc_spec="MMD_AT_PLUS_A").perm_c
+                                             permc_spec="MMD_AT_PLUS_A").perm_c.astype(np.int64)
         self.order = np.argsort(column_of)
         keys, self.indptr, self.indices = pattern(column_of)
 

@@ -245,8 +245,10 @@ class TestPathCoordinate:
     def test_edge_coordinates_match_per_edge_lookups(self):
         lat = build_honeycomb(3, 1.0)
         on_path, index, coord = lat.edge_coordinates
-        for eid, (kind, i, _) in enumerate(lat.edge_roles):
+        for eid, (kind, i, j) in enumerate(lat.edge_roles):
             assert on_path[eid] == (kind != "down") and index[eid] == i
+            assert coord[eid] == {"horizontal": 2 * j - i, "up": 2 * j - i + 1,
+                                  "down": 2 * j - i}[kind]
             assert coord[eid] == (path_coordinate(lat, eid, 0.0)[1] if on_path[eid]
                                   else bridge_line_index(lat, eid))
         assert lat.edge_coordinates is lat.edge_coordinates

@@ -21,7 +21,7 @@ from hexnls.solver import (INITIALIZERS, BracketError, ResolutionError, SolverCo
                            demonstrate_unbounded, euler_lagrange_residual,
                            initial_function, make_discretization, minimize, soliton_bump,
                            squeezed_profile)
-from hexnls.graph_core import build_line
+from hexnls.graph_core import build_line, build_star
 from hexnls.honeycomb import bridge_line_index, build_honeycomb, path_coordinate
 
 
@@ -409,6 +409,19 @@ class TestCondensationFrame:
                                   np.argsort(splu(ref, permc_spec="MMD_AT_PLUS_A").perm_c))
             assert filled[0].format == "csc" and filled[0].has_sorted_indices
             assert np.array_equal(filled[0].toarray(), ref[:, order].toarray())
+
+    def test_fill_past_int32_keys(self):
+        # V = 47,001 > 46,340: the pattern's keys column * V + row pass 2^31,
+        # where SuperLU's C-int column order would wrap them.
+        dz = make_discretization(build_star(47_000, 1.0), 3)
+        assert dz.num_vertices ** 2 > 2 ** 31
+        s = dz.mass_vec
+        filled = []
+        hexnls.solver._condensed_solver(dz, s, lambda S: filled.append(S))
+        ref, _ = _sparse_product_condensation(dz, s)
+        order = hexnls.solver._frame(dz).order
+        assert np.array_equal(np.sort(order), np.arange(dz.num_vertices))
+        assert (filled[0] != ref[:, order]).nnz == 0
 
     @pytest.mark.parametrize("n", [2, 3, 9, 33])
     @FRAME_GRAPHS
