@@ -7,6 +7,8 @@ the transversal lines of bridging edges.
 Run: python3 demos/01_lattice_tour.py
 """
 
+import numpy as np
+
 from hexnls import (bridge_line_index, build_honeycomb, decompose_bridges,
                     decompose_paths, validate)
 
@@ -21,9 +23,9 @@ def main() -> None:
     print(f"  edges:    {g.num_edges}  (formula 3(2R+1)^2 = {3 * (2 * R + 1) ** 2})")
     print(f"  total length: {g.total_length():g}")
     print(f"  validation issues: {validate(g) or 'none'}")
-    degs = g.degrees()
+    hist = np.bincount(g.degrees())
     print(f"  degree histogram: " + ", ".join(
-        f"{d}: {degs.count(d)}" for d in sorted(set(degs))))
+        f"{d}: {n}" for d, n in enumerate(hist) if n))
 
     fam = decompose_paths(lat)
     print(f"\nPath families: {len(fam.L_paths)} left-leaning and "
@@ -33,13 +35,13 @@ def main() -> None:
 
     # Every edge is covered; horizontal edges belong to exactly one path of
     # each family, slanted edges to exactly one path in total.
-    counts = {e.id: 0 for e in g.edges}
+    counts = [0] * g.num_edges
     for path in list(fam.L_paths.values()) + list(fam.R_paths.values()):
         for eid in path:
             counts[eid] += 1
     by_kind = {}
-    for e in g.edges:
-        by_kind.setdefault(lat.edge_roles[e.id][0], set()).add(counts[e.id])
+    for (kind, _, _), count in zip(lat.edge_roles, counts):
+        by_kind.setdefault(kind, set()).add(count)
     print(f"  coverage multiplicity by edge kind: "
           + ", ".join(f"{k}: {sorted(v)}" for k, v in sorted(by_kind.items())))
 

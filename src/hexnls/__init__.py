@@ -18,7 +18,7 @@ from .calculus import (Discretization, GraphFunction, constant_function, edge_le
 from .functionals import (RATIO_NAMES, EnergyReport, InequalityRatio, energy,
                           estimate_sharp_constant, inequality_ratio, random_corpus,
                           vertex_distances)
-from .graph_core import (Edge, GraphBuilder, MetricGraph, Vertex, build_line, build_star,
+from .graph_core import (GraphBuilder, MetricGraph, build_graph, build_line, build_star,
                          validate)
 from .honeycomb import (BridgeFamily, HoneycombLattice, PathFamily, bridge_line_index,
                         build_honeycomb, build_square_grid, decompose_bridges, decompose_paths,
@@ -30,11 +30,11 @@ from .solver import (BracketError, ResolutionError, SolveOutcome, SolverConfig,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BracketError", "BridgeFamily", "Discretization", "Edge", "EnergyReport",
+    "BracketError", "BridgeFamily", "Discretization", "EnergyReport",
     "GraphBuilder", "GraphFunction", "HoneycombLattice", "InequalityRatio",
     "MetricGraph", "PathFamily", "RATIO_NAMES", "ResolutionError",
-    "SolitonParams", "SolveOutcome", "SolverConfig", "Vertex",
-    "bisect_critical_mass", "bridge_line_index", "build_honeycomb",
+    "SolitonParams", "SolveOutcome", "SolverConfig",
+    "bisect_critical_mass", "bridge_line_index", "build_graph", "build_honeycomb",
     "build_line", "build_square_grid", "build_star", "build_trial_function",
     "constant_function", "critical_mass_from_constant", "decompose_bridges",
     "decompose_paths", "demonstrate_unbounded", "edge_lengths", "energy",

@@ -20,7 +20,6 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import dijkstra
 
 from .graph_core import MetricGraph
 
@@ -108,7 +107,8 @@ def _abs_power(v: np.ndarray, e: float, sq: np.ndarray | None = None) -> np.ndar
 
 
 def edge_lengths(graph: MetricGraph) -> np.ndarray:
-    return np.array([e.length for e in graph.edges])
+    """The graph's read-only edge lengths."""
+    return graph.lengths
 
 
 def constant_function(graph: MetricGraph, value: float, samples_per_edge: int = 33) -> GraphFunction:
@@ -168,11 +168,11 @@ class Discretization:
         dof_of = np.empty((E, n), dtype=np.int64)
         interior = V + (n - 2) * np.arange(E)[:, None] + np.arange(n - 2)[None, :]
         dof_of[:, 1:-1] = interior
-        dof_of[:, 0] = [e.tail for e in graph.edges]
-        dof_of[:, -1] = [e.head for e in graph.edges]
+        dof_of[:, 0] = graph.tails
+        dof_of[:, -1] = graph.heads
         self.dof_of = dof_of
         self.n_dofs = V + E * (n - 2)
-        self.h = edge_lengths(graph) / (n - 1)
+        self.h = graph.lengths / (n - 1)
         self.mass_vec = self._lumped_mass(np.ones(E, dtype=bool))
 
     @cached_property
@@ -205,15 +205,17 @@ class Discretization:
         np.add.at(vec, self.dof_of[edges, 1:].ravel(), hw)
         return vec
 
-    def boundary_weights(self, boundary_vertices: list[int]) -> np.ndarray:
+    def boundary_weights(self, boundary_vertices: np.ndarray) -> np.ndarray:
         """Lumped mass of the edges within two steps of the boundary vertices
-        (zero without any: no vertex is at a finite distance from none)."""
-        V = self.num_vertices
+        (zero without any): the edges with an end in the ring of vertices at
+        most one step from the boundary, found in one pass each way."""
         tails, heads = self.dof_of[:, 0], self.dof_of[:, -1]
-        adj = sp.coo_matrix((np.ones(len(tails)), (tails, heads)), shape=(V, V))
-        adj = adj + adj.T
-        dist = dijkstra(adj.tocsr(), indices=boundary_vertices, unweighted=True, min_only=True)
-        return self._lumped_mass(np.minimum(dist[tails], dist[heads]) <= 1)
+        on = np.zeros(self.num_vertices, dtype=bool)
+        on[boundary_vertices] = True
+        ring = on.copy()
+        ring[heads[on[tails]]] = True
+        ring[tails[on[heads]]] = True
+        return self._lumped_mass(ring[tails] | ring[heads])
 
     def to_dofs(self, u: GraphFunction) -> np.ndarray:
         """u's DOF vector, once u's layout is known to number the same DOFs:

@@ -274,7 +274,7 @@ def run_soliton_check(cfg: dict, outdir: Path, manifest: dict) -> list[str]:
     else:
         u = out.minimizer
         params = soliton_params(p, mu)
-        x = from_vertex_values(graph, [v.x for v in graph.vertices], u.samples_per_edge).dofs
+        x = from_vertex_values(graph, graph.xy[:, 0], u.samples_per_edge).dofs
         # Center the reference profile on the numerical maximizer.
         x_peak = x[int(np.abs(u.vertex_values()).argmax())]
         diff = GraphFunction(graph, np.abs(u.dofs) - soliton_profile(params, x - x_peak))

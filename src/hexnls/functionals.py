@@ -9,7 +9,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import dijkstra
 
 from .analytic import build_trial_function
-from .calculus import Discretization, GraphFunction, _layout, edge_lengths, from_vertex_values
+from .calculus import Discretization, GraphFunction, _layout, from_vertex_values
 from .graph_core import MetricGraph
 from .honeycomb import HoneycombLattice
 
@@ -39,7 +39,7 @@ def make_discretization(graph, samples_per_edge: int) -> Discretization:
     return _layout(_bare_graph(graph)[0], samples_per_edge)
 
 
-def truncation_boundary(graph) -> list[int]:
+def truncation_boundary(graph) -> np.ndarray:
     """The truncation boundary of a lattice, the leaves of a bare graph."""
     bare, lat = _bare_graph(graph)
     return lat.boundary_vertices() if lat is not None else bare.leaves()
@@ -107,16 +107,14 @@ def inequality_ratio(u: GraphFunction, name: str, p: float = 2.0) -> InequalityR
 
 def vertex_distances(graph: MetricGraph, source: int) -> np.ndarray:
     """Arclength graph distance from source to every vertex."""
-    tails = np.array([e.tail for e in graph.edges])
-    heads = np.array([e.head for e in graph.edges])
-    w = edge_lengths(graph)
-    adj = sp.coo_matrix((w, (tails, heads)), shape=(graph.num_vertices,) * 2)
+    adj = sp.coo_matrix((graph.lengths, (graph.tails, graph.heads)),
+                        shape=(graph.num_vertices,) * 2)
     return dijkstra((adj + adj.T).tocsr(), indices=source)
 
 
 def _center_vertex(bare: MetricGraph) -> int:
     # Builders place the natural center at the coordinate origin.
-    return int(np.argmin([v.x ** 2 + v.y ** 2 for v in bare.vertices]))
+    return int(np.argmin((bare.xy ** 2).sum(axis=1)))
 
 
 def _random_envelope(graph: MetricGraph, dist: np.ndarray, rng: np.random.Generator,

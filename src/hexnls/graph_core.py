@@ -1,74 +1,81 @@
-"""Finite metric graphs: vertices, edges with lengths, builders and validation."""
+"""Finite metric graphs as arrays: edge ends, edge lengths, vertex positions.
+
+A graph is its arrays.  Builders write them whole; validate checks them
+vectorized.  Vertex and edge ids are array positions.
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 
-
-@dataclass(frozen=True, slots=True)
-class Vertex:
-    id: int
-    x: float = 0.0
-    y: float = 0.0
+import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 
-@dataclass(frozen=True, slots=True)
-class Edge:
-    id: int
-    tail: int
-    head: int
-    length: float
-
-
-@dataclass(slots=True)
+@dataclass(frozen=True, eq=False)
 class MetricGraph:
-    """Undirected metric graph: its vertex list and its edge list.
+    """Undirected metric graph: edge e joins tails[e] to heads[e] and has
+    length lengths[e]; vertex v sits at xy[v] in the plane.
 
     Edges carry an orientation (tail -> head) fixing the sign of the per-edge
     arclength coordinate; all functionals built on top are orientation
-    independent.  Graphs are not mutated after build: ``_layouts`` caches
-    their layouts.
+    independent.  The arrays are copied and made read-only, since
+    ``_layouts`` caches the graph's layouts.  The constructor checks only the
+    array shapes; validate checks the contents.
     """
 
-    vertices: list[Vertex] = field(default_factory=list)
-    edges: list[Edge] = field(default_factory=list)
-    _layouts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    tails: np.ndarray
+    heads: np.ndarray
+    lengths: np.ndarray
+    xy: np.ndarray
+    _layouts: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        for name, dtype in (("tails", np.int64), ("heads", np.int64),
+                            ("lengths", float), ("xy", float)):
+            a = np.array(getattr(self, name), dtype=dtype)
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+        E = self.tails.shape
+        if len(E) != 1 or self.heads.shape != E or self.lengths.shape != E:
+            raise ValueError(f"tails, heads and lengths must be one (E,) shape, got "
+                             f"{self.tails.shape}, {self.heads.shape} and {self.lengths.shape}")
+        if self.xy.ndim != 2 or self.xy.shape[1] != 2:
+            raise ValueError(f"xy must have shape (V, 2), got {self.xy.shape}")
 
     @property
     def num_vertices(self) -> int:
-        return len(self.vertices)
+        return len(self.xy)
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return len(self.tails)
 
     def total_length(self) -> float:
-        return sum(e.length for e in self.edges)
+        """The lengths summed left to right, as a running sum adds them."""
+        return float(np.cumsum(self.lengths)[-1]) if self.num_edges else 0.0
 
-    def degrees(self) -> list[int]:
+    def degrees(self) -> np.ndarray:
         """The number of edge ends at each vertex."""
-        deg = [0] * len(self.vertices)
-        for e in self.edges:
-            deg[e.tail] += 1
-            deg[e.head] += 1
-        return deg
+        return np.bincount(np.concatenate([self.tails, self.heads]), minlength=self.num_vertices)
 
-    def leaves(self) -> list[int]:
-        return [v for v, d in enumerate(self.degrees()) if d == 1]
+    def leaves(self) -> np.ndarray:
+        return np.flatnonzero(self.degrees() == 1)
 
 
 class GraphBuilder:
-    """Incremental construction helper used by all graph builders."""
+    """Vertex-by-vertex, edge-by-edge construction of a hand-built graph."""
 
     def __init__(self):
-        self.vertices: list[Vertex] = []
-        self.edges: list[Edge] = []
+        self.xy: list[tuple[float, float]] = []
+        self.ends: list[tuple[int, int]] = []
+        self.lengths: list[float] = []
 
     def add_vertex(self, x: float = 0.0, y: float = 0.0) -> int:
-        vid = len(self.vertices)
-        self.vertices.append(Vertex(vid, x, y))
-        return vid
+        self.xy.append((x, y))
+        return len(self.xy) - 1
 
     def add_edge(self, tail: int, head: int, length: float) -> int:
         if length <= 0:
@@ -76,18 +83,25 @@ class GraphBuilder:
         if tail == head:
             raise ValueError(f"self-loop at vertex {tail}")
         for end in (tail, head):
-            if not 0 <= end < len(self.vertices):
+            if not 0 <= end < len(self.xy):
                 raise ValueError(f"endpoint {end} is not an added vertex")
-        eid = len(self.edges)
-        self.edges.append(Edge(eid, tail, head, length))
-        return eid
+        self.ends.append((tail, head))
+        self.lengths.append(length)
+        return len(self.ends) - 1
 
     def build(self) -> MetricGraph:
-        g = MetricGraph(self.vertices, self.edges)
-        problems = validate(g)
-        if problems:
-            raise ValueError("builder produced invalid graph: " + "; ".join(problems))
-        return g
+        ends = np.array(self.ends, dtype=np.int64).reshape(-1, 2)
+        return build_graph(ends[:, 0], ends[:, 1], self.lengths,
+                           np.array(self.xy, dtype=float).reshape(-1, 2))
+
+
+def build_graph(tails, heads, lengths, xy) -> MetricGraph:
+    """The graph with these arrays, refused with every problem validate finds."""
+    g = MetricGraph(tails, heads, lengths, xy)
+    problems = validate(g)
+    if problems:
+        raise ValueError("builder produced invalid graph: " + "; ".join(problems))
+    return g
 
 
 def build_line(half_length: float) -> MetricGraph:
@@ -98,70 +112,50 @@ def build_line(half_length: float) -> MetricGraph:
     """
     if half_length <= 0:
         raise ValueError(f"half_length must be positive, got {half_length}")
-    coords = sorted({float(k) for k in range(-math.floor(half_length), math.floor(half_length) + 1)}
-                    | {-float(half_length), float(half_length)})
-    b = GraphBuilder()
-    ids = [b.add_vertex(x, 0.0) for x in coords]
-    for a, c in zip(coords, coords[1:]):
-        b.add_edge(ids[coords.index(a)], ids[coords.index(c)], c - a)
-    return b.build()
+    m = math.floor(half_length)
+    x = np.unique(np.concatenate([np.arange(-m, m + 1, dtype=float),
+                                  [-float(half_length), float(half_length)]]))
+    ids = np.arange(len(x))
+    return build_graph(ids[:-1], ids[1:], np.diff(x), np.column_stack([x, np.zeros_like(x)]))
 
 
 def build_star(num_halflines: int, arm_length: float) -> MetricGraph:
-    """num_halflines truncated half-lines joined at a single center vertex."""
+    """num_halflines truncated half-lines joined at a single center vertex.
+
+    Vertex 0 is the center; arm a holds vertices 1 + a*K .. a*K + K outward,
+    with the arm's edges in the same order."""
     if num_halflines < 2:
         raise ValueError(f"need at least 2 half-lines, got {num_halflines}")
     if arm_length <= 0:
         raise ValueError(f"arm_length must be positive, got {arm_length}")
-    b = GraphBuilder()
-    center = b.add_vertex(0.0, 0.0)
-    n_full = math.floor(arm_length)
-    coords = [float(k) for k in range(1, n_full + 1)]
-    if not coords or coords[-1] < arm_length:
-        coords.append(float(arm_length))
-    for arm in range(num_halflines):
-        theta = 2 * math.pi * arm / num_halflines
-        prev, prev_r = center, 0.0
-        for r in coords:
-            v = b.add_vertex(r * math.cos(theta), r * math.sin(theta))
-            b.add_edge(prev, v, r - prev_r)
-            prev, prev_r = v, r
-    return b.build()
+    r = np.arange(1.0, math.floor(arm_length) + 1)
+    if not r.size or r[-1] < arm_length:
+        r = np.append(r, float(arm_length))
+    K = len(r)
+    ids = 1 + np.arange(num_halflines * K).reshape(num_halflines, K)
+    tails = np.column_stack([np.zeros(num_halflines, dtype=np.int64), ids[:, :-1]])
+    # math.cos/sin per arm, so the positions do not depend on numpy's vector kernels.
+    thetas = [2 * math.pi * arm / num_halflines for arm in range(num_halflines)]
+    directions = np.array([(math.cos(t), math.sin(t)) for t in thetas])
+    xy = np.concatenate([[(0.0, 0.0)], (r[None, :, None] * directions[:, None, :]).reshape(-1, 2)])
+    return build_graph(tails.ravel(), ids.ravel(), np.tile(np.diff(r, prepend=0.0), num_halflines),
+                       xy)
 
 
 def validate(g: MetricGraph) -> list[str]:
     """Return one description per violated MetricGraph invariant (empty if valid)."""
-    problems = []
-    for i, v in enumerate(g.vertices):
-        if v.id != i:
-            problems.append(f"vertex at position {i} has id {v.id} (ids must be 0..n-1)")
-    nv = len(g.vertices)
-    for i, e in enumerate(g.edges):
-        if e.id != i:
-            problems.append(f"edge at position {i} has id {e.id}")
-        for endpoint in (e.tail, e.head):
-            if not (0 <= endpoint < nv):
-                problems.append(f"edge {e.id}: endpoint {endpoint} undefined")
-        if e.tail == e.head:
-            problems.append(f"edge {e.id}: self-loop at vertex {e.tail}")
-        if not (e.length > 0):
-            problems.append(f"edge {e.id}: non-positive length {e.length}")
-    if nv and not problems:
-        # Connectivity by depth-first search over the edge list's neighbours.
-        neighbours: list[list[int]] = [[] for _ in range(nv)]
-        for e in g.edges:
-            neighbours[e.tail].append(e.head)
-            neighbours[e.head].append(e.tail)
-        visited = [False] * nv
-        stack = [0]
-        visited[0] = True
-        count = 1
-        while stack:
-            for w in neighbours[stack.pop()]:
-                if not visited[w]:
-                    visited[w] = True
-                    count += 1
-                    stack.append(w)
-        if count != nv:
-            problems.append(f"not connected: reached {count} of {nv} vertices")
+    V = g.num_vertices
+    ends = np.column_stack([g.tails, g.heads])
+    problems = [f"edge {e}: endpoint {ends[e, k]} undefined"
+                for e, k in zip(*np.nonzero((ends < 0) | (ends >= V)))]
+    problems += [f"edge {e}: self-loop at vertex {g.tails[e]}"
+                 for e in np.flatnonzero(g.tails == g.heads)]
+    problems += [f"edge {e}: non-positive length {g.lengths[e]}"
+                 for e in np.flatnonzero(~(g.lengths > 0))]
+    if V and not problems:
+        adj = sp.coo_matrix((np.ones(g.num_edges), (g.tails, g.heads)), shape=(V, V))
+        _, labels = connected_components(adj, directed=False)
+        reached = int(np.count_nonzero(labels == labels[0]))
+        if reached != V:
+            problems.append(f"not connected: reached {reached} of {V} vertices")
     return problems

@@ -10,8 +10,9 @@ the slanted edges between them, so every stored path is complete across the
 window.  Stub edges (to degree-1 vertices) are kept where a path segment
 exits the window.
 
-Every edge has a role (kind, i, j), and ``HoneycombLattice.edge_roles`` is
-the one table of them; paths, bridge lines and coordinates are read from it:
+Every edge has a role (kind, i, j), and ``HoneycombLattice.roles`` is the
+one table of them, as arrays (``edge_roles`` lists it, ``edge_id`` inverts
+it); paths, bridge lines and coordinates are read from it:
 
 - ("horizontal", i, j) is the edge shared by L_i and R_j, from its left end
   A(i, j) to its right end B(i, j);
@@ -34,37 +35,52 @@ from functools import cached_property
 
 import numpy as np
 
-from .graph_core import GraphBuilder, MetricGraph
+from .graph_core import MetricGraph, build_graph
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
 
 
-@dataclass
+EDGE_KINDS = ("horizontal", "up", "down")
+
+
+@dataclass(eq=False)
 class HoneycombLattice:
     graph: MetricGraph
     edge_length: float
     origin_vertex: int
     truncation_radius: int
-    # edge id -> ("horizontal"|"up"|"down", i, j); for "down" the first index
-    # is the lower of the two L paths the edge joins
-    edge_roles: list[tuple[str, int, int]]
-    # role -> edge id, the inverse of edge_roles
-    edge_id: dict[tuple[str, int, int], int]
+    # The role table as read-only (kind, i, j) arrays: edge e has role
+    # (EDGE_KINDS[kind[e]], i[e], j[e]); for "down" the first index is the
+    # lower of the two L paths the edge joins.
+    roles: tuple[np.ndarray, np.ndarray, np.ndarray]
 
-    def boundary_vertices(self) -> list[int]:
-        return [v for v, d in enumerate(self.graph.degrees()) if d < 3]
+    def boundary_vertices(self) -> np.ndarray:
+        return np.flatnonzero(self.graph.degrees() < 3)
+
+    @cached_property
+    def edge_roles(self) -> list[tuple[str, int, int]]:
+        """Edge id -> ("horizontal"|"up"|"down", i, j), built on first use."""
+        kind, i, j = self.roles
+        return list(zip(np.array(EDGE_KINDS)[kind].tolist(), i.tolist(), j.tolist()))
+
+    @cached_property
+    def edge_id(self) -> dict[tuple[str, int, int], int]:
+        """Role -> edge id, the inverse of edge_roles, built on first use."""
+        return {role: eid for eid, role in enumerate(self.edge_roles)}
 
     @cached_property
     def edge_coordinates(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """edge_roles as arrays, for builders that work on all edges at once:
-        (on_path, index, coordinate).  An edge of L_i has on_path True, index i
-        and its tail's combinatorial L_i coordinate, 2j - i for ("horizontal",
-        i, j) and 2j - i + 1 for ("up", i, j); a bridge ("down", m, j) has
-        on_path False, index m and its transversal line k = 2j - m.  The one
-        statement of both conventions: path_coordinate and bridge_line_index
-        read it.  Built on first use and kept, read-only."""
-        kind, index, j = (np.array(col) for col in zip(*self.edge_roles))
-        arrays = kind != "down", index, 2 * j - index + (kind == "up")
+        """The roles as path coordinates, for builders that work on all edges
+        at once: (on_path, index, coordinate).  An edge of L_i has on_path
+        True, index i and its tail's combinatorial L_i coordinate, 2j - i for
+        ("horizontal", i, j) and 2j - i + 1 for ("up", i, j); a bridge
+        ("down", m, j) has on_path False, index m and its transversal line
+        k = 2j - m.  The one statement of both conventions: path_coordinate
+        and bridge_line_index read it.  Built on first use and kept,
+        read-only."""
+        kind, index, j = self.roles
+        arrays = (kind != EDGE_KINDS.index("down"), index,
+                  2 * j - index + (kind == EDGE_KINDS.index("up")))
         for a in arrays:
             a.flags.writeable = False
         return arrays
@@ -102,48 +118,44 @@ class BridgeFamily:
 
 
 def build_honeycomb(truncation_radius: int, edge_length: float) -> HoneycombLattice:
+    """The truncation of radius R, numbered as follows (N = 2R + 1, and
+    a = i + R, b = j + R the window offsets).  Vertices: A(i, j) is 2(aN + b)
+    and B(i, j) is 2(aN + b) + 1; then the stubs, A(i, R + 1) closing the
+    last up edge of L_i at 2N^2 + a, and B(R + 1, j) closing the last down
+    edge of R_j at 2N^2 + N + b.  Edges: every horizontal, then every up,
+    then every down role, each over (i, j) with j varying fastest."""
     if truncation_radius < 1:
         raise ValueError(f"truncation_radius must be >= 1, got {truncation_radius}")
     if edge_length <= 0:
         raise ValueError(f"edge_length must be positive, got {edge_length}")
     R = truncation_radius
     l = edge_length
-    b = GraphBuilder()
+    N = 2 * R + 1
+    cell = np.arange(N * N)
+    a, b = np.divmod(cell, N)
+    A, B = 2 * cell, 2 * cell + 1
+    A_up = np.where(b < N - 1, A + 2, 2 * N * N + a)          # A(i, j + 1)
+    B_down = np.where(a < N - 1, B + 2 * N, 2 * N * N + N + b)  # B(i + 1, j)
+    upper = a >= R                    # i >= 0: the bridge starts on L_i
+    tails = np.concatenate([A, B, np.where(upper, A, B_down)])
+    heads = np.concatenate([B, A_up, np.where(upper, B_down, A)])
 
-    def pos(i: int, j: int) -> tuple[float, float]:
-        """Coordinates of A(i, j)."""
+    # A(i, j) at (3(j - i), i + j) layout units, B(i, j) one edge length right.
+    def pos(i, j):
         return 0.5 * l * (3 * (j - i)), SQRT3_2 * l * (i + j)
 
-    rng = range(-R, R + 1)
-    a_id: dict[tuple[int, int], int] = {}
-    b_id: dict[tuple[int, int], int] = {}
-    for i in rng:
-        for j in rng:
-            ax, ay = pos(i, j)
-            a_id[i, j] = b.add_vertex(ax, ay)
-            b_id[i, j] = b.add_vertex(ax + l, ay)
-    # Stub vertices: A(i, R+1) closing the last up edge of L_i, and
-    # B(R+1, j) closing the last down edge of R_j.
-    for i in rng:
-        a_id[i, R + 1] = b.add_vertex(*pos(i, R + 1))
-    for j in rng:
-        ax, ay = pos(R + 1, j)
-        b_id[R + 1, j] = b.add_vertex(ax + l, ay)
-
-    roles = [(kind, i, j) for kind in ("horizontal", "up", "down") for i in rng for j in rng]
-    for kind, i, j in roles:
-        if kind == "horizontal":
-            tail, head = a_id[i, j], b_id[i, j]
-        elif kind == "up":
-            tail, head = b_id[i, j], a_id[i, j + 1]
-        elif i >= 0:
-            tail, head = a_id[i, j], b_id[i + 1, j]
-        else:
-            tail, head = b_id[i + 1, j], a_id[i, j]
-        b.add_edge(tail, head, l)
-    return HoneycombLattice(graph=b.build(), edge_length=l, origin_vertex=a_id[0, 0],
-                            truncation_radius=R, edge_roles=roles,
-                            edge_id={role: eid for eid, role in enumerate(roles)})
+    i, j = a - R, b - R
+    ax, ay = pos(i, j)
+    stub_ax, stub_ay = pos(i[::N], R + 1)          # A(i, R + 1)
+    stub_bx, stub_by = pos(R + 1, j[:N])           # A(R + 1, j), l left of B(R + 1, j)
+    x = np.concatenate([np.column_stack([ax, ax + l]).ravel(), stub_ax, stub_bx + l])
+    y = np.concatenate([np.repeat(ay, 2), stub_ay, stub_by])
+    graph = build_graph(tails, heads, np.full(3 * N * N, float(l)), np.column_stack([x, y]))
+    roles = np.repeat(np.arange(len(EDGE_KINDS)), N * N), np.tile(i, 3), np.tile(j, 3)
+    for r in roles:
+        r.flags.writeable = False
+    return HoneycombLattice(graph=graph, edge_length=l, origin_vertex=int(A[(N * N) // 2]),
+                            truncation_radius=R, roles=roles)
 
 
 def path_coordinate(lat: HoneycombLattice, edge_id: int, t: float) -> tuple[int, float]:
@@ -184,7 +196,10 @@ def decompose_bridges(lat: HoneycombLattice) -> BridgeFamily:
 
 
 def build_square_grid(truncation_radius: int, edge_length: float) -> MetricGraph:
-    """(2R+1) x (2R+1) square grid with 4-regular interior (comparison graph)."""
+    """(2R+1) x (2R+1) square grid with 4-regular interior (comparison graph).
+
+    Vertex (ix, iy) is ix * n + iy; each vertex in turn adds its edge to
+    (ix + 1, iy), then its edge to (ix, iy + 1), where those exist."""
     if truncation_radius < 1:
         raise ValueError(f"truncation_radius must be >= 1, got {truncation_radius}")
     if edge_length <= 0:
@@ -192,15 +207,10 @@ def build_square_grid(truncation_radius: int, edge_length: float) -> MetricGraph
     R = truncation_radius
     l = edge_length
     n = 2 * R + 1
-    b = GraphBuilder()
-    ids = {}
-    for ix in range(n):
-        for iy in range(n):
-            ids[(ix, iy)] = b.add_vertex(l * (ix - R), l * (iy - R))
-    for ix in range(n):
-        for iy in range(n):
-            if ix + 1 < n:
-                b.add_edge(ids[(ix, iy)], ids[(ix + 1, iy)], l)
-            if iy + 1 < n:
-                b.add_edge(ids[(ix, iy)], ids[(ix, iy + 1)], l)
-    return b.build()
+    v = np.arange(n * n)
+    ix, iy = np.divmod(v, n)
+    keep = np.column_stack([ix + 1 < n, iy + 1 < n]).ravel()
+    tails = np.repeat(v, 2)[keep]
+    heads = np.column_stack([v + n, v + 1]).ravel()[keep]
+    return build_graph(tails, heads, np.full(len(tails), float(l)),
+                       np.column_stack([l * (ix - R), l * (iy - R)]))

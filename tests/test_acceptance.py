@@ -171,10 +171,10 @@ class TestSubcriticalWitness:
     def test_criterion_06_small_mass_state_is_interior(self, acceptance, lat20, solves_r20):
         u = solves_r20[0.1].minimizer
         eid = int(np.argmax(np.abs(u.values)) // u.samples_per_edge)
-        edge = lat20.graph.edges[eid]
-        interior = not {edge.tail, edge.head} & set(truncation_boundary(lat20))
+        tail, head = int(lat20.graph.tails[eid]), int(lat20.graph.heads[eid])
+        interior = not {tail, head} & set(truncation_boundary(lat20).tolist())
         acceptance("criterion 6 (mu=0.1 peak away from the truncation boundary)", interior,
-                   f"expected failure: peak on edge {edge.tail}-{edge.head}, "
+                   f"expected failure: peak on edge {tail}-{head}, "
                    f"{'interior' if interior else 'touching the truncation boundary'}")
         assert interior
 
@@ -268,10 +268,9 @@ class TestLineOracle:
         params = soliton_params(4.0, 2.0)
         u = out.minimizer
         t = np.linspace(0.0, 1.0, u.samples_per_edge)
-        ref = np.empty_like(u.values)
-        for e in graph.edges:
-            x0, x1 = graph.vertices[e.tail].x, graph.vertices[e.head].x
-            ref[e.id] = soliton_profile(params, x0 + (x1 - x0) * t)
+        x = graph.xy[:, 0]
+        x0, x1 = x[graph.tails, None], x[graph.heads, None]
+        ref = soliton_profile(params, x0 + (x1 - x0) * t)
         diff = from_edge_samples(graph, np.abs(u.values) - ref)
         rel_l2 = math.sqrt(integrate_power(diff, 2) / 2.0)
         oracle = energy(u, 4.0).total
@@ -290,14 +289,14 @@ class TestCombinatorics:
         fam = decompose_paths(lat)
         bridges = decompose_bridges(lat)
         exceptions = []
-        counts = {e.id: 0 for e in lat.graph.edges}
+        counts = [0] * lat.graph.num_edges
         for edge_ids in list(fam.L_paths.values()) + list(fam.R_paths.values()):
             for eid in edge_ids:
                 counts[eid] += 1
-        for e in lat.graph.edges:
-            want = 2 if lat.edge_roles[e.id][0] == "horizontal" else 1
-            if counts[e.id] != want:
-                exceptions.append(f"edge {e.id} covered {counts[e.id]}x")
+        for eid, count in enumerate(counts):
+            want = 2 if lat.edge_roles[eid][0] == "horizontal" else 1
+            if count != want:
+                exceptions.append(f"edge {eid} covered {count}x")
         for i, Li in fam.L_paths.items():
             for j, Rj in fam.R_paths.items():
                 common = set(Li) & set(Rj)

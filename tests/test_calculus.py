@@ -5,6 +5,8 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.csgraph import dijkstra
 
 import hexnls.solver
 from hexnls.analytic import build_trial_function, trial_kinetic_integral, trial_lp_integral
@@ -12,8 +14,8 @@ from hexnls.calculus import (Discretization, GraphFunction, _abs_power, constant
                              from_edge_samples, from_vertex_values, gradient_norms,
                              integrate_power, rescale_mass)
 from hexnls.functionals import make_discretization, random_corpus
-from hexnls.graph_core import GraphBuilder, build_line, build_star
-from hexnls.honeycomb import build_honeycomb
+from hexnls.graph_core import GraphBuilder, build_graph, build_line, build_star
+from hexnls.honeycomb import build_honeycomb, build_square_grid
 from hexnls.solver import SolverConfig, minimize
 
 # Unequal edge lengths: the outer edges are 0.5 long, the others 1.
@@ -101,7 +103,7 @@ class TestAbsPower:
 
 def _edge_trapezoid(u: GraphFunction, p: float) -> float:
     """Per-edge composite trapezoid of |u|^p, straight from the sample view."""
-    h = np.array([e.length for e in u.graph.edges]) / (u.samples_per_edge - 1)
+    h = u.graph.lengths / (u.samples_per_edge - 1)
     a = np.abs(u.values) ** p
     return float(h @ (a.sum(axis=1) - 0.5 * (a[:, 0] + a[:, -1])))
 
@@ -120,7 +122,7 @@ class TestQuadratureOracle:
         assert u.samples_per_edge == n
         for p in (2.0, 3.0, 5.0):
             assert integrate_power(u, p) == pytest.approx(_edge_trapezoid(u, p), rel=1e-13)
-        h = np.array([e.length for e in g.edges]) / (n - 1)
+        h = g.lengths / (n - 1)
         dv = np.diff(u.values, axis=1)
         l1, l2sq = gradient_norms(u)
         assert l1 == pytest.approx(np.abs(dv).sum(), rel=1e-13)
@@ -146,16 +148,11 @@ class TestGradientNorms:
         g = lat.graph
         u = build_trial_function(lat, 0.4, 17)
         # The same graph with every third edge flipped, carrying u's samples.
-        b = GraphBuilder()
-        for v in g.vertices:
-            b.add_vertex(v.x, v.y)
+        flip = np.arange(g.num_edges) % 3 == 0
         vals = u.values.copy()
-        for e in g.edges:
-            flip = e.id % 3 == 0
-            b.add_edge(*((e.head, e.tail) if flip else (e.tail, e.head)), e.length)
-            if flip:
-                vals[e.id] = vals[e.id, ::-1]
-        w = from_edge_samples(b.build(), vals)
+        vals[flip] = vals[flip, ::-1]
+        w = from_edge_samples(build_graph(np.where(flip, g.heads, g.tails),
+                                          np.where(flip, g.tails, g.heads), g.lengths, g.xy), vals)
         assert not np.array_equal(w.values, u.values)
 
         def norms(f):
@@ -219,7 +216,7 @@ class TestContinuity:
         g = lat.graph
         vv = np.random.default_rng(0).normal(size=g.num_vertices)
         u = from_vertex_values(g, vv, 9)
-        ends = np.array([[e.tail, e.head] for e in g.edges])
+        ends = np.column_stack([g.tails, g.heads])
         assert np.array_equal(u.values[:, [0, -1]], vv[ends])
         assert np.array_equal(u.vertex_values(), vv)
 
@@ -358,10 +355,10 @@ class TestDiscretization:
         weights = dz.boundary_weights(lat.boundary_vertices())
         u = build_trial_function(lat, 0.3, 9)
         # Edges with an end at most one step from the boundary.
-        ring = set(lat.boundary_vertices())
-        ring |= {w for e in g.edges if e.tail in ring or e.head in ring
-                 for w in (e.tail, e.head)}
-        near = np.array([e.tail in ring or e.head in ring for e in g.edges])
+        ends = list(zip(g.tails.tolist(), g.heads.tolist()))
+        ring = set(lat.boundary_vertices().tolist())
+        ring |= {w for t, h in ends if t in ring or h in ring for w in (t, h)}
+        near = np.array([t in ring or h in ring for t, h in ends])
         a = u.values ** 2
         per_edge = (a.sum(axis=1) - 0.5 * (a[:, 0] + a[:, -1])) / 8  # unit edges, h = 1/8
         expected = per_edge[near].sum() / per_edge.sum()
@@ -370,3 +367,30 @@ class TestDiscretization:
         assert frac == pytest.approx(expected, rel=1e-13)
         assert dz.boundary_mass_fraction(np.zeros(dz.n_dofs), weights) == 0.0
         assert dz.boundary_mass_fraction(dz.to_dofs(u), dz.boundary_weights([])) == 0.0
+
+    @staticmethod
+    def _dijkstra_boundary_weights(dz, boundary):
+        """The reference: lumped mass of the edges with an end at most one
+        unweighted step from the boundary, by shortest paths."""
+        tails, heads = dz.dof_of[:, 0], dz.dof_of[:, -1]
+        V = dz.num_vertices
+        adj = sp.coo_matrix((np.ones(len(tails)), (tails, heads)), shape=(V, V))
+        dist = dijkstra((adj + adj.T).tocsr(), indices=boundary, unweighted=True, min_only=True)
+        return dz._lumped_mass(np.minimum(dist[tails], dist[heads]) <= 1)
+
+    @pytest.mark.parametrize("name", ["honeycomb3", "honeycomb6", "star", "line", "square"])
+    def test_boundary_weights_equal_dijkstra(self, name):
+        if name.startswith("honeycomb"):
+            lat = build_honeycomb(int(name[-1]), 1.0)
+            g, boundary = lat.graph, lat.boundary_vertices()
+        elif name == "square":
+            g = build_square_grid(3, 0.5)
+            boundary = np.flatnonzero(g.degrees() < 4)
+        else:
+            g = build_star(5, 3.5) if name == "star" else build_line(4.5)
+            boundary = g.leaves()
+        dz = Discretization(g, 5)
+        weights = dz.boundary_weights(boundary)
+        assert 0 < weights.sum() < dz.mass_vec.sum()
+        assert np.array_equal(weights, self._dijkstra_boundary_weights(dz, boundary))
+        assert np.array_equal(dz.boundary_weights(np.array([], dtype=int)), np.zeros(dz.n_dofs))

@@ -35,7 +35,7 @@ class TestEnergy:
         for u in corpus[:20]:
             rep = energy(u, p)
             # Independent re-computation straight from the sample arrays.
-            h = np.array([e.length for e in u.graph.edges]) / (u.samples_per_edge - 1)
+            h = u.graph.lengths / (u.samples_per_edge - 1)
             dv = np.diff(u.values, axis=1)
             kin = 0.5 * float((dv ** 2).sum(axis=1) @ (1.0 / h))
             a = np.abs(u.values) ** p
@@ -107,11 +107,8 @@ class TestInequalityRatio:
         # Two components, each constant at its own value: every cell
         # difference is zero, though the function is not one constant.  The
         # builder refuses a disconnected graph, so it is put together directly.
-        b = GraphBuilder()
-        a0, a1, c0, c1 = (b.add_vertex(float(x)) for x in range(4))
-        b.add_edge(a0, a1, 1.0)
-        b.add_edge(c0, c1, 2.0)
-        g = MetricGraph(b.vertices, b.edges)
+        a0, a1, c0, c1 = range(4)
+        g = MetricGraph([a0, c0], [a1, c1], [1.0, 2.0], [(float(x), 0.0) for x in range(4)])
         dz = make_discretization(g, 9)
         dofs = np.full(dz.n_dofs, 1.5)
         dofs[[c0, c1]] = -0.25
@@ -346,8 +343,8 @@ class TestSharpConstantAscent:
         # not at vertex 0, a leaf or corner that the zero boundary removes.
         dz = make_discretization(graph, 9)
         bump = _ascent_starts(graph, dz, 3, seed=0)[2]
-        peak = graph.vertices[int(np.argmax(bump[:graph.num_vertices]))]
-        assert (peak.x, peak.y) == (0.0, 0.0)
+        peak = graph.xy[int(np.argmax(bump[:graph.num_vertices]))]
+        assert peak.tolist() == [0.0, 0.0]
 
     @pytest.mark.parametrize("name,p", [("gn_interp", 5.0), ("gn1d", 4.5)])
     def test_one_stiffness_product_per_candidate(self, monkeypatch, lat, name, p):

@@ -1,8 +1,10 @@
 """Metric-graph construction and validation."""
 
+import numpy as np
 import pytest
 
-from hexnls.graph_core import GraphBuilder, build_line, build_star, validate
+from hexnls.graph_core import (GraphBuilder, MetricGraph, build_graph, build_line, build_star,
+                               validate)
 
 
 class TestBuildLine:
@@ -10,7 +12,7 @@ class TestBuildLine:
         g = build_line(3)
         assert g.num_vertices == 7
         assert g.num_edges == 6
-        assert all(e.length == 1.0 for e in g.edges)
+        assert (g.lengths == 1.0).all()
 
     def test_leaves_and_total_length(self):
         g = build_line(10)
@@ -23,13 +25,28 @@ class TestBuildLine:
         assert g.num_vertices == 3
         assert g.num_edges == 2
         assert g.total_length() == pytest.approx(1.0)
-        xs = sorted(v.x for v in g.vertices)
+        xs = sorted(g.xy[:, 0].tolist())
         assert xs == [-0.5, 0.0, 0.5]
 
     def test_fractional_outer_edges_shorter(self):
         g = build_line(2.5)
-        lengths = sorted(e.length for e in g.edges)
+        lengths = sorted(g.lengths.tolist())
         assert lengths == pytest.approx([0.5, 0.5, 1.0, 1.0, 1.0, 1.0])
+
+    def test_fractional_numbering_and_running_sum(self):
+        # Vertices left to right, edge k from vertex k to k + 1; the total is
+        # the left-to-right running sum, which the uniform start divides by.
+        g = build_line(3.7)
+        x = [-3.7, -3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0, 3.7]
+        assert g.xy.tolist() == [[v, 0.0] for v in x]
+        assert g.tails.tolist() == list(range(8)) and g.heads.tolist() == list(range(1, 9))
+        assert g.lengths.tolist() == [b - a for a, b in zip(x, x[1:])]
+        assert g.total_length() == sum(g.lengths.tolist())
+        # Where the order shows: 1 + 2^-53 rounds back to 1 at every step of
+        # the running sum, while a pairwise sum adds the small lengths first.
+        lengths = [1.0] + [2.0 ** -53] * 16
+        g = MetricGraph(range(17), range(1, 18), lengths, np.zeros((18, 2)))
+        assert g.total_length() == sum(lengths) == 1.0 != np.sum(lengths)
 
     def test_invalid_half_length(self):
         with pytest.raises(ValueError):
@@ -49,8 +66,7 @@ class TestBuildStar:
         line = build_line(4.0)
         assert star.num_vertices == line.num_vertices
         assert star.num_edges == line.num_edges
-        assert sorted(e.length for e in star.edges) == \
-            sorted(e.length for e in line.edges)
+        assert sorted(star.lengths.tolist()) == sorted(line.lengths.tolist())
 
     def test_minimal_star(self):
         g = build_star(3, 1.0)
@@ -75,11 +91,23 @@ class TestValidate:
             assert validate(g) == []
 
     def test_dangling_endpoint_reported(self):
-        from hexnls.graph_core import Edge
         g = build_line(3)
-        g.edges[5] = Edge(5, g.edges[5].tail, 99, 1.0)
-        problems = validate(g)
-        assert any("edge 5" in s and "99" in s for s in problems)
+        heads = g.heads.copy()
+        heads[5] = 99
+        problems = validate(MetricGraph(g.tails, heads, g.lengths, g.xy))
+        assert problems == ["edge 5: endpoint 99 undefined"]
+
+    def test_each_bad_edge_named(self):
+        # Edge 0 is fine; 1 has a negative endpoint, 2 a self-loop, 3 and 4
+        # zero and nan lengths.  Connectivity is checked only once the edges
+        # are sound.
+        g = MetricGraph([0, 1, 2, 1, 2], [1, -1, 2, 2, 3], [1.0, 1.0, 1.0, 0.0, np.nan],
+                        np.zeros((4, 2)))
+        assert sorted(validate(g)) == sorted([
+            "edge 1: endpoint -1 undefined", "edge 2: self-loop at vertex 2",
+            "edge 3: non-positive length 0.0", "edge 4: non-positive length nan"])
+        with pytest.raises(ValueError, match="edge 4: non-positive length nan"):
+            build_graph(g.tails, g.heads, g.lengths, g.xy)
 
     def test_disconnected_reported(self):
         b = GraphBuilder()
@@ -87,10 +115,13 @@ class TestValidate:
         v2, v3 = b.add_vertex(5, 0), b.add_vertex(6, 0)
         b.add_edge(v0, v1, 1.0)
         b.add_edge(v2, v3, 1.0)
-        from hexnls.graph_core import MetricGraph
-        g = MetricGraph(b.vertices, b.edges)
-        problems = validate(g)
-        assert sum("not connected" in s for s in problems) == 1
+        g = MetricGraph([0, 2], [1, 3], [1.0, 1.0], [(0, 0), (1, 0), (5, 0), (6, 0)])
+        assert validate(g) == ["not connected: reached 2 of 4 vertices"]
+        with pytest.raises(ValueError, match="not connected"):
+            b.build()
+        # An isolated vertex is a component of its own.
+        g = MetricGraph([0], [1], [1.0], np.zeros((3, 2)))
+        assert validate(g) == ["not connected: reached 2 of 3 vertices"]
 
     def test_builder_rejects_degenerate_edges(self):
         b = GraphBuilder()
@@ -107,9 +138,40 @@ class TestValidate:
         for tail, head in ((v, 5), (5, w), (-1, w)):
             with pytest.raises(ValueError, match="not an added vertex"):
                 b.add_edge(tail, head, 1.0)
-        assert b.edges == []
+        assert b.ends == [] and b.lengths == []
 
     def test_degree_matches_adjacency(self):
         g = build_star(6, 3.0)
-        ends = [end for e in g.edges for end in (e.tail, e.head)]
-        assert g.degrees() == [ends.count(v.id) for v in g.vertices]
+        ends = g.tails.tolist() + g.heads.tolist()
+        assert g.degrees().tolist() == [ends.count(v) for v in range(g.num_vertices)]
+
+    def test_builder_writes_its_arrays(self):
+        b = GraphBuilder()
+        v = [b.add_vertex(x, -x) for x in (0.0, 1.0, 2.5)]
+        b.add_edge(v[0], v[1], 1.0)
+        b.add_edge(v[2], v[1], 1.5)
+        g = b.build()
+        assert g.tails.tolist() == [0, 2] and g.heads.tolist() == [1, 1]
+        assert g.lengths.tolist() == [1.0, 1.5]
+        assert g.xy.tolist() == [[0.0, -0.0], [1.0, -1.0], [2.5, -2.5]]
+
+
+class TestArrays:
+    def test_arrays_read_only(self):
+        # The graph caches its layouts, so its arrays cannot change under them.
+        g = build_line(2)
+        for a in (g.tails, g.heads, g.lengths, g.xy):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = a[1]
+
+    def test_constructor_copies(self):
+        tails = np.array([0, 1])
+        g = MetricGraph(tails, [1, 2], [1.0, 1.0], np.zeros((3, 2)))
+        tails[0] = 2
+        assert g.tails.tolist() == [0, 1] and tails.flags.writeable
+
+    def test_shapes_checked(self):
+        with pytest.raises(ValueError, match="one"):
+            MetricGraph([0, 1], [1], [1.0], np.zeros((2, 2)))
+        with pytest.raises(ValueError, match=r"\(V, 2\)"):
+            MetricGraph([0], [1], [1.0], np.zeros((2, 3)))

@@ -2,11 +2,14 @@
 
 import math
 
+import numpy as np
 import pytest
 
-from hexnls.graph_core import validate
-from hexnls.honeycomb import (bridge_line_index, build_honeycomb, build_square_grid,
+from hexnls.analytic import build_trial_function
+from hexnls.graph_core import GraphBuilder, validate
+from hexnls.honeycomb import (SQRT3_2, bridge_line_index, build_honeycomb, build_square_grid,
                               decompose_bridges, decompose_paths, path_coordinate)
+from hexnls.solver import SolverConfig, minimize
 
 
 def cell_counting_oracle(R: int) -> tuple[int, int]:
@@ -35,7 +38,66 @@ def cell_counting_oracle(R: int) -> tuple[int, int]:
     return len(positions), len(edges)
 
 
+def per_role_builder(R: int, l: float):
+    """The lattice as first built, vertex by vertex and role by role through
+    GraphBuilder: (graph, origin vertex, edge_roles, edge_id), the reference
+    for the array builder's numbering."""
+    b = GraphBuilder()
+
+    def pos(i, j):
+        return 0.5 * l * (3 * (j - i)), SQRT3_2 * l * (i + j)
+
+    rng = range(-R, R + 1)
+    a_id, b_id = {}, {}
+    for i in rng:
+        for j in rng:
+            ax, ay = pos(i, j)
+            a_id[i, j] = b.add_vertex(ax, ay)
+            b_id[i, j] = b.add_vertex(ax + l, ay)
+    for i in rng:
+        a_id[i, R + 1] = b.add_vertex(*pos(i, R + 1))
+    for j in rng:
+        ax, ay = pos(R + 1, j)
+        b_id[R + 1, j] = b.add_vertex(ax + l, ay)
+    roles = [(kind, i, j) for kind in ("horizontal", "up", "down") for i in rng for j in rng]
+    for kind, i, j in roles:
+        if kind == "horizontal":
+            tail, head = a_id[i, j], b_id[i, j]
+        elif kind == "up":
+            tail, head = b_id[i, j], a_id[i, j + 1]
+        elif i >= 0:
+            tail, head = a_id[i, j], b_id[i + 1, j]
+        else:
+            tail, head = b_id[i + 1, j], a_id[i, j]
+        b.add_edge(tail, head, l)
+    return b.build(), a_id[0, 0], roles, {role: eid for eid, role in enumerate(roles)}
+
+
 class TestBuildHoneycomb:
+    @pytest.mark.parametrize("R", [1, 2, 5])
+    @pytest.mark.parametrize("l", [1.0, 0.3])
+    def test_arrays_equal_per_role_builder(self, R, l):
+        lat = build_honeycomb(R, l)
+        g, origin, roles, ids = per_role_builder(R, l)
+        for name in ("tails", "heads", "lengths", "xy"):
+            a, b = getattr(lat.graph, name), getattr(g, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert lat.origin_vertex == origin
+        assert lat.edge_roles == roles
+        assert lat.edge_id == ids
+
+    def test_role_tables_built_on_first_use(self):
+        # The solver and the trial functions read the role arrays only, so
+        # the Python list and dict stay out of their set-up.
+        lat = build_honeycomb(2, 1.0)
+        minimize(lat, 3.0, 1.0, SolverConfig(samples_per_edge=3))
+        build_trial_function(lat, 0.3, 5)
+        assert "edge_roles" not in vars(lat) and "edge_id" not in vars(lat)
+        assert lat.edge_id is lat.edge_id and lat.edge_roles is lat.edge_roles
+        for a in lat.roles:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1
+
     @pytest.mark.parametrize("R", [1, 2, 3])
     def test_counts_match_closed_formula(self, R):
         lat = build_honeycomb(R, 1.0)
@@ -51,19 +113,18 @@ class TestBuildHoneycomb:
     def test_valid_and_unit_lengths(self):
         lat = build_honeycomb(1, 1.0)
         assert validate(lat.graph) == []
-        assert all(e.length == 1.0 for e in lat.graph.edges)
+        assert (lat.graph.lengths == 1.0).all()
 
     def test_interior_degree_three(self):
         lat = build_honeycomb(2, 1.0)
-        degs = lat.graph.degrees()
-        boundary = set(lat.boundary_vertices())
+        degs = lat.graph.degrees().tolist()
+        boundary = set(lat.boundary_vertices().tolist())
         assert {d for v, d in enumerate(degs) if v not in boundary} == {3}
         assert all(degs[v] in (1, 2) for v in boundary)
 
     def test_origin_at_coordinate_origin(self):
         lat = build_honeycomb(2, 1.0)
-        o = lat.graph.vertices[lat.origin_vertex]
-        assert (o.x, o.y) == (0.0, 0.0)
+        assert lat.graph.xy[lat.origin_vertex].tolist() == [0.0, 0.0]
 
     def test_edge_length_scales_metric_only(self):
         lat1 = build_honeycomb(2, 1.0)
@@ -88,18 +149,18 @@ class TestBuildHoneycomb:
         rng = range(-R, R + 1)
         assert sorted(lat.edge_roles) == sorted(
             (kind, i, j) for kind in ("horizontal", "up", "down") for i in rng for j in rng)
-        for e in lat.graph.edges:
-            kind, i, j = lat.edge_roles[e.id]
+        g = lat.graph
+        for eid, (kind, i, j) in enumerate(lat.edge_roles):
             if kind == "horizontal":
                 ends = A(i, j), B(i, j)
             elif kind == "up":
                 ends = B(i, j), A(i, j + 1)
             else:  # the bridge from L_i to L_{i+1} starts on L_i iff i >= 0
                 ends = (A(i, j), B(i + 1, j)) if i >= 0 else (B(i + 1, j), A(i, j))
-            for vid, (ix, iy) in zip((e.tail, e.head), ends):
-                v = lat.graph.vertices[vid]
-                assert (v.x, v.y) == (pytest.approx(0.5 * l * ix, abs=1e-12),
-                                      pytest.approx(math.sqrt(3) / 2 * l * iy, abs=1e-12))
+            for vid, (ix, iy) in zip((g.tails[eid], g.heads[eid]), ends):
+                x, y = g.xy[vid]
+                assert (x, y) == (pytest.approx(0.5 * l * ix, abs=1e-12),
+                                  pytest.approx(math.sqrt(3) / 2 * l * iy, abs=1e-12))
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -111,6 +172,11 @@ class TestBuildHoneycomb:
 @pytest.fixture(scope="module")
 def lat():
     return build_honeycomb(2, 1.0)
+
+
+def ends(lat, eid):
+    """The set of an edge's two end vertices."""
+    return {int(lat.graph.tails[eid]), int(lat.graph.heads[eid])}
 
 
 @pytest.fixture(scope="module")
@@ -128,8 +194,7 @@ class TestPathFamily:
         for paths in (pfam.L_paths, pfam.R_paths):
             for edge_ids in paths.values():
                 for a, b in zip(edge_ids, edge_ids[1:]):
-                    ea, eb = lat.graph.edges[a], lat.graph.edges[b]
-                    assert {ea.tail, ea.head} & {eb.tail, eb.head}
+                    assert ends(lat, a) & ends(lat, b)
                 assert len(set(edge_ids)) == len(edge_ids)
 
     def test_intersection_is_single_horizontal(self, lat, pfam):
@@ -153,14 +218,13 @@ class TestPathFamily:
                           for e in (eid["down", i, j], eid["horizontal", i, j])]
 
     def test_covering_with_horizontals_twice(self, lat, pfam):
-        counts = {e.id: 0 for e in lat.graph.edges}
+        counts = [0] * lat.graph.num_edges
         for edge_ids in list(pfam.L_paths.values()) + list(pfam.R_paths.values()):
             for eid in edge_ids:
                 counts[eid] += 1
-        for e in lat.graph.edges:
-            kind = lat.edge_roles[e.id][0]
-            assert counts[e.id] == (2 if kind == "horizontal" else 1), \
-                f"edge {e.id} ({kind}) covered {counts[e.id]} times"
+        for eid, (kind, _, _) in enumerate(lat.edge_roles):
+            assert counts[eid] == (2 if kind == "horizontal" else 1), \
+                f"edge {eid} ({kind}) covered {counts[eid]} times"
 
     def test_l0_alternates_kinds(self, lat, pfam):
         kinds = [lat.edge_roles[eid][0] for eid in pfam.L_paths[0]]
@@ -172,8 +236,7 @@ class TestPathFamily:
             segments = [Li[k:k + 2] for k in range(0, len(Li), 2)]
             for a, b in zip(segments, segments[1:]):
                 assert not (set(a) & set(b))
-                ea, eb = lat.graph.edges[a[1]], lat.graph.edges[b[0]]
-                assert {ea.tail, ea.head} & {eb.tail, eb.head}
+                assert ends(lat, a[1]) & ends(lat, b[0])
 
     def test_deterministic(self, lat):
         f1, f2 = decompose_paths(lat), decompose_paths(lat)
@@ -194,26 +257,25 @@ class TestBridgeFamily:
 
     def test_every_bridge_in_exactly_one_line(self, lat, bfam):
         seen = [eid for entries in bfam.lines.values() for _, eid in entries]
-        bridges = [e.id for e in lat.graph.edges if lat.edge_roles[e.id][0] == "down"]
+        bridges = [eid for eid, (kind, _, _) in enumerate(lat.edge_roles) if kind == "down"]
         assert sorted(seen) == sorted(bridges)
 
     def test_lines_pairwise_disjoint_edges(self, lat, bfam):
         for entries in bfam.lines.values():
             eids = [eid for _, eid in entries]
-            verts = [v for eid in eids
-                     for v in (lat.graph.edges[eid].tail, lat.graph.edges[eid].head)]
+            verts = [v for eid in eids for v in ends(lat, eid)]
             assert len(set(verts)) == 2 * len(eids)
 
     def test_coordinate_zero_convention(self, lat, bfam):
         # Arclength 0 (the tail) lies on L_m for m >= 0, on L_{m+1} for m < 0.
         for k, entries in bfam.lines.items():
             for m, eid in entries:
-                e = lat.graph.edges[eid]
+                tails, heads = lat.graph.tails, lat.graph.heads
                 j = (k + m) // 2
                 if m >= 0:
-                    assert e.tail == lat.graph.edges[lat.edge_id["horizontal", m, j]].tail
+                    assert tails[eid] == tails[lat.edge_id["horizontal", m, j]]
                 else:
-                    assert e.tail == lat.graph.edges[lat.edge_id["horizontal", m + 1, j]].head
+                    assert tails[eid] == heads[lat.edge_id["horizontal", m + 1, j]]
 
     def test_bridges_join_consecutive_paths(self, lat, bfam):
         paths = decompose_paths(lat)
@@ -221,13 +283,11 @@ class TestBridgeFamily:
         on_path = {}
         for i, Li in paths.L_paths.items():
             for eid in Li:
-                e = lat.graph.edges[eid]
-                on_path.setdefault(e.tail, set()).add(i)
-                on_path.setdefault(e.head, set()).add(i)
+                for v in ends(lat, eid):
+                    on_path.setdefault(v, set()).add(i)
         for k, entries in bfam.lines.items():
             for m, eid in entries:
-                e = lat.graph.edges[eid]
-                touched = on_path.get(e.tail, set()) | on_path.get(e.head, set())
+                touched = set().union(*(on_path.get(v, set()) for v in ends(lat, eid)))
                 expect = {i for i in (m, m + 1) if -R <= i <= R}
                 assert expect <= touched
 
@@ -272,9 +332,8 @@ class TestSquareGrid:
 
     def test_interior_degree_four(self):
         g = build_square_grid(2, 1.0)
-        degs = g.degrees()
-        interior = [v.id for v in g.vertices if abs(v.x) < 2 and abs(v.y) < 2]
-        assert all(degs[v] == 4 for v in interior)
+        interior = (np.abs(g.xy) < 2).all(axis=1)
+        assert interior.sum() == 9 and (g.degrees()[interior] == 4).all()
 
     def test_valid(self):
         assert validate(build_square_grid(3, 0.5)) == []
