@@ -287,9 +287,9 @@ class TestTrialFunction:
 
 class TestCondensedPreconditioner:
     @pytest.mark.parametrize("n", [2, 3, 9, 33])
-    @pytest.mark.parametrize("graph", [build_honeycomb(3, 1.0), build_line(2.5)],
+    @pytest.mark.parametrize("build", [lambda: build_honeycomb(3, 1.0), lambda: build_line(2.5)],
                              ids=["honeycomb", "unequal-line"])
-    def test_matches_direct_solve(self, monkeypatch, graph, n):
+    def test_matches_direct_solve(self, monkeypatch, build, n):
         factored = []
 
         def spy(A):
@@ -297,7 +297,8 @@ class TestCondensedPreconditioner:
             return hexnls.solver.splu(A).solve
 
         monkeypatch.setattr(hexnls.solver, "factorized", spy)
-        dz = make_discretization(graph, n)
+        # A graph of its own: the spy's factors stay cached on it.
+        dz = make_discretization(build(), n)
         V = dz.num_vertices
         for sigma in (1.0, 2.0, 2.0 ** 14):
             factored.clear()
@@ -470,13 +471,16 @@ class TestCondensationFrame:
             dz = make_discretization(graph, n)
             V = dz.num_vertices
             d, v, lam, r, _ = _newton_point(dz, 3.0)
-            for sigma in (1.0, 8.0, 2.0 ** -10, 1.0):
+            for sigma in (1.0, 8.0, 2.0 ** -10):
                 assert d.shift_to(-sigma)
+            # Back to sigma = 1: a rebuild, on the factor already made.
+            assert d.shift_to(-1.0) and d.sigma == 1.0
             for _ in range(2):
                 d.newton_direction(v, lam, r)
             # One ordering for the Discretization, then one natural-order
-            # factorization of the (V, V) vertex system per build.
-            assert calls == [("MMD_AT_PLUS_A", (V, V))] + [("NATURAL", (V, V))] * 6
+            # factorization of the (V, V) vertex system per distinct shift
+            # and per Newton step.
+            assert calls == [("MMD_AT_PLUS_A", (V, V))] + [("NATURAL", (V, V))] * 5
 
     def test_frame_dies_with_its_graph(self):
         graph = build_honeycomb(2, 1.0)
@@ -489,6 +493,66 @@ class TestCondensationFrame:
         del graph
         gc.collect()
         assert frame() is None
+
+
+class TestShiftFactors:
+    def test_each_shift_factorized_once(self, monkeypatch):
+        factored = []
+        factorized = hexnls.solver.factorized
+        monkeypatch.setattr(hexnls.solver, "factorized",
+                            lambda A: factored.append(1) or factorized(A))
+        dz = make_discretization(build_honeycomb(3, 1.0), 9)
+        rng = np.random.default_rng(0)
+        rs = [rng.standard_normal(dz.n_dofs), rng.standard_normal((dz.n_dofs, 2))]
+        sigmas = (1.0, 8.0, 2.0 ** -10, 1.0, 8.0)
+        for d in (_Descent(dz, 3.0, 1.0, SolverConfig()) for _ in range(2)):
+            for sigma in sigmas:
+                # Every change of sigma is a rebuild, reused factor or not.
+                assert d.shift_to(-sigma) and d.sigma == sigma
+                fresh = hexnls.solver._condensed_solver(dz, sigma * dz.mass_vec, factorized)
+                for r in rs:
+                    assert np.array_equal(d.precondition(r), fresh(r))
+        assert len(factored) == len(set(sigmas)) == 3
+        assert sorted(hexnls.solver._frame(dz).shift_factors) == sorted(set(sigmas))
+
+    def test_mass_sweep_equals_fresh_lattices(self, monkeypatch):
+        factored = []
+        factorized = hexnls.solver.factorized
+        monkeypatch.setattr(hexnls.solver, "factorized",
+                            lambda A: factored.append(1) or factorized(A))
+        masses = (0.5, 2.0, 5.0, 20.0, 100.0)
+        shared = build_honeycomb(4, 1.0)
+        swept = [minimize(shared, 5.0, mu) for mu in masses]
+        reused = len(factored)
+        factored.clear()
+        fresh = [minimize(build_honeycomb(4, 1.0), 5.0, mu) for mu in masses]
+        assert reused == len(hexnls.solver._frame(make_discretization(shared, 9)).shift_factors)
+        assert reused < len(factored)
+        assert {out.classification for out in swept} == {"SpreadToZero", "GroundState"}
+        for a, b in zip(swept, fresh):
+            assert (a.classification, a.final_energy, a.iterations, a.residual,
+                    a.lagrange_multiplier, a.init_used, a.trace) == \
+                (b.classification, b.final_energy, b.iterations, b.residual,
+                 b.lagrange_multiplier, b.init_used, b.trace)
+            assert (a.minimizer is None) == (b.minimizer is None)
+            if a.minimizer is not None:
+                assert np.array_equal(a.minimizer.dofs, b.minimizer.dofs)
+
+    def test_factors_die_with_their_graph(self):
+        # The table holds no reference back to its Discretization, so
+        # reference counting alone frees it with the graph.
+        gc.disable()
+        try:
+            graph = build_honeycomb(2, 1.0)
+            d = _Descent(make_discretization(graph, 5), 3.0, 1.0, SolverConfig())
+            d.shift_to(-1.0)
+            factor = weakref.ref(hexnls.solver._frame(d.dz).shift_factors[1.0])
+            del d
+            assert factor() is not None      # the graph's layout holds it
+            del graph
+            assert factor() is None
+        finally:
+            gc.enable()
 
 
 def _band_rebuilds(log):
