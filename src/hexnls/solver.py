@@ -42,11 +42,12 @@ step fills values only and factorizes in the given order.  The frame also
 keeps the preconditioner's vertex factor of every shift sigma met (about
 1.6 MB each at R = 20, n = 9), so each sigma is factorized once per
 Discretization: a multi-start or a mass sweep on one graph returns to the
-same few powers of two.  Newton's one mass
-constraint row is eliminated by a second right-hand side: K - diag(c) is
-solved for r and M v as one 2-column block, and the multiplier follows from
-the constraint (the range-space method for saddle-point systems; Benzi,
-Golub & Liesen, Acta Numer. 2005).
+same few powers of two.  The factors live as long as the graph, and every
+function on the graph, a returned minimizer too, keeps the graph alive.
+Newton's one mass constraint row is eliminated by a second right-hand side:
+K - diag(c) is solved for r and M v as one 2-column block, and the
+multiplier follows from the constraint (the range-space method for
+saddle-point systems; Benzi, Golub & Liesen, Acta Numer. 2005).
 """
 
 from __future__ import annotations
@@ -200,9 +201,11 @@ class _CondensationFrame:
     row.  Kept on the Discretization, so it goes with its graph.
 
     shift_factors maps each preconditioner shift sigma met so far to the
-    solve function of the vertex factor of S for s = sigma*M (shift_factor).
-    It holds factors only, no reference back to the Discretization, so it
-    too is freed with its graph by reference counting.
+    solve function of the vertex factor of S for s = sigma*M (filled and
+    kept by _Descent.shift_to).  It holds factors only, no reference back to
+    the Discretization, so reference counting frees it with the graph; but
+    every GraphFunction on the graph keeps the graph, its layouts and so
+    these factors alive, a minimizer returned by minimize included.
     """
 
     def __init__(self, dz: Discretization):
@@ -249,21 +252,6 @@ class _CondensationFrame:
                         if m else np.empty(0, dtype=int))
         self.shift_factors = {}
 
-    def shift_factor(self, sigma: float, S: sp.csc_matrix):
-        """The vertex solve of sigma*M + K: factorized(S) the first time sigma
-        is met, the same solve function every time after.
-
-        sigma is a power of two, so the key is exact, and S, filled from this
-        frame and sigma alone, is the same matrix each time: a reused factor
-        solves bit for bit as a fresh one would.
-        """
-        solve = self.shift_factors.get(sigma)
-        if solve is None:
-            # factorized is looked up here, at call time, so a wrapper
-            # installed on the module sees every factorization.
-            solve = self.shift_factors[sigma] = factorized(S)
-        return solve
-
 
 def _frame(dz: Discretization) -> _CondensationFrame:
     """dz's condensation frame, built on first use and kept on dz."""
@@ -273,7 +261,7 @@ def _frame(dz: Discretization) -> _CondensationFrame:
     return frame
 
 
-def _condensed_solver(dz: Discretization, s: np.ndarray, factor):
+def _condensed_solver(dz: Discretization, s: np.ndarray, factor, solve_vertices=None):
     """Solve function of A = K + diag(s), s one entry per DOF, by static
     condensation; it takes one right-hand side or a block of k columns.
 
@@ -289,8 +277,9 @@ def _condensed_solver(dz: Discretization, s: np.ndarray, factor):
     once per Discretization; each call fills only values: S's, written
     straight into that column order, and X's.  factor(S[:, order]), in CSC,
     returns the solve function of the column-permuted S, whose solution z
-    is put back in vertex order, x[order] = z.  With no interior samples
-    (n = 2) S = A.
+    is put back in vertex order, x[order] = z; a solve_vertices already made
+    for this s is used instead, and S is not filled.  With no interior
+    samples (n = 2) S = A.
     """
     V, E, m = dz.num_vertices, dz.num_edges, dz.n - 2
     f = _frame(dz)
@@ -320,11 +309,12 @@ def _condensed_solver(dz: Discretization, s: np.ndarray, factor):
     y = chain_solve(np.stack([off[:, None] * (sample == 0), off[:, None] * (sample == m - 1)],
                              axis=-1).reshape(E * m, 2))
     X = sp.csr_matrix((y.ravel(), f.x_indices, f.x_indptr), shape=(E * m, V))
-    S = f.k_vertex.copy()
-    S[f.diag] += s[:V]
-    S -= np.bincount(f.scatter, (off[:, None, None] * y.reshape(E, m, 2)[:, f.ends]).ravel(),
-                     minlength=S.size)
-    solve_vertices = factor(sp.csc_matrix((S, f.indices, f.indptr), shape=(V, V)))
+    if solve_vertices is None:
+        S = f.k_vertex.copy()
+        S[f.diag] += s[:V]
+        S -= np.bincount(f.scatter, (off[:, None, None] * y.reshape(E, m, 2)[:, f.ends]).ravel(),
+                         minlength=S.size)
+        solve_vertices = factor(sp.csc_matrix((S, f.indices, f.indptr), shape=(V, V)))
 
     def solve(r: np.ndarray) -> np.ndarray:
         y = chain_solve(r[V:])                  # A_II^{-1} r_I
@@ -369,22 +359,33 @@ class _Descent:
         when the target leaves [sigma/2, 2*sigma].
 
         Each rebuild redoes the edge chains and X, but takes the vertex factor
-        from the Discretization's frame (_CondensationFrame.shift_factor), so
-        each sigma is factorized once in the life of its graph: later starts
-        and masses reuse it.  A reused factor solves bit for bit as a fresh one,
-        and a rebuild returns True, restarting CG, either way.  Each cached
-        factor holds its L and U: about 1.6 MB on R = 20 at n = 9, 7 MB on
-        R = 40 and 34 MB on R = 100 at n = 3, one per distinct sigma.
+        from the table of the Discretization's frame
+        (_CondensationFrame.shift_factors), so each sigma is factorized once
+        while its graph lives: later starts and masses reuse it, and a reuse
+        neither fills S nor factorizes.  A reused factor solves bit for bit as
+        a fresh one, and a rebuild returns True, restarting CG, either way.
+        Each kept factor holds its L and U: about 1.6 MB on R = 20 at n = 9,
+        7 MB on R = 40 and 34 MB on R = 100 at n = 3, one per distinct sigma,
+        for as long as the graph or any function on it is kept.
         """
         target = max(self.cfg.shift_floor, -lam)
         if self.precondition is not None and self.sigma / 2 <= target <= 2 * self.sigma:
             return False
-        self.sigma = 2.0 ** round(np.log2(target))
+        sigma = self.sigma = 2.0 ** round(np.log2(target))
         self.precondition = None    # free the old chains and X before the new ones are made
-        # A power of two, so every product by sigma is exact.
-        self.precondition = _condensed_solver(self.dz, self.sigma * self.dz.mass_vec,
-                                              partial(_frame(self.dz).shift_factor,
-                                                      self.sigma))
+        factors = _frame(self.dz).shift_factors
+
+        def factor(S):
+            # factorized is looked up here, at call time, so a wrapper
+            # installed on the module sees every factorization.
+            solve = factors[sigma] = factorized(S)
+            return solve
+
+        # A power of two, so every product by sigma is exact and sigma is an
+        # exact key: S, filled from the frame and sigma alone, is the same
+        # matrix each time.
+        self.precondition = _condensed_solver(self.dz, sigma * self.dz.mass_vec, factor,
+                                              factors.get(sigma))
         return True
 
     def project(self, v: np.ndarray) -> np.ndarray:

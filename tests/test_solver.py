@@ -554,6 +554,24 @@ class TestShiftFactors:
         finally:
             gc.enable()
 
+    def test_a_minimizer_keeps_the_factors(self):
+        # A returned minimizer keeps its graph, so the graph's layout and its
+        # factors live until the last function on the graph is dropped.
+        gc.disable()
+        try:
+            lat = build_honeycomb(2, 1.0)
+            out = minimize(lat, 3.0, 10.0, init="trial-eps")
+            assert out.classification == "GroundState"
+            factors = [weakref.ref(solve) for solve in
+                       hexnls.solver._frame(out.minimizer.layout).shift_factors.values()]
+            assert factors
+            del lat
+            assert all(factor() is not None for factor in factors)
+            del out
+            assert all(factor() is None for factor in factors)
+        finally:
+            gc.enable()
+
 
 def _band_rebuilds(log):
     """Check every step of a logged run against the shift rule: sigma is
@@ -754,14 +772,19 @@ class TestMultiStartRanking:
 
 
 class TestEulerLagrangeResidual:
-    def test_does_not_factorize(self, monkeypatch, lat):
-        def refuse(A):
-            raise AssertionError("residual evaluation factorized a matrix")
+    def test_does_not_factorize(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("residual evaluation built a preconditioner")
 
         monkeypatch.setattr(hexnls.solver, "factorized", refuse)
+        monkeypatch.setattr(hexnls.solver, "_condensed_solver", refuse)
+        # A lattice of its own, with no factor cached by another test that a
+        # preconditioner built here could reuse without calling factorized.
+        lat = build_honeycomb(4, 1.0)
         u = initial_function(lat, "trial-eps", 3.0, 1.0, 9)
         lam, res = euler_lagrange_residual(u, 3.0)
         assert np.isfinite(lam) and res > 0
+        assert hexnls.solver._frame(u.layout).shift_factors == {}
 
     def test_converged_minimizer_stationary(self, line_outcome):
         lam, res = euler_lagrange_residual(line_outcome.minimizer, 4.0)
