@@ -155,7 +155,7 @@ class Discretization:
     are their own DOFs.  The lumped (trapezoid) mass vector and the chain
     stiffness matrix give integrate_power(u, 2) and the squared L2 gradient
     norm.  The cells and the stiffness are built on first use, like the
-    solver's condensation frame, which it keeps too.  A layout keeps the
+    solver's condensation state, which it keeps too.  A layout keeps the
     graph's vertex and edge counts, not the graph, which caches it.
     """
 
@@ -239,6 +239,10 @@ class Discretization:
         return float(self.mass_vec @ dofs ** 2)
 
     def lp(self, dofs: np.ndarray, p: float) -> float:
+        """int |v|^p: potential's, bit for bit, for p > 2; the power itself
+        for 1 <= p <= 2, where potential's |v|^(p-2) is not defined at 0."""
+        if p > 2:
+            return self.potential(dofs, p)[2]
         return float(self.mass_vec @ _abs_power(dofs, p))
 
     def potential(self, dofs: np.ndarray, p: float) -> tuple[np.ndarray, float, float]:

@@ -33,14 +33,11 @@ static condensation, _condensed_solver of K + diag(s).  The interior samples
 of an edge form a tridiagonal chain coupled only to the edge's two end
 vertices; every chain is factored once by batched tridiagonal (Thomas)
 elimination, all edges at once, and eliminating them leaves a vertex-only
-Schur complement (a weighted graph Laplacian plus a diagonal), the one
-matrix that is factorized, in minimum-degree order.  What does not depend on
-the shift is analysed once per Discretization and kept on it
-(_CondensationFrame): the Schur complement's pattern with its columns in that
-order, found once, and where each product lands; each shift and each Newton
-step fills values only and factorizes in the given order.  The frame also
-keeps the preconditioner's vertex factor of every shift sigma met (about
-1.6 MB each at R = 20, n = 9), so each sigma is factorized once per
+Schur complement (a weighted graph Laplacian plus a diagonal), formed by
+sparse products, the one matrix that is factorized, by SuperLU in its
+multiple minimum degree order.  The Discretization keeps K's blocks and the
+preconditioner's vertex factor of every shift sigma met (_Condensation;
+about 1.6 MB each at R = 20, n = 9), so each sigma is factorized once per
 Discretization: a multi-start or a mass sweep on one graph returns to the
 same few powers of two.  The factors live as long as the graph, and every
 function on the graph, a returned minimizer too, keeps the graph alive.
@@ -170,38 +167,25 @@ def initial_function(graph, tag: str, p: float, mu: float,
 # --- descent core -----------------------------------------------------------
 
 def factorized(A: sp.spmatrix):
-    """Solve function of a sparse LU of A with its columns in the order given:
-    the condensation puts them in minimum-degree order beforehand."""
+    """Solve function of a sparse LU of A, its columns in multiple minimum
+    degree order on A^T + A (MMD_AT_PLUS_A; Liu, ACM TOMS 1985)."""
     # Called through its module, not as this module's splu, which stays
     # Newton's factorization alone for code that wraps it by name.
-    return scipy.sparse.linalg.splu(A, permc_spec="NATURAL").solve
+    return scipy.sparse.linalg.splu(A, permc_spec="MMD_AT_PLUS_A").solve
 
 
-class _CondensationFrame:
-    """What the condensation of K + diag(s) on one Discretization keeps from
-    shift to shift: structure and K's entries, no value of s.
+class _Condensation:
+    """What the condensation of K + diag(s) on one Discretization reuses from
+    shift to shift: K's blocks and X's pattern, no value of s.
 
-    The vertex Schur complement S = K_VV + diag(s_V) - A_VI X has a diagonal
-    and one entry per edge and direction, (tail, head) and (head, tail).  Its
-    CSC pattern (indptr, indices) has the columns in the minimum-degree order
-    on S^T + S that SuperLU computes (MMD_AT_PLUS_A), found once from the
-    pattern: column j is vertex order[j], the rows stay as they are.
-    Factorized in natural order, S[:, order] has the factor SuperLU's own
-    ordering of S gives, bit for bit, except where partial pivoting meets an
-    exact tie: SuperLU prefers column j's diagonal among equally large pivots
-    and takes row j for it, so it may pick another of them.
-
-    k_vertex is K_VV on that pattern and diag its diagonal positions.  A_VI X
-    adds, edge by edge, the tail row's first-sample and the head row's
-    last-sample products with X's tail and head columns; scatter is where
-    they land, (tail, tail), (tail, head), (head, tail), (head, head) per
-    edge in edge order, so np.bincount sums each entry in the order the
-    sparse product A_VI @ X does.  X = A_II^{-1} A_IV has the CSR pattern
-    (x_indptr, x_indices): the tail and the head column in every interior
-    row.  Kept on the Discretization, so it goes with its graph.
+    k_interior is K's diagonal on the interior samples, K_VV its vertex block
+    and A_VI the vertex rows of its interior columns.  X = A_II^{-1} A_IV has
+    the CSR pattern (x_indptr, x_indices): the tail and the head column in
+    every interior row.  Kept on the Discretization, so it goes with its
+    graph.
 
     shift_factors maps each preconditioner shift sigma met so far to the
-    solve function of the vertex factor of S for s = sigma*M (filled and
+    solve function of the vertex factor of S for s = sigma*M (made and
     kept by _Descent.shift_to).  It holds factors only, no reference back to
     the Discretization, so reference counting frees it with the graph; but
     every GraphFunction on the graph keeps the graph, its layouts and so
@@ -212,53 +196,19 @@ class _CondensationFrame:
         V, E, m = dz.num_vertices, dz.num_edges, dz.n - 2
         K = dz.stiffness
         self.k_interior = K.diagonal()[V:]
+        self.K_VV = K[:V, :V]
         self.A_VI = K[:V, V:]
-        tail, head = dz.dof_of[:, 0], dz.dof_of[:, -1]
-        ends = np.stack([tail, head], axis=1).astype(np.intc)
-        self.x_indices = np.repeat(ends, m, axis=0).ravel()
+        self.x_indices = np.repeat(dz.dof_of[:, [0, -1]].astype(np.intc), m, axis=0).ravel()
         self.x_indptr = np.arange(0, 2 * E * m + 1, 2, dtype=np.intc)
-
-        rows = np.concatenate([np.arange(V), tail, head])
-        cols = np.concatenate([np.arange(V), head, tail])
-
-        def pattern(column_of):
-            """Sorted (new column, row) keys of S's entries, CSC indptr, indices."""
-            keys = np.unique(column_of[cols] * V + rows)
-            return (keys, np.searchsorted(keys, np.arange(V + 1) * V).astype(np.intc),
-                    (keys % V).astype(np.intc))
-
-        # The order depends on the pattern alone; a diagonal of V keeps the one
-        # factorization that finds it regular (strictly diagonally dominant).
-        keys, indptr, indices = pattern(np.arange(V))
-        dominant = np.where(keys // V == indices, float(V), -1.0)
-        # perm_c is C int: widened, so the keys column * V + row cannot wrap
-        # once V * V passes 2^31 (V > 46,340).
-        column_of = scipy.sparse.linalg.splu(sp.csc_matrix((dominant, indices, indptr)),
-                                             permc_spec="MMD_AT_PLUS_A").perm_c.astype(np.int64)
-        self.order = np.argsort(column_of)
-        keys, self.indptr, self.indices = pattern(column_of)
-
-        def position(r, c):
-            return np.searchsorted(keys, column_of[c] * V + r)
-
-        self.diag = position(np.arange(V), np.arange(V))
-        K_VV = K[:V, :V].tocoo()
-        self.k_vertex = np.zeros(keys.size)
-        self.k_vertex[position(K_VV.row, K_VV.col)] = K_VV.data
-        # With no interior samples (n = 2) S = K_VV + diag(s_V): nothing to add.
-        self.ends = [0, m - 1] if m else []
-        self.scatter = (position(np.stack([tail, tail, head, head], axis=1),
-                                 np.stack([tail, head, tail, head], axis=1)).ravel()
-                        if m else np.empty(0, dtype=int))
         self.shift_factors = {}
 
 
-def _frame(dz: Discretization) -> _CondensationFrame:
-    """dz's condensation frame, built on first use and kept on dz."""
-    frame = vars(dz).get("condensation_frame")
-    if frame is None:
-        frame = dz.condensation_frame = _CondensationFrame(dz)
-    return frame
+def _condensation(dz: Discretization) -> _Condensation:
+    """dz's condensation, built on first use and kept on dz."""
+    cond = vars(dz).get("condensation")
+    if cond is None:
+        cond = dz.condensation = _Condensation(dz)
+    return cond
 
 
 def _condensed_solver(dz: Discretization, s: np.ndarray, factor, solve_vertices=None):
@@ -272,19 +222,16 @@ def _condensed_solver(dz: Discretization, s: np.ndarray, factor, solve_vertices=
     sample-major, (m, E), so each step reads contiguous rows.  There is no
     pivoting, so a zero or non-finite pivot raises RuntimeError.  Eliminating
     the chains leaves the vertex Schur complement S = A_VV - A_VI X with
-    X = A_II^{-1} A_IV (two columns per edge, tail and head).  Its pattern
-    and minimum-degree column order are dz's _CondensationFrame, analysed
-    once per Discretization; each call fills only values: S's, written
-    straight into that column order, and X's.  factor(S[:, order]), in CSC,
-    returns the solve function of the column-permuted S, whose solution z
-    is put back in vertex order, x[order] = z; a solve_vertices already made
-    for this s is used instead, and S is not filled.  With no interior
-    samples (n = 2) S = A.
+    X = A_II^{-1} A_IV (two columns per edge, tail and head), formed by
+    sparse products on K's blocks, which dz's _Condensation keeps.
+    factor(S), S in CSC, returns the solve function of S; a solve_vertices
+    already made for this s is used instead, and S is not formed.  With no
+    interior samples (n = 2) S = A.
     """
     V, E, m = dz.num_vertices, dz.num_edges, dz.n - 2
-    f = _frame(dz)
+    cond = _condensation(dz)
     off = -1.0 / dz.h
-    piv = (f.k_interior + s[V:]).reshape(E, m).T.copy()
+    piv = (cond.k_interior + s[V:]).reshape(E, m).T.copy()
     ratio = np.empty_like(piv)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for i in range(1, m):
@@ -308,19 +255,13 @@ def _condensed_solver(dz: Discretization, s: np.ndarray, factor, solve_vertices=
     sample = np.arange(m)
     y = chain_solve(np.stack([off[:, None] * (sample == 0), off[:, None] * (sample == m - 1)],
                              axis=-1).reshape(E * m, 2))
-    X = sp.csr_matrix((y.ravel(), f.x_indices, f.x_indptr), shape=(E * m, V))
+    X = sp.csr_matrix((y.ravel(), cond.x_indices, cond.x_indptr), shape=(E * m, V))
     if solve_vertices is None:
-        S = f.k_vertex.copy()
-        S[f.diag] += s[:V]
-        S -= np.bincount(f.scatter, (off[:, None, None] * y.reshape(E, m, 2)[:, f.ends]).ravel(),
-                         minlength=S.size)
-        solve_vertices = factor(sp.csc_matrix((S, f.indices, f.indptr), shape=(V, V)))
+        solve_vertices = factor((cond.K_VV + sp.diags(s[:V]) - cond.A_VI @ X).tocsc())
 
     def solve(r: np.ndarray) -> np.ndarray:
         y = chain_solve(r[V:])                  # A_II^{-1} r_I
-        z = solve_vertices(r[:V] - f.A_VI @ y)
-        x = np.empty_like(z)
-        x[f.order] = z
+        x = solve_vertices(r[:V] - cond.A_VI @ y)
         return np.concatenate([x, y - X @ x])
 
     return solve
@@ -359,11 +300,11 @@ class _Descent:
         when the target leaves [sigma/2, 2*sigma].
 
         Each rebuild redoes the edge chains and X, but takes the vertex factor
-        from the table of the Discretization's frame
-        (_CondensationFrame.shift_factors), so each sigma is factorized once
-        while its graph lives: later starts and masses reuse it, and a reuse
-        neither fills S nor factorizes.  A reused factor solves bit for bit as
-        a fresh one, and a rebuild returns True, restarting CG, either way.
+        from the Discretization's table (_Condensation.shift_factors), so each
+        sigma is factorized once while its graph lives: later starts and
+        masses reuse it, and a reuse neither forms S nor factorizes.  A reused
+        factor solves bit for bit as a fresh one, and a rebuild returns True,
+        restarting CG, either way.
         Each kept factor holds its L and U: about 1.6 MB on R = 20 at n = 9,
         7 MB on R = 40 and 34 MB on R = 100 at n = 3, one per distinct sigma,
         for as long as the graph or any function on it is kept.
@@ -373,7 +314,7 @@ class _Descent:
             return False
         sigma = self.sigma = 2.0 ** round(np.log2(target))
         self.precondition = None    # free the old chains and X before the new ones are made
-        factors = _frame(self.dz).shift_factors
+        factors = _condensation(self.dz).shift_factors
 
         def factor(S):
             # factorized is looked up here, at call time, so a wrapper
@@ -382,8 +323,8 @@ class _Descent:
             return solve
 
         # A power of two, so every product by sigma is exact and sigma is an
-        # exact key: S, filled from the frame and sigma alone, is the same
-        # matrix each time.
+        # exact key: S, formed from K and sigma alone, is the same matrix
+        # each time.
         self.precondition = _condensed_solver(self.dz, sigma * self.dz.mass_vec, factor,
                                               factors.get(sigma))
         return True
@@ -442,9 +383,9 @@ class _Descent:
 
         with c = (p - 1) M |v|^{p-2} + lam M.  The border is eliminated: one
         _condensed_solver of A (its vertex Schur complement factorized like
-        the preconditioner's, by splu in the frame's minimum-degree column
-        order) solves A [y_r, y_b] = [r, b] as one 2-column block, and
-        b^T delta = 0 gives delta = y_r - (b.y_r / b.y_b) y_b.  Raises
+        the preconditioner's, by splu in multiple minimum degree order)
+        solves A [y_r, y_b] = [r, b] as one 2-column block, and b^T delta = 0
+        gives delta = y_r - (b.y_r / b.y_b) y_b.  Raises
         RuntimeError on a zero pivot in a chain, a singular vertex factor
         (SuperLU raises it) or a zero or non-finite b.y_b.
         """
@@ -455,7 +396,7 @@ class _Descent:
         c = (self.p - 1.0) * dz.mass_vec * (v * v + floor * floor) ** (self.p / 2.0 - 1.0) \
             + lam * dz.mass_vec
         b = dz.mass_vec * v
-        solve = _condensed_solver(dz, -c, lambda S: splu(S, permc_spec="NATURAL").solve)
+        solve = _condensed_solver(dz, -c, lambda S: splu(S, permc_spec="MMD_AT_PLUS_A").solve)
         y = solve(np.stack([r, b], axis=-1))
         y_r, y_b = y[:, 0], y[:, 1]
         b_yb = float(b @ y_b)
@@ -584,10 +525,13 @@ def _classify(d: _Descent, v: np.ndarray, E: float, res: float, p: float, graph)
     # one squeezed by the window, sits well below that reference.  Mass on
     # the truncation boundary alone is not decisive, because wide ground
     # states also touch the window edge; it is measured only for a flat-like
-    # run that is not near zero, the one case it decides.
+    # run that is not near zero, the one case it decides.  On a large window
+    # the constant's own boundary share falls below spread_threshold, so the
+    # constant, the flat state itself, is spreading whatever its share.
     flat_like = E >= 2.0 * flat_energy
     if near_zero or (flat_like and dz.boundary_mass_fraction(
-            v, dz.boundary_weights(truncation_boundary(graph))) >= SolverConfig.spread_threshold):
+            v, dz.boundary_weights(truncation_boundary(graph))) >= SolverConfig.spread_threshold) \
+            or dz.cells_constant(v):
         return "SpreadToZero"
     if p == 6:
         # Ground states never exist at the 1D-critical power; a localized

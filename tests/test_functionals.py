@@ -59,14 +59,14 @@ class TestEnergy:
 
     @pytest.mark.parametrize("p", [3.0, 4.0, 4.5, 5.5])
     def test_one_evaluator_with_the_ratios_and_the_descent(self, corpus, p):
-        # energy(), the ratios' terms and the descent's energy read the same
-        # evaluators, so they agree bit for bit, also at a non-whole p, where
-        # |v|^p and |v|^(p-2) v^2 differ in the last bits.  At p = 4 the
+        # energy(), the ratios' terms, integrate_power and the descent's
+        # energy read the same evaluators, so they agree bit for bit, also at
+        # a non-whole p, where |v|^p and |v|^(p-2) v^2 differ in the last bits.  At p = 4 the
         # power |v|^2 is the square itself.
         for u in corpus[:30]:
             rep = energy(u, p)
             w = inequality_ratio(u, "gn1d", p).witness
-            assert rep.potential == w["lp"] / p
+            assert rep.potential == w["lp"] / p == integrate_power(u, p) / p
             assert rep.mass == w["mass"]
             assert 2 * rep.kinetic == gradient_norms(u)[1]
             d = _Descent(u.layout, p, rep.mass, SolverConfig())

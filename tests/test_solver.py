@@ -21,7 +21,7 @@ from hexnls.solver import (INITIALIZERS, BracketError, ResolutionError, SolverCo
                            demonstrate_unbounded, euler_lagrange_residual,
                            initial_function, make_discretization, minimize, soliton_bump,
                            squeezed_profile)
-from hexnls.graph_core import build_line, build_star
+from hexnls.graph_core import build_line
 from hexnls.honeycomb import bridge_line_index, build_honeycomb, path_coordinate
 
 
@@ -320,11 +320,11 @@ class TestCondensedPreconditioner:
 
 
 def _sparse_product_condensation(dz, s):
-    """The condensation of K + diag(s) as it was before the frame: Thomas
+    """The condensation of K + diag(s) written out on its own: Thomas
     elimination of the chains, X assembled from COO, S = K_VV + diag(s_V) -
     A_VI @ X by sparse product and sum, and S factorized by splu in
     MMD_AT_PLUS_A order.  Returns S (CSC) and the solve function, the
-    bit-level reference of the frame's fill and of both solves."""
+    bit-level reference of the solver's S and of both its solves."""
     V, E, m = dz.num_vertices, dz.num_edges, dz.n - 2
     K = dz.stiffness
     off = -1.0 / dz.h
@@ -376,54 +376,28 @@ def _newton_point(dz, p):
     return d, v, lam, r, -c
 
 
-def _same_row_pivots(dz, s):
-    """Whether partial pivoting picks the same rows for the frame's column
-    order as for SuperLU's own MMD ordering of S.  SuperLU prefers column j's
-    diagonal among equally large pivots, and takes row j for it in natural
-    order, so the two can differ only where pivots tie exactly."""
-    S, _ = _sparse_product_condensation(dz, s)
-    order = hexnls.solver._frame(dz).order
-    return np.array_equal(splu(S, permc_spec="MMD_AT_PLUS_A").perm_r,
-                          splu(S[:, order].tocsc(), permc_spec="NATURAL").perm_r)
-
-
-FRAME_GRAPHS = pytest.mark.parametrize("graph", [build_honeycomb(3, 1.0), build_line(2.5)],
+CONDENSED_GRAPHS = pytest.mark.parametrize("graph", [build_honeycomb(3, 1.0), build_line(2.5)],
                                        ids=["honeycomb", "unequal-line"])
 SHIFTS = (2.0 ** -10, 1.0, 2.0 ** 14)
 
 
-class TestCondensationFrame:
+class TestCondensation:
     @pytest.mark.parametrize("n", [2, 3, 9, 33])
-    @FRAME_GRAPHS
-    def test_fill_equals_sparse_product(self, graph, n):
+    @CONDENSED_GRAPHS
+    def test_schur_complement_equals_reference(self, graph, n):
         dz = make_discretization(graph, n)
         shifts = [sigma * dz.mass_vec for sigma in SHIFTS] + [_newton_point(dz, 2.5)[4]]
         for s in shifts:
-            filled = []
-            hexnls.solver._condensed_solver(dz, s, lambda S: filled.append(S))
+            formed = []
+            hexnls.solver._condensed_solver(dz, s, lambda S: formed.append(S))
             ref, _ = _sparse_product_condensation(dz, s)
-            order = hexnls.solver._frame(dz).order
-            # The frame's columns are S's MMD_AT_PLUS_A order; rows stay.
-            assert np.array_equal(order,
-                                  np.argsort(splu(ref, permc_spec="MMD_AT_PLUS_A").perm_c))
-            assert filled[0].format == "csc" and filled[0].has_sorted_indices
-            assert np.array_equal(filled[0].toarray(), ref[:, order].toarray())
-
-    def test_fill_past_int32_keys(self):
-        # V = 47,001 > 46,340: the pattern's keys column * V + row pass 2^31,
-        # where SuperLU's C-int column order would wrap them.
-        dz = make_discretization(build_star(47_000, 1.0), 3)
-        assert dz.num_vertices ** 2 > 2 ** 31
-        s = dz.mass_vec
-        filled = []
-        hexnls.solver._condensed_solver(dz, s, lambda S: filled.append(S))
-        ref, _ = _sparse_product_condensation(dz, s)
-        order = hexnls.solver._frame(dz).order
-        assert np.array_equal(np.sort(order), np.arange(dz.num_vertices))
-        assert (filled[0] != ref[:, order]).nnz == 0
+            assert formed[0].format == "csc"
+            assert np.array_equal(formed[0].indptr, ref.indptr)
+            assert np.array_equal(formed[0].indices, ref.indices)
+            assert np.array_equal(formed[0].data, ref.data)
 
     @pytest.mark.parametrize("n", [2, 3, 9, 33])
-    @FRAME_GRAPHS
+    @CONDENSED_GRAPHS
     def test_solves_equal_mmd_reference(self, monkeypatch, graph, n):
         dz = make_discretization(graph, n)
         rng = np.random.default_rng(n)
@@ -435,28 +409,34 @@ class TestCondensationFrame:
             for r in rs + [np.stack(rs, axis=-1)]:
                 assert np.array_equal(d.precondition(r), ref(r))
         for p in (2.5, 5.0):
-            d, v, lam, r, minus_c = _newton_point(dz, p)
+            d, v, lam, r, _ = _newton_point(dz, p)
             with monkeypatch.context() as m:
                 m.setattr(hexnls.solver, "_condensed_solver",
                           lambda dz, s, factor: _sparse_product_condensation(dz, s)[1])
                 ref = d.newton_direction(v, lam, r)
-            delta = d.newton_direction(v, lam, r)
-            if _same_row_pivots(dz, minus_c):
-                assert np.array_equal(delta, ref)
-            else:
-                assert np.linalg.norm(delta - ref) <= 1e-13 * np.linalg.norm(ref)
+            assert np.array_equal(d.newton_direction(v, lam, r), ref)
 
-    def test_newton_pivot_tie_on_unit_edges(self):
+    def test_newton_pivot_tie_on_unit_edges(self, monkeypatch):
         # On unit edges at n = 2 every off-diagonal of K - diag(c) is exactly
-        # -1.  At this point two of them tie for the largest pivot of one
-        # column; SuperLU's MMD factorization takes the first it meets, the
-        # natural-order one the entry in row j, which it treats as column j's
-        # diagonal.  Equally large pivots, so the steps agree to rounding
-        # (test_solves_equal_mmd_reference checks 1e-13).
+        # -1, and at this point two of them tie for the largest pivot of one
+        # column.  SuperLU's MMD factorization takes the first it meets; a
+        # natural-order factorization of S with its columns put in that
+        # order beforehand takes the entry in row j, as column j's diagonal,
+        # so the two pick different rows.  Ordered by SuperLU itself, the
+        # step equals the reference bit for bit at the tie too.
         dz = make_discretization(build_honeycomb(3, 1.0), 2)
-        assert not _same_row_pivots(dz, _newton_point(dz, 2.5)[4])
+        d, v, lam, r, minus_c = _newton_point(dz, 2.5)
+        S, _ = _sparse_product_condensation(dz, minus_c)
+        mmd = splu(S, permc_spec="MMD_AT_PLUS_A")
+        ordered = splu(S[:, np.argsort(mmd.perm_c)].tocsc(), permc_spec="NATURAL")
+        assert not np.array_equal(mmd.perm_r, ordered.perm_r)
+        with monkeypatch.context() as m:
+            m.setattr(hexnls.solver, "_condensed_solver",
+                      lambda dz, s, factor: _sparse_product_condensation(dz, s)[1])
+            expected = d.newton_direction(v, lam, r)
+        assert np.array_equal(d.newton_direction(v, lam, r), expected)
 
-    def test_order_found_once_per_discretization(self, monkeypatch):
+    def test_each_shift_factorized_once_in_mmd_order(self, monkeypatch):
         calls = []
 
         def spy(A, permc_spec=None, **kwargs):
@@ -473,26 +453,29 @@ class TestCondensationFrame:
             d, v, lam, r, _ = _newton_point(dz, 3.0)
             for sigma in (1.0, 8.0, 2.0 ** -10):
                 assert d.shift_to(-sigma)
-            # Back to sigma = 1: a rebuild, on the factor already made.
+            # Back to sigma = 1, and a second descent on the same
+            # Discretization: rebuilds, on the factors already made.
             assert d.shift_to(-1.0) and d.sigma == 1.0
+            other = _Descent(dz, 3.0, 1.0, SolverConfig())
+            for sigma in (8.0, 1.0):
+                assert other.shift_to(-sigma)
             for _ in range(2):
                 d.newton_direction(v, lam, r)
-            # One ordering for the Discretization, then one natural-order
-            # factorization of the (V, V) vertex system per distinct shift
-            # and per Newton step.
-            assert calls == [("MMD_AT_PLUS_A", (V, V))] + [("NATURAL", (V, V))] * 5
+            # One factorization of the (V, V) vertex system per distinct
+            # shift and per Newton step, each in SuperLU's MMD order.
+            assert calls == [("MMD_AT_PLUS_A", (V, V))] * 5
 
-    def test_frame_dies_with_its_graph(self):
+    def test_condensation_dies_with_its_graph(self):
         graph = build_honeycomb(2, 1.0)
         d = _Descent(make_discretization(graph, 5), 3.0, 1.0, SolverConfig())
         d.shift_to(-1.0)
-        frame = weakref.ref(hexnls.solver._frame(d.dz))
+        kept = weakref.ref(hexnls.solver._condensation(d.dz))
         del d
         gc.collect()
-        assert frame() is not None      # the graph's layout holds it
+        assert kept() is not None      # the graph's layout holds it
         del graph
         gc.collect()
-        assert frame() is None
+        assert kept() is None
 
 
 class TestShiftFactors:
@@ -513,7 +496,7 @@ class TestShiftFactors:
                 for r in rs:
                     assert np.array_equal(d.precondition(r), fresh(r))
         assert len(factored) == len(set(sigmas)) == 3
-        assert sorted(hexnls.solver._frame(dz).shift_factors) == sorted(set(sigmas))
+        assert sorted(hexnls.solver._condensation(dz).shift_factors) == sorted(set(sigmas))
 
     def test_mass_sweep_equals_fresh_lattices(self, monkeypatch):
         factored = []
@@ -526,7 +509,7 @@ class TestShiftFactors:
         reused = len(factored)
         factored.clear()
         fresh = [minimize(build_honeycomb(4, 1.0), 5.0, mu) for mu in masses]
-        assert reused == len(hexnls.solver._frame(make_discretization(shared, 9)).shift_factors)
+        assert reused == len(hexnls.solver._condensation(make_discretization(shared, 9)).shift_factors)
         assert reused < len(factored)
         assert {out.classification for out in swept} == {"SpreadToZero", "GroundState"}
         for a, b in zip(swept, fresh):
@@ -546,7 +529,7 @@ class TestShiftFactors:
             graph = build_honeycomb(2, 1.0)
             d = _Descent(make_discretization(graph, 5), 3.0, 1.0, SolverConfig())
             d.shift_to(-1.0)
-            factor = weakref.ref(hexnls.solver._frame(d.dz).shift_factors[1.0])
+            factor = weakref.ref(hexnls.solver._condensation(d.dz).shift_factors[1.0])
             del d
             assert factor() is not None      # the graph's layout holds it
             del graph
@@ -563,7 +546,7 @@ class TestShiftFactors:
             out = minimize(lat, 3.0, 10.0, init="trial-eps")
             assert out.classification == "GroundState"
             factors = [weakref.ref(solve) for solve in
-                       hexnls.solver._frame(out.minimizer.layout).shift_factors.values()]
+                       hexnls.solver._condensation(out.minimizer.layout).shift_factors.values()]
             assert factors
             del lat
             assert all(factor() is not None for factor in factors)
@@ -784,7 +767,7 @@ class TestEulerLagrangeResidual:
         u = initial_function(lat, "trial-eps", 3.0, 1.0, 9)
         lam, res = euler_lagrange_residual(u, 3.0)
         assert np.isfinite(lam) and res > 0
-        assert hexnls.solver._frame(u.layout).shift_factors == {}
+        assert hexnls.solver._condensation(u.layout).shift_factors == {}
 
     def test_converged_minimizer_stationary(self, line_outcome):
         lam, res = euler_lagrange_residual(line_outcome.minimizer, 4.0)
@@ -871,6 +854,18 @@ class TestClassification:
         out = minimize(lat, 5.0, 1.0)
         assert out.classification == "SpreadToZero" and out.final_energy < -1e-7
         assert weighed == [1]
+
+    def test_constant_on_a_large_window_spreads(self):
+        # On R = 40 the constant's boundary share is under spread_threshold,
+        # so only its being constant shows that it is the flat state.
+        graph = build_honeycomb(40, 1.0)
+        out = minimize(graph, 3.5, 0.1, SolverConfig(samples_per_edge=3), init="uniform")
+        assert out.classification == "SpreadToZero" and out.minimizer is None
+        assert out.iterations == 1
+        dz = make_discretization(graph, 3)
+        v = initial_function(graph, "uniform", 3.5, 0.1, 3).dofs
+        weights = dz.boundary_weights(truncation_boundary(graph))
+        assert dz.boundary_mass_fraction(v, weights) < SolverConfig.spread_threshold
 
     @pytest.mark.parametrize("mu", [0.1, 10.0])
     def test_p6_never_ground_state(self, lat, mu):
