@@ -30,7 +30,7 @@ def main() -> None:
 
     print("\nAscent-optimized witnesses (iterates vanish on the truncation")
     print("boundary, so each witness extends by zero to the infinite grid and")
-    print("its ratio is a certified lower bound on the sharp constant):")
+    print("its ratio is a lower bound on the lumped discrete sharp constant):")
     for name, p in (("sobolev2d", 2.0), ("gn1d", 4.0), ("gn_interp", 5.0)):
         c_hat, witness = estimate_sharp_constant(name, p, lat, budget=80,
                                                  seed=1, num_starts=12)

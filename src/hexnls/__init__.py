@@ -12,9 +12,8 @@ from .analytic import (SolitonParams, build_trial_function, critical_mass_from_c
                        soliton_params, soliton_profile, trial_energy, trial_energy_terms,
                        trial_kinetic_integral, trial_lp_integral, trial_normalization,
                        trial_truncation_radius)
-from .calculus import (Discretization, GraphFunction, constant_function, edge_lengths,
-                       from_edge_samples, from_vertex_values, gradient_norms, integrate_power,
-                       rescale_mass)
+from .calculus import (Discretization, GraphFunction, constant_function, from_edge_samples,
+                       from_vertex_values, gradient_norms, integrate_power, rescale_mass)
 from .functionals import (RATIO_NAMES, EnergyReport, InequalityRatio, energy,
                           estimate_sharp_constant, inequality_ratio, random_corpus,
                           vertex_distances)
@@ -37,7 +36,7 @@ __all__ = [
     "bisect_critical_mass", "bridge_line_index", "build_graph", "build_honeycomb",
     "build_line", "build_square_grid", "build_star", "build_trial_function",
     "constant_function", "critical_mass_from_constant", "decompose_bridges",
-    "decompose_paths", "demonstrate_unbounded", "edge_lengths", "energy",
+    "decompose_paths", "demonstrate_unbounded", "energy",
     "estimate_sharp_constant", "euler_lagrange_residual", "from_edge_samples",
     "from_vertex_values", "gradient_norms", "initial_function", "inequality_ratio",
     "integrate_power", "minimize", "path_coordinate",

@@ -106,11 +106,6 @@ def _abs_power(v: np.ndarray, e: float, sq: np.ndarray | None = None) -> np.ndar
     return w
 
 
-def edge_lengths(graph: MetricGraph) -> np.ndarray:
-    """The graph's read-only edge lengths."""
-    return graph.lengths
-
-
 def constant_function(graph: MetricGraph, value: float, samples_per_edge: int = 33) -> GraphFunction:
     return GraphFunction(graph, np.full(_layout(graph, samples_per_edge).n_dofs, float(value)))
 
@@ -154,9 +149,11 @@ class Discretization:
     Vertex samples shared between edges collapse to one DOF; interior samples
     are their own DOFs.  The lumped (trapezoid) mass vector and the chain
     stiffness matrix give integrate_power(u, 2) and the squared L2 gradient
-    norm.  The cells and the stiffness are built on first use, like the
-    solver's condensation state, which it keeps too.  A layout keeps the
-    graph's vertex and edge counts, not the graph, which caches it.
+    norm.  The cells and the stiffness are built on first use.
+    preconditioners maps each shift sigma that the solver has met on this
+    layout to its ready (sigma*M + K)^{-1} (filled by _Descent.shift_to).  A
+    layout keeps the graph's vertex and edge counts, not the graph, which
+    caches it.
     """
 
     def __init__(self, graph: MetricGraph, samples_per_edge: int = 33):
@@ -174,6 +171,7 @@ class Discretization:
         self.n_dofs = V + E * (n - 2)
         self.h = graph.lengths / (n - 1)
         self.mass_vec = self._lumped_mass(np.ones(E, dtype=bool))
+        self.preconditioners = {}
 
     @cached_property
     def cells(self) -> tuple[np.ndarray, np.ndarray]:

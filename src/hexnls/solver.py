@@ -35,12 +35,14 @@ vertices; every chain is factored once by batched tridiagonal (Thomas)
 elimination, all edges at once, and eliminating them leaves a vertex-only
 Schur complement (a weighted graph Laplacian plus a diagonal), formed by
 sparse products, the one matrix that is factorized, by SuperLU in its
-multiple minimum degree order.  The Discretization keeps K's blocks and the
-preconditioner's vertex factor of every shift sigma met (_Condensation;
-about 1.6 MB each at R = 20, n = 9), so each sigma is factorized once per
-Discretization: a multi-start or a mass sweep on one graph returns to the
-same few powers of two.  The factors live as long as the graph, and every
-function on the graph, a returned minimizer too, keeps the graph alive.
+multiple minimum degree order.  The Discretization keeps the finished
+preconditioner of every shift sigma met (Discretization.preconditioners),
+so each sigma is built once per Discretization: a multi-start or a mass
+sweep on one graph returns to the same few powers of two.  A kept
+preconditioner holds its chain pivots, A_VI, X's values and its vertex
+factor (sizes in _Descent.shift_to).  They live as long as the graph, and
+every function on the graph, a returned minimizer too, keeps the graph
+alive.
 Newton's one mass constraint row is eliminated by a second right-hand side:
 K - diag(c) is solved for r and M v as one 2-column block, and the
 multiplier follows from the constraint (the range-space method for
@@ -174,44 +176,7 @@ def factorized(A: sp.spmatrix):
     return scipy.sparse.linalg.splu(A, permc_spec="MMD_AT_PLUS_A").solve
 
 
-class _Condensation:
-    """What the condensation of K + diag(s) on one Discretization reuses from
-    shift to shift: K's blocks and X's pattern, no value of s.
-
-    k_interior is K's diagonal on the interior samples, K_VV its vertex block
-    and A_VI the vertex rows of its interior columns.  X = A_II^{-1} A_IV has
-    the CSR pattern (x_indptr, x_indices): the tail and the head column in
-    every interior row.  Kept on the Discretization, so it goes with its
-    graph.
-
-    shift_factors maps each preconditioner shift sigma met so far to the
-    solve function of the vertex factor of S for s = sigma*M (made and
-    kept by _Descent.shift_to).  It holds factors only, no reference back to
-    the Discretization, so reference counting frees it with the graph; but
-    every GraphFunction on the graph keeps the graph, its layouts and so
-    these factors alive, a minimizer returned by minimize included.
-    """
-
-    def __init__(self, dz: Discretization):
-        V, E, m = dz.num_vertices, dz.num_edges, dz.n - 2
-        K = dz.stiffness
-        self.k_interior = K.diagonal()[V:]
-        self.K_VV = K[:V, :V]
-        self.A_VI = K[:V, V:]
-        self.x_indices = np.repeat(dz.dof_of[:, [0, -1]].astype(np.intc), m, axis=0).ravel()
-        self.x_indptr = np.arange(0, 2 * E * m + 1, 2, dtype=np.intc)
-        self.shift_factors = {}
-
-
-def _condensation(dz: Discretization) -> _Condensation:
-    """dz's condensation, built on first use and kept on dz."""
-    cond = vars(dz).get("condensation")
-    if cond is None:
-        cond = dz.condensation = _Condensation(dz)
-    return cond
-
-
-def _condensed_solver(dz: Discretization, s: np.ndarray, factor, solve_vertices=None):
+def _condensed_solver(dz: Discretization, s: np.ndarray, factor):
     """Solve function of A = K + diag(s), s one entry per DOF, by static
     condensation; it takes one right-hand side or a block of k columns.
 
@@ -223,28 +188,32 @@ def _condensed_solver(dz: Discretization, s: np.ndarray, factor, solve_vertices=
     pivoting, so a zero or non-finite pivot raises RuntimeError.  Eliminating
     the chains leaves the vertex Schur complement S = A_VV - A_VI X with
     X = A_II^{-1} A_IV (two columns per edge, tail and head), formed by
-    sparse products on K's blocks, which dz's _Condensation keeps.
-    factor(S), S in CSC, returns the solve function of S; a solve_vertices
-    already made for this s is used instead, and S is not formed.  With no
-    interior samples (n = 2) S = A.
+    sparse products on K's blocks, sliced here.  factor(S), S in CSC,
+    returns the solve function of S.  With no interior samples (n = 2)
+    S = A.
+
+    The returned solve holds the chain pivots, A_VI, X's two values per
+    interior sample and the vertex solve; its back-substitution gathers
+    x at each edge's tail and head through dz.dof_of, so it keeps no
+    pattern of X and no reference to dz.
     """
     V, E, m = dz.num_vertices, dz.num_edges, dz.n - 2
-    cond = _condensation(dz)
+    K = dz.stiffness
     off = -1.0 / dz.h
-    piv = (cond.k_interior + s[V:]).reshape(E, m).T.copy()
-    ratio = np.empty_like(piv)
+    piv = (K.diagonal()[V:] + s[V:]).reshape(E, m).T.copy()
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for i in range(1, m):
-            ratio[i] = off / piv[i - 1]
-            piv[i] -= ratio[i] * off
+            piv[i] -= off / piv[i - 1] * off
     if not np.all(np.isfinite(piv) & (piv != 0)):
         raise RuntimeError("zero or non-finite pivot in an edge chain")
 
     def chain_solve(rhs: np.ndarray) -> np.ndarray:
-        # Sample-major (m, E, k) copy of the (E, m, k) right-hand sides.
+        # Sample-major (m, E, k) copy of the (E, m, k) right-hand sides.  The
+        # multipliers off / piv[i - 1] are formed again at each solve rather
+        # than kept, one (m, E) array less per kept preconditioner.
         x = rhs.reshape(E, m, math.prod(rhs.shape[1:])).transpose(1, 0, 2).copy()
         for i in range(1, m):
-            x[i] -= ratio[i, :, None] * x[i - 1]
+            x[i] -= (off / piv[i - 1])[:, None] * x[i - 1]
         for i in reversed(range(m)):
             if i < m - 1:
                 x[i] -= off[:, None] * x[i + 1]
@@ -253,16 +222,23 @@ def _condensed_solver(dz: Discretization, s: np.ndarray, factor, solve_vertices=
 
     # A_IV's two columns per edge are -1/h at the first and the last sample.
     sample = np.arange(m)
-    y = chain_solve(np.stack([off[:, None] * (sample == 0), off[:, None] * (sample == m - 1)],
+    X = chain_solve(np.stack([off[:, None] * (sample == 0), off[:, None] * (sample == m - 1)],
                              axis=-1).reshape(E * m, 2))
-    X = sp.csr_matrix((y.ravel(), cond.x_indices, cond.x_indptr), shape=(E * m, V))
-    if solve_vertices is None:
-        solve_vertices = factor((cond.K_VV + sp.diags(s[:V]) - cond.A_VI @ X).tocsc())
+    # X's CSR pattern: the tail and the head column in every interior row.
+    ends = np.repeat(dz.dof_of[:, [0, -1]].astype(np.intc), m, axis=0).ravel()
+    A_VI = K[:V, V:]
+    S = K[:V, :V] + sp.diags(s[:V]) - A_VI @ sp.csr_matrix(
+        (X.ravel(), ends, np.arange(0, 2 * E * m + 1, 2, dtype=np.intc)), shape=(E * m, V))
+    solve_vertices = factor(S.tocsc())
+    X = X.reshape(E, m, 2, 1)
+    tail, head = dz.dof_of[:, 0], dz.dof_of[:, -1]
 
     def solve(r: np.ndarray) -> np.ndarray:
         y = chain_solve(r[V:])                  # A_II^{-1} r_I
-        x = solve_vertices(r[:V] - cond.A_VI @ y)
-        return np.concatenate([x, y - X @ x])
+        x = solve_vertices(r[:V] - A_VI @ y)
+        xk = x.reshape(V, 1, -1)
+        Xx = X[:, :, 0] * xk[tail] + X[:, :, 1] * xk[head]      # X x, (E, m, k)
+        return np.concatenate([x, y - Xx.reshape(y.shape)])
 
     return solve
 
@@ -299,34 +275,30 @@ class _Descent:
         first use, so residual-only callers never factorize, and rebuilt only
         when the target leaves [sigma/2, 2*sigma].
 
-        Each rebuild redoes the edge chains and X, but takes the vertex factor
-        from the Discretization's table (_Condensation.shift_factors), so each
-        sigma is factorized once while its graph lives: later starts and
-        masses reuse it, and a reuse neither forms S nor factorizes.  A reused
-        factor solves bit for bit as a fresh one, and a rebuild returns True,
-        restarting CG, either way.
-        Each kept factor holds its L and U: about 1.6 MB on R = 20 at n = 9,
-        7 MB on R = 40 and 34 MB on R = 100 at n = 3, one per distinct sigma,
-        for as long as the graph or any function on it is kept.
+        A rebuild takes the preconditioner of sigma from the Discretization's
+        preconditioners when sigma was met before, and builds it there once,
+        through _condensed_solver and factorized, when it was not: each sigma
+        is built once while its graph lives, and later starts and masses
+        reuse the same object.  A rebuild returns True, restarting CG, either
+        way.  Each kept preconditioner holds its edge-chain pivots, A_VI,
+        X's values and the L and U of its vertex factor: about 1.9 MB on
+        R = 20 at n = 9 and 41.5 MB on R = 100 at n = 3 (0.9 and 34 MB of it
+        the factor), one per distinct sigma, for as long as the graph or any
+        function on it is kept.
         """
         target = max(self.cfg.shift_floor, -lam)
         if self.precondition is not None and self.sigma / 2 <= target <= 2 * self.sigma:
             return False
         sigma = self.sigma = 2.0 ** round(np.log2(target))
-        self.precondition = None    # free the old chains and X before the new ones are made
-        factors = _condensation(self.dz).shift_factors
-
-        def factor(S):
+        # A power of two, so every product by sigma is exact and sigma is an
+        # exact key: the preconditioner, built from K and sigma alone, is the
+        # same each time.
+        kept = self.dz.preconditioners
+        if sigma not in kept:
             # factorized is looked up here, at call time, so a wrapper
             # installed on the module sees every factorization.
-            solve = factors[sigma] = factorized(S)
-            return solve
-
-        # A power of two, so every product by sigma is exact and sigma is an
-        # exact key: S, formed from K and sigma alone, is the same matrix
-        # each time.
-        self.precondition = _condensed_solver(self.dz, sigma * self.dz.mass_vec, factor,
-                                              factors.get(sigma))
+            kept[sigma] = _condensed_solver(self.dz, sigma * self.dz.mass_vec, factorized)
+        self.precondition = kept[sigma]
         return True
 
     def project(self, v: np.ndarray) -> np.ndarray:
@@ -525,13 +497,12 @@ def _classify(d: _Descent, v: np.ndarray, E: float, res: float, p: float, graph)
     # one squeezed by the window, sits well below that reference.  Mass on
     # the truncation boundary alone is not decisive, because wide ground
     # states also touch the window edge; it is measured only for a flat-like
-    # run that is not near zero, the one case it decides.  On a large window
-    # the constant's own boundary share falls below spread_threshold, so the
-    # constant, the flat state itself, is spreading whatever its share.
+    # run that is not near zero and not constant, the one case it decides.
+    # The constant is the flat state itself, spreading whatever its share,
+    # which on a large window falls below spread_threshold.
     flat_like = E >= 2.0 * flat_energy
-    if near_zero or (flat_like and dz.boundary_mass_fraction(
-            v, dz.boundary_weights(truncation_boundary(graph))) >= SolverConfig.spread_threshold) \
-            or dz.cells_constant(v):
+    if near_zero or dz.cells_constant(v) or (flat_like and dz.boundary_mass_fraction(
+            v, dz.boundary_weights(truncation_boundary(graph))) >= SolverConfig.spread_threshold):
         return "SpreadToZero"
     if p == 6:
         # Ground states never exist at the 1D-critical power; a localized

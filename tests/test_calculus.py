@@ -297,9 +297,9 @@ class TestSharedLayout:
             gc.enable()
 
     def test_solver_uses_the_shared_layout(self, monkeypatch):
-        # minimize builds no DOF map of its own.  The shared layout keeps the
-        # preconditioner's factors, one per shift, but not the _Descent: it
-        # is freed once minimize returns.
+        # minimize builds no DOF map of its own.  The shared layout keeps one
+        # preconditioner per shift, but not the _Descent: it is freed once
+        # minimize returns.
         made = []
 
         class Spy(hexnls.solver._Descent):

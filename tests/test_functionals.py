@@ -340,7 +340,9 @@ class TestSharpConstantAscent:
                              ids=["line", "square-grid"])
     def test_bare_graph_starts_centered_at_origin(self, graph):
         # The centered bump (every third start) peaks at the vertex at (0, 0),
-        # not at vertex 0, a leaf or corner that the zero boundary removes.
+        # not at vertex 0: the line's leaf, which the zero boundary removes,
+        # or the grid's corner, which it keeps (a bare graph's truncation
+        # boundary is its leaves, and the square grid has none).
         dz = make_discretization(graph, 9)
         bump = _ascent_starts(graph, dz, 3, seed=0)[2]
         peak = graph.xy[int(np.argmax(bump[:graph.num_vertices]))]

@@ -297,7 +297,7 @@ class TestCondensedPreconditioner:
             return hexnls.solver.splu(A).solve
 
         monkeypatch.setattr(hexnls.solver, "factorized", spy)
-        # A graph of its own: the spy's factors stay cached on it.
+        # A graph of its own: preconditioners on the spy's factors stay kept on it.
         dz = make_discretization(build(), n)
         V = dz.num_vertices
         for sigma in (1.0, 2.0, 2.0 ** 14):
@@ -454,7 +454,7 @@ class TestCondensation:
             for sigma in (1.0, 8.0, 2.0 ** -10):
                 assert d.shift_to(-sigma)
             # Back to sigma = 1, and a second descent on the same
-            # Discretization: rebuilds, on the factors already made.
+            # Discretization: rebuilds, on the preconditioners already made.
             assert d.shift_to(-1.0) and d.sigma == 1.0
             other = _Descent(dz, 3.0, 1.0, SolverConfig())
             for sigma in (8.0, 1.0):
@@ -464,18 +464,6 @@ class TestCondensation:
             # One factorization of the (V, V) vertex system per distinct
             # shift and per Newton step, each in SuperLU's MMD order.
             assert calls == [("MMD_AT_PLUS_A", (V, V))] * 5
-
-    def test_condensation_dies_with_its_graph(self):
-        graph = build_honeycomb(2, 1.0)
-        d = _Descent(make_discretization(graph, 5), 3.0, 1.0, SolverConfig())
-        d.shift_to(-1.0)
-        kept = weakref.ref(hexnls.solver._condensation(d.dz))
-        del d
-        gc.collect()
-        assert kept() is not None      # the graph's layout holds it
-        del graph
-        gc.collect()
-        assert kept() is None
 
 
 class TestShiftFactors:
@@ -490,13 +478,32 @@ class TestShiftFactors:
         sigmas = (1.0, 8.0, 2.0 ** -10, 1.0, 8.0)
         for d in (_Descent(dz, 3.0, 1.0, SolverConfig()) for _ in range(2)):
             for sigma in sigmas:
-                # Every change of sigma is a rebuild, reused factor or not.
+                # Every change of sigma is a rebuild, kept preconditioner or not.
                 assert d.shift_to(-sigma) and d.sigma == sigma
                 fresh = hexnls.solver._condensed_solver(dz, sigma * dz.mass_vec, factorized)
                 for r in rs:
                     assert np.array_equal(d.precondition(r), fresh(r))
         assert len(factored) == len(set(sigmas)) == 3
-        assert sorted(hexnls.solver._condensation(dz).shift_factors) == sorted(set(sigmas))
+        assert sorted(dz.preconditioners) == sorted(set(sigmas))
+
+    def test_second_descent_takes_the_kept_preconditioner(self, monkeypatch):
+        dz = make_discretization(build_honeycomb(3, 1.0), 9)
+        first = _Descent(dz, 3.0, 1.0, SolverConfig())
+        built = {}
+        for sigma in (1.0, 8.0):
+            assert first.shift_to(-sigma)
+            built[sigma] = first.precondition
+
+        def refuse(*args):
+            raise AssertionError("a kept shift was built again")
+
+        monkeypatch.setattr(hexnls.solver, "factorized", refuse)
+        monkeypatch.setattr(hexnls.solver, "_condensed_solver", refuse)
+        second = _Descent(dz, 5.0, 2.0, SolverConfig())
+        for sigma in (8.0, 1.0):
+            # Still a rebuild, so CG restarts, but on the very same object.
+            assert second.shift_to(-sigma) and second.precondition is built[sigma]
+        assert dz.preconditioners == built
 
     def test_mass_sweep_equals_fresh_lattices(self, monkeypatch):
         factored = []
@@ -509,7 +516,7 @@ class TestShiftFactors:
         reused = len(factored)
         factored.clear()
         fresh = [minimize(build_honeycomb(4, 1.0), 5.0, mu) for mu in masses]
-        assert reused == len(hexnls.solver._condensation(make_discretization(shared, 9)).shift_factors)
+        assert reused == len(make_discretization(shared, 9).preconditioners)
         assert reused < len(factored)
         assert {out.classification for out in swept} == {"SpreadToZero", "GroundState"}
         for a, b in zip(swept, fresh):
@@ -522,36 +529,38 @@ class TestShiftFactors:
                 assert np.array_equal(a.minimizer.dofs, b.minimizer.dofs)
 
     def test_factors_die_with_their_graph(self):
-        # The table holds no reference back to its Discretization, so
-        # reference counting alone frees it with the graph.
+        # A kept preconditioner holds no reference back to its Discretization,
+        # so reference counting alone frees it, and the layout, with the graph.
         gc.disable()
         try:
             graph = build_honeycomb(2, 1.0)
             d = _Descent(make_discretization(graph, 5), 3.0, 1.0, SolverConfig())
-            d.shift_to(-1.0)
-            factor = weakref.ref(hexnls.solver._condensation(d.dz).shift_factors[1.0])
+            for sigma in (1.0, 8.0):
+                d.shift_to(-sigma)
+            kept = [weakref.ref(d.dz)] + [weakref.ref(solve) for solve in
+                                          d.dz.preconditioners.values()]
+            assert len(kept) == 3
             del d
-            assert factor() is not None      # the graph's layout holds it
+            assert all(ref() is not None for ref in kept)      # the graph's layout holds them
             del graph
-            assert factor() is None
+            assert all(ref() is None for ref in kept)
         finally:
             gc.enable()
 
     def test_a_minimizer_keeps_the_factors(self):
         # A returned minimizer keeps its graph, so the graph's layout and its
-        # factors live until the last function on the graph is dropped.
+        # preconditioners live until the last function on the graph is dropped.
         gc.disable()
         try:
             lat = build_honeycomb(2, 1.0)
             out = minimize(lat, 3.0, 10.0, init="trial-eps")
             assert out.classification == "GroundState"
-            factors = [weakref.ref(solve) for solve in
-                       hexnls.solver._condensation(out.minimizer.layout).shift_factors.values()]
-            assert factors
+            kept = [weakref.ref(solve) for solve in out.minimizer.layout.preconditioners.values()]
+            assert kept
             del lat
-            assert all(factor() is not None for factor in factors)
+            assert all(ref() is not None for ref in kept)
             del out
-            assert all(factor() is None for factor in factors)
+            assert all(ref() is None for ref in kept)
         finally:
             gc.enable()
 
@@ -761,13 +770,13 @@ class TestEulerLagrangeResidual:
 
         monkeypatch.setattr(hexnls.solver, "factorized", refuse)
         monkeypatch.setattr(hexnls.solver, "_condensed_solver", refuse)
-        # A lattice of its own, with no factor cached by another test that a
-        # preconditioner built here could reuse without calling factorized.
+        # A lattice of its own, with no preconditioner kept by another test
+        # that a descent here could take without calling factorized.
         lat = build_honeycomb(4, 1.0)
         u = initial_function(lat, "trial-eps", 3.0, 1.0, 9)
         lam, res = euler_lagrange_residual(u, 3.0)
         assert np.isfinite(lam) and res > 0
-        assert hexnls.solver._condensation(u.layout).shift_factors == {}
+        assert u.layout.preconditioners == {}
 
     def test_converged_minimizer_stationary(self, line_outcome):
         lam, res = euler_lagrange_residual(line_outcome.minimizer, 4.0)
@@ -850,8 +859,15 @@ class TestClassification:
                             lambda dz, boundary: weighed.append(1) or real(dz, boundary))
         # Far below the flat state: the boundary share decides nothing.
         assert minimize(lat, 3.0, 10.0).classification == "GroundState" and not weighed
-        # At the flat state, below the near-zero threshold: it decides.
+        # The constant winner at (5, 1) is the flat state itself: being
+        # constant decides, before any weight is built.
         out = minimize(lat, 5.0, 1.0)
+        assert out.classification == "SpreadToZero" and out.init_used == "uniform"
+        assert not weighed
+        # Flat-like, below the near-zero threshold and not constant: the
+        # boundary share decides.
+        graph = build_honeycomb(8, 1.0)
+        out = minimize(graph, 5.0, 1.0, init="soliton-bump")
         assert out.classification == "SpreadToZero" and out.final_energy < -1e-7
         assert weighed == [1]
 
