@@ -158,7 +158,7 @@ class Discretization:
 
     def __init__(self, graph: MetricGraph, samples_per_edge: int = 33):
         if samples_per_edge < 2:
-            raise ValueError("need at least 2 samples per edge")
+            raise ValueError(f"need at least 2 samples per edge, got {samples_per_edge}")
         self.n = samples_per_edge
         E, n, V = graph.num_edges, samples_per_edge, graph.num_vertices
         self.num_vertices, self.num_edges = V, E
@@ -177,14 +177,6 @@ class Discretization:
     def cells(self) -> tuple[np.ndarray, np.ndarray]:
         """The (left, right) DOF of every sample cell, edge by edge."""
         return self.dof_of[:, :-1].ravel(), self.dof_of[:, 1:].ravel()
-
-    @cached_property
-    def first_position(self) -> np.ndarray:
-        """Each DOF's first row-major position, edge * n + sample, in the
-        per-edge view; a vertex, an end of several edges, takes its first."""
-        pos = np.full(self.n_dofs, self.dof_of.size)
-        np.minimum.at(pos, self.dof_of.ravel(), np.arange(self.dof_of.size))
-        return pos
 
     @cached_property
     def stiffness(self) -> sp.csr_matrix:

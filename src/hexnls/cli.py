@@ -28,7 +28,7 @@ from .functionals import (energy, estimate_sharp_constant, inequality_ratio,
                           random_corpus)
 from .graph_core import build_line
 from .honeycomb import build_honeycomb
-from .solver import SolverConfig, bisect_critical_mass, demonstrate_unbounded, minimize
+from .solver import bisect_critical_mass, demonstrate_unbounded, minimize
 
 DEFAULTS: dict[str, dict] = {
     "inequalities": {
@@ -265,8 +265,7 @@ def run_soliton_check(cfg: dict, outdir: Path, manifest: dict) -> list[str]:
         raise ValueError(f"profile_tolerance must be positive, got {tol!r}")
     graph = build_line(cfg["half_length"])
     p, mu = cfg["p"], cfg["mu"]
-    scfg = SolverConfig(samples_per_edge=cfg["samples_per_edge"])
-    out = minimize(graph, p, mu, scfg, init="soliton-bump")
+    out = minimize(graph, p, mu, samples_per_edge=cfg["samples_per_edge"], init="soliton-bump")
     failures = []
     if out.classification != "GroundState":
         failures.append(f"expected GroundState on the line, got {out.classification}")

@@ -91,15 +91,13 @@ def inequality_ratio(u: GraphFunction, name: str, p: float = 2.0) -> InequalityR
     if u.layout.cells_constant(u.dofs) or \
             any(t[term] <= 0 for term, e in obj.exponents.items() if e < 0):
         raise ZeroDivisionError(f"{name} ratio undefined (zero denominator)")
-    # The peak's first place in the view is the least first position of the
-    # DOFs that tie for it; a nan peak (peak != peak) is the nan DOFs, as
-    # argmax has it.
-    a = np.abs(u.dofs)
-    peak = a.max()
-    ties = a == peak if peak == peak else np.isnan(a)
-    eid, k = divmod(int(u.layout.first_position[ties].min()), u.layout.n)
+    # The peak's first place in the per-edge view, as argmax has it (a nan
+    # sample, the first, when there is one).
+    a = u.dofs[u.layout.dof_of]
+    np.abs(a, out=a)
+    eid, k = divmod(int(a.argmax()), u.layout.n)
     witness = {term: float(t[term]) for term in obj.exponents}
-    witness.update(linf=float(peak), argmax_edge=eid, argmax_sample=k)
+    witness.update(linf=float(a[eid, k]), argmax_edge=eid, argmax_sample=k)
     return InequalityRatio(name=name, value=float(np.exp(obj.log_ratio(t))), witness=witness)
 
 

@@ -18,6 +18,10 @@ one iteration, and a spreading point reports the constant's own energy: a
 later start that reaches the same energy within _beats' tie does not replace
 it.
 
+The sampling, minimize's samples_per_edge, is the one setting.  The step
+and the tolerances are SolverConfig's constants, and the iteration budgets
+MAX_ITERS, MAX_POLISHES and MAX_NEWTON_STEPS are module constants.
+
 One loop runs the descent.  A stretch of descent ends at the first step
 that does not lower E; when that happens short of the residual tolerance,
 damped Newton on the stationarity system is the fallback, and descent then
@@ -54,7 +58,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from typing import ClassVar, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -69,6 +73,7 @@ from .functionals import (_bare_graph, _center_vertex, energy, make_discretizati
 from .honeycomb import HoneycombLattice
 
 INITIALIZERS = ("uniform", "soliton-bump", "trial-eps")
+MAX_ITERS = 4000         # iterations per start
 MAX_POLISHES = 8         # Newton polishes per descent
 MAX_NEWTON_STEPS = 40    # accepted Newton steps per polish
 
@@ -81,31 +86,22 @@ class BracketError(ValueError):
     """Bisection endpoints do not have the required classifications."""
 
 
-@dataclass(slots=True)
 class SolverConfig:
-    """The sampling and the iteration budget, the two settings a caller varies.
+    """The solver's fixed constants, read as SolverConfig.residual_tol.
 
-    The step, the tolerances and the preconditioner's shift floor are fixed
-    class constants; they read like fields (cfg.residual_tol) but cannot be
-    passed to the constructor.  shift_floor bounds the shift sigma of
-    (sigma*M + K)^{-1} from below: on the free boundary K annihilates the
-    constants, so sigma*M + K becomes singular as sigma -> 0.
+    Nothing here is a setting: SolverConfig() takes no argument, and the one
+    setting of minimize is its samples_per_edge.  shift_floor bounds the
+    shift sigma of (sigma*M + K)^{-1} from below: on the free boundary K
+    annihilates the constants, so sigma*M + K becomes singular as sigma -> 0.
     """
-    samples_per_edge: int = 9
-    max_iters: int = 4000
+    __slots__ = ()
 
-    step: ClassVar[float] = 1.0               # first descent step, and again after each polish
-    energy_tol: ClassVar[float] = 1e-8        # only sets the spreading threshold -10*energy_tol*mu
-    residual_tol: ClassVar[float] = 1e-6      # relative stationarity residual of a converged run
-    spread_threshold: ClassVar[float] = 0.05  # boundary mass share of a flat-like spreading run
-    divergence_floor: ClassVar[float] = -1e12  # energy below which a run is UnboundedBelow
-    shift_floor: ClassVar[float] = 2.0 ** -10  # least preconditioner shift sigma
-
-    def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
-        if self.samples_per_edge < 2:
-            raise ValueError(f"need at least 2 samples per edge, got {self.samples_per_edge}")
+    step = 1.0                # first descent step, and again after each polish
+    energy_tol = 1e-8         # only sets the spreading threshold -10*energy_tol*mu
+    residual_tol = 1e-6       # relative stationarity residual of a converged run
+    spread_threshold = 0.05   # boundary mass share of a flat-like spreading run
+    divergence_floor = -1e12  # energy below which a run is UnboundedBelow
+    shift_floor = 2.0 ** -10  # least preconditioner shift sigma
 
 
 @dataclass(slots=True)
@@ -252,11 +248,10 @@ class _Point(NamedTuple):
 
 
 class _Descent:
-    def __init__(self, dz: Discretization, p: float, mu: float, cfg: SolverConfig):
+    def __init__(self, dz: Discretization, p: float, mu: float):
         self.dz = dz
         self.p = p
         self.mu = mu
-        self.cfg = cfg
         self.K = dz.stiffness
         self.inv_mass = 1.0 / dz.mass_vec
         self.sigma = 1.0
@@ -286,7 +281,7 @@ class _Descent:
         the factor), one per distinct sigma, for as long as the graph or any
         function on it is kept.
         """
-        target = max(self.cfg.shift_floor, -lam)
+        target = max(SolverConfig.shift_floor, -lam)
         if self.precondition is not None and self.sigma / 2 <= target <= 2 * self.sigma:
             return False
         sigma = self.sigma = 2.0 ** round(np.log2(target))
@@ -320,10 +315,6 @@ class _Descent:
         r = pt.Kv - nonlinear - lam * mv
         res = float(np.sqrt(float(r ** 2 @ self.inv_mass)) / np.sqrt(self.mu))
         return r, lam, res
-
-    def multiplier_residual(self, v: np.ndarray) -> tuple[float, float]:
-        _, lam, res = self.tangent_gradient(self.evaluate(v))
-        return lam, res
 
     def record(self, trace: list[dict] | None, it: int, pt: _Point, res: float,
                step: float) -> None:
@@ -386,7 +377,7 @@ class _Descent:
         r, lam, res = self.tangent_gradient(pt)
         done = 0
         for _ in range(MAX_NEWTON_STEPS):
-            if res <= self.cfg.residual_tol:
+            if res <= SolverConfig.residual_tol:
                 break
             try:
                 delta = self.newton_direction(pt.v, lam, r)
@@ -414,8 +405,9 @@ def euler_lagrange_residual(u: GraphFunction, p: float) -> tuple[float, float]:
     mu = u.layout.mass(u.dofs)
     if not 0 < mu < np.inf:
         raise ValueError(f"Euler-Lagrange residual needs a positive, finite mass, got {mu}")
-    d = _Descent(u.layout, p, mu, SolverConfig())
-    return d.multiplier_residual(u.dofs)
+    d = _Descent(u.layout, p, mu)
+    _, lam, res = d.tangent_gradient(d.evaluate(u.dofs))
+    return lam, res
 
 
 def _descend(d: _Descent, v0: np.ndarray,
@@ -440,15 +432,14 @@ def _descend(d: _Descent, v0: np.ndarray,
     step.  Gives up after MAX_POLISHES polishes or a stretch that lowered
     E not once.
     """
-    cfg = d.cfg
     pt = d.evaluate(d.project(v0))
-    tau, polishes, it, progressed = cfg.step, 0, 0, False
+    tau, polishes, it, progressed = SolverConfig.step, 0, 0, False
     prev = None     # (r, z.r, direction) of the last step; None restarts at z
-    while it < cfg.max_iters:
+    while it < MAX_ITERS:
         it += 1
         r, lam, res = d.tangent_gradient(pt)
         d.record(trace, it, pt, res, tau)
-        if res <= cfg.residual_tol or pt.E < cfg.divergence_floor:
+        if res <= SolverConfig.residual_tol or pt.E < SolverConfig.divergence_floor:
             break
         if d.shift_to(lam):
             prev = None
@@ -471,13 +462,13 @@ def _descend(d: _Descent, v0: np.ndarray,
                 continue
         # The stretch ended short of residual_tol.
         if (polishes == MAX_POLISHES or (polishes and not progressed)
-                or pt.E < cfg.divergence_floor or it >= cfg.max_iters):
+                or pt.E < SolverConfig.divergence_floor or it >= MAX_ITERS):
             break
         pt, res, done = d.newton_polish(pt, trace, it0=it)
         it += done
-        if res <= cfg.residual_tol:
+        if res <= SolverConfig.residual_tol:
             break
-        tau, polishes, progressed = cfg.step, polishes + 1, False
+        tau, polishes, progressed = SolverConfig.step, polishes + 1, False
         prev = None
     # The carried evaluation describes the returned iterate, also when the
     # loop stopped right after an accepted step.
@@ -511,8 +502,7 @@ def _classify(d: _Descent, v: np.ndarray, E: float, res: float, p: float, graph)
     return "GroundState" if res <= SolverConfig.residual_tol else "Inconclusive"
 
 
-def _beats(E: float, res: float, best_E: float, best_res: float, mu: float,
-           residual_tol: float) -> bool:
+def _beats(E: float, res: float, best_E: float, best_res: float, mu: float) -> bool:
     """Whether a start that ended at (E, res) replaces the best earlier start.
 
     Lowest energy wins.  Runs that reached the same minimum (energies within
@@ -523,37 +513,46 @@ def _beats(E: float, res: float, best_E: float, best_res: float, mu: float,
     tie = 1e-9 * max(abs(best_E), mu)
     if E < best_E - tie:
         return True
-    if E >= best_E + tie or max(res, best_res) <= residual_tol:
+    if E >= best_E + tie or max(res, best_res) <= SolverConfig.residual_tol:
         return False
     return res < best_res
 
 
-def minimize(graph, p: float, mu: float, cfg: SolverConfig | None = None,
+def minimize(graph, p: float, mu: float, *, samples_per_edge: int = 9,
              init: GraphFunction | str = "multi") -> SolveOutcome:
     """Minimize the mass-mu NLS energy on a truncated graph.
 
     init may be a GraphFunction, one of the named initializers, or "multi"
     (run all named initializers, keep the best final energy).
+    samples_per_edge is the sampling and the one setting; each start runs at
+    most MAX_ITERS iterations.
+
+    Pass the lattice, not its bare graph: the two are solved differently.  A
+    lattice's truncation boundary, which the classification weighs, is its
+    vertices of degree below 3, a bare graph's only its leaves, and the
+    soliton-bump and trial-eps starts follow the path L_0 on a lattice but
+    the arc distance from the center on a bare graph.  On R = 7 at
+    (p, mu) = (2.5, 1), the lattice ends SpreadToZero after 254 iterations
+    and its bare graph GroundState after 491, energies 2e-12 apart relative.
     """
     if not (2 < p <= 6):
         raise ValueError(f"nonlinearity power must be in (2, 6], got {p}")
     if not 0 < mu < np.inf:
         raise ValueError(f"mass must be positive and finite, got {mu}")
-    cfg = cfg or SolverConfig()
-    dz = make_discretization(graph, cfg.samples_per_edge)
-    d = _Descent(dz, p, mu, cfg)
+    dz = make_discretization(graph, samples_per_edge)
+    d = _Descent(dz, p, mu)
 
     if isinstance(init, GraphFunction):
         inits = [("custom", dz.to_dofs(init))]
     else:
-        inits = [(tag, initial_function(graph, tag, p, mu, cfg.samples_per_edge).dofs)
+        inits = [(tag, initial_function(graph, tag, p, mu, samples_per_edge).dofs)
                  for tag in (INITIALIZERS if init == "multi" else [init])]
 
     best = None
     for tag, v0 in inits:
         trace: list[dict] = []
         v, E, lam, res, it = _descend(d, v0, trace)
-        if best is None or _beats(E, res, best[1], best[4], mu, cfg.residual_tol):
+        if best is None or _beats(E, res, best[1], best[4], mu):
             best = (tag, E, v, lam, res, it, trace)
     tag, E, v, lam, res, it, trace = best
     classification = _classify(d, v, E, res, p, graph)

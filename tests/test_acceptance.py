@@ -238,11 +238,13 @@ class TestPhaseGridInvariant:
 
     @pytest.mark.xfail(
         strict=True,
-        reason="At p=3.5, mass 0.1 the ground-state width (~30 edge lengths in "
-               "the locally-2D regime) exceeds the R=20 window and the flat "
-               "state is locally stable on the truncation, so every "
-               "initializer relaxes to the flat state (SpreadToZero).  A "
-               "larger window is needed to localize; see the decisions ledger.")
+        reason="At p=3.5, mass 0.1 the ground state is a 2D object whose "
+               "e-folding length is near 734 edge lengths (ROADMAP table O), "
+               "far beyond the R=20 window, and the flat state is locally "
+               "stable on the truncation, so every initializer relaxes to the "
+               "flat state (SpreadToZero).  On a zero boundary E_R < 0 needs "
+               "an inscribed radius of at least 1,438 edge lengths (R ~ 960); "
+               "see ROADMAP items 8 and 12.")
     def test_subcritical_grid_wide_state_point(self, acceptance, lat20):
         out = minimize(lat20, 3.5, 0.1)
         acceptance("invariant (p=3.5, mu=0.1 point)",

@@ -16,7 +16,7 @@ from hexnls.calculus import (Discretization, GraphFunction, _abs_power, constant
 from hexnls.functionals import make_discretization, random_corpus
 from hexnls.graph_core import GraphBuilder, build_graph, build_line, build_star
 from hexnls.honeycomb import build_honeycomb, build_square_grid
-from hexnls.solver import SolverConfig, minimize
+from hexnls.solver import minimize
 
 # Unequal edge lengths: the outer edges are 0.5 long, the others 1.
 UNEQUAL_GRAPHS = {"line": build_line(2.5), "star": build_star(3, 2.5)}
@@ -282,13 +282,14 @@ class TestSharedLayout:
         assert constant_function(lat.graph, 1.0, 9).layout is corpus[0].layout
         assert constant_function(lat.graph, 1.0, 17).layout is not corpus[0].layout
 
-    def test_layout_freed_without_the_cycle_collector(self):
+    def test_layout_freed_without_the_cycle_collector(self, monkeypatch):
         # A layout holds no reference back to its graph, so dropping the
         # graph and its functions frees the layout by reference counting.
+        monkeypatch.setattr(hexnls.solver, "MAX_ITERS", 5)
         gc.disable()
         try:
             lat = build_honeycomb(5, 1.0)
-            out = minimize(lat, 3.0, 1.0, SolverConfig(max_iters=5))
+            out = minimize(lat, 3.0, 1.0)
             u = build_trial_function(lat, 0.5, 9)
             layout = weakref.ref(u.layout)
             del lat, out, u

@@ -14,7 +14,7 @@ from hexnls.functionals import (RATIO_NAMES, _ascent_starts, _RatioObjective, en
                                 random_corpus, vertex_distances)
 from hexnls.graph_core import GraphBuilder, MetricGraph, build_line, build_star
 from hexnls.honeycomb import build_honeycomb, build_square_grid
-from hexnls.solver import SolverConfig, _Descent
+from hexnls.solver import _Descent
 
 SOBOLEV2D_BOUND = 2.0 * math.sqrt(2.0)
 
@@ -69,7 +69,7 @@ class TestEnergy:
             assert rep.potential == w["lp"] / p == integrate_power(u, p) / p
             assert rep.mass == w["mass"]
             assert 2 * rep.kinetic == gradient_norms(u)[1]
-            d = _Descent(u.layout, p, rep.mass, SolverConfig())
+            d = _Descent(u.layout, p, rep.mass)
             assert d.evaluate(u.dofs).E == 0.5 * w["grad_l2sq"] - w["lp"] / p
 
 

@@ -9,7 +9,7 @@ from hexnls.analytic import build_trial_function
 from hexnls.graph_core import GraphBuilder, validate
 from hexnls.honeycomb import (SQRT3_2, bridge_line_index, build_honeycomb, build_square_grid,
                               decompose_bridges, decompose_paths, path_coordinate)
-from hexnls.solver import SolverConfig, minimize
+from hexnls.solver import minimize
 
 
 def cell_counting_oracle(R: int) -> tuple[int, int]:
@@ -90,7 +90,7 @@ class TestBuildHoneycomb:
         # The solver and the trial functions read the role arrays only, so
         # the Python list and dict stay out of their set-up.
         lat = build_honeycomb(2, 1.0)
-        minimize(lat, 3.0, 1.0, SolverConfig(samples_per_edge=3))
+        minimize(lat, 3.0, 1.0, samples_per_edge=3)
         build_trial_function(lat, 0.3, 5)
         assert "edge_roles" not in vars(lat) and "edge_id" not in vars(lat)
         assert lat.edge_id is lat.edge_id and lat.edge_roles is lat.edge_roles

@@ -1,6 +1,5 @@
 """Mass-constrained minimization: descent invariants, classification, probes."""
 
-import dataclasses
 import gc
 import math
 import weakref
@@ -36,24 +35,33 @@ def line_outcome():
 
 
 class TestConfigAndInputs:
-    def test_invalid_config(self):
-        # max_iters = 0 would return the start's label unsolved.
-        for bad in ({"max_iters": 0}, {"samples_per_edge": 1}):
-            with pytest.raises(ValueError):
-                SolverConfig(**bad)
+    def test_invalid_config(self, lat, monkeypatch):
+        # Too coarse a sampling is refused before any solve starts.
+        def refuse(*args):
+            raise AssertionError("a descent started")
+
+        monkeypatch.setattr(hexnls.solver, "_descend", refuse)
+        with pytest.raises(ValueError, match="at least 2 samples per edge"):
+            minimize(lat, 3.0, 1.0, samples_per_edge=1)
         # The step and the tolerances are constants, not settings.
         for fixed in ("step", "energy_tol", "residual_tol", "spread_threshold",
                       "divergence_floor", "shift_floor"):
             with pytest.raises(TypeError):
                 SolverConfig(**{fixed: getattr(SolverConfig, fixed)})
+        # The sampling is passed by name, so a leftover config object is refused.
+        with pytest.raises(TypeError):
+            minimize(lat, 3.0, 1.0, SolverConfig())
 
     def test_settings_and_constants(self):
-        assert [f.name for f in dataclasses.fields(SolverConfig)] == \
-            ["samples_per_edge", "max_iters"]
-        cfg = SolverConfig(samples_per_edge=17)
+        cfg = SolverConfig()
+        for name in ("samples_per_edge", "max_iters", "residual_tol"):
+            with pytest.raises(AttributeError):
+                setattr(cfg, name, 1)
+        assert not hasattr(cfg, "__dict__")
         assert (cfg.step, cfg.energy_tol, cfg.residual_tol, cfg.spread_threshold,
                 cfg.divergence_floor, cfg.shift_floor) == (1.0, 1e-8, 1e-6, 0.05, -1e12,
                                                            2.0 ** -10)
+        assert hexnls.solver.MAX_ITERS == 4000
 
     def test_invalid_problem_parameters(self, lat):
         with pytest.raises(ValueError):
@@ -213,14 +221,14 @@ class TestDescentLoop:
         assert polishes[0][1] >= 1
         assert polishes[0][2] <= SolverConfig().residual_tol
 
-    def test_residual_describes_returned_iterate_at_max_iters(self, lat):
-        cfg = SolverConfig(max_iters=5)
-        d = _Descent(make_discretization(lat, 9), 3.0, 10.0, cfg)
+    def test_residual_describes_returned_iterate_at_max_iters(self, lat, monkeypatch):
+        monkeypatch.setattr(hexnls.solver, "MAX_ITERS", 5)
+        d = _Descent(make_discretization(lat, 9), 3.0, 10.0)
         v0 = d.dz.to_dofs(initial_function(lat, "trial-eps", 3.0, 10.0, 9))
         v, E, lam, res, it = _descend(d, v0)
-        assert it == cfg.max_iters and res > cfg.residual_tol
-        assert (lam, res) == d.multiplier_residual(v)
-        out = minimize(lat, 3.0, 10.0, cfg, init="trial-eps")
+        assert it == 5 and res > SolverConfig.residual_tol
+        assert (lam, res) == d.tangent_gradient(d.evaluate(v))[1:]
+        out = minimize(lat, 3.0, 10.0, init="trial-eps")
         assert (out.lagrange_multiplier, out.residual) == (lam, res)
 
 
@@ -302,7 +310,7 @@ class TestCondensedPreconditioner:
         V = dz.num_vertices
         for sigma in (1.0, 2.0, 2.0 ** 14):
             factored.clear()
-            d = _Descent(dz, 3.0, 1.0, SolverConfig())
+            d = _Descent(dz, 3.0, 1.0)
             # A power-of-two -lam >= 1 is its own shift.
             assert d.shift_to(-sigma) and d.sigma == sigma
             A = (sp.diags(sigma * dz.mass_vec) + dz.stiffness).tocsc()
@@ -369,7 +377,7 @@ def _newton_point(dz, p):
     rng = np.random.default_rng(dz.n)
     v = 3.0 * rng.standard_normal(dz.n_dofs)
     v[::7] = 0.0          # zeros of v: p = 2.5 needs the floor there
-    d = _Descent(dz, p, dz.mass(v), SolverConfig())
+    d = _Descent(dz, p, dz.mass(v))
     r, lam, _ = d.tangent_gradient(d.evaluate(v))
     floor = 1e-8 * np.abs(v).max()
     c = (p - 1.0) * dz.mass_vec * (v * v + floor * floor) ** (p / 2.0 - 1.0) + lam * dz.mass_vec
@@ -403,7 +411,7 @@ class TestCondensation:
         rng = np.random.default_rng(n)
         rs = [rng.standard_normal(dz.n_dofs), dz.mass_vec * rng.uniform(0, 1, dz.n_dofs)]
         for sigma in SHIFTS:
-            d = _Descent(dz, 3.0, 1.0, SolverConfig())
+            d = _Descent(dz, 3.0, 1.0)
             assert d.shift_to(-sigma) and d.sigma == sigma
             _, ref = _sparse_product_condensation(dz, sigma * dz.mass_vec)
             for r in rs + [np.stack(rs, axis=-1)]:
@@ -456,7 +464,7 @@ class TestCondensation:
             # Back to sigma = 1, and a second descent on the same
             # Discretization: rebuilds, on the preconditioners already made.
             assert d.shift_to(-1.0) and d.sigma == 1.0
-            other = _Descent(dz, 3.0, 1.0, SolverConfig())
+            other = _Descent(dz, 3.0, 1.0)
             for sigma in (8.0, 1.0):
                 assert other.shift_to(-sigma)
             for _ in range(2):
@@ -476,7 +484,7 @@ class TestShiftFactors:
         rng = np.random.default_rng(0)
         rs = [rng.standard_normal(dz.n_dofs), rng.standard_normal((dz.n_dofs, 2))]
         sigmas = (1.0, 8.0, 2.0 ** -10, 1.0, 8.0)
-        for d in (_Descent(dz, 3.0, 1.0, SolverConfig()) for _ in range(2)):
+        for d in (_Descent(dz, 3.0, 1.0) for _ in range(2)):
             for sigma in sigmas:
                 # Every change of sigma is a rebuild, kept preconditioner or not.
                 assert d.shift_to(-sigma) and d.sigma == sigma
@@ -488,7 +496,7 @@ class TestShiftFactors:
 
     def test_second_descent_takes_the_kept_preconditioner(self, monkeypatch):
         dz = make_discretization(build_honeycomb(3, 1.0), 9)
-        first = _Descent(dz, 3.0, 1.0, SolverConfig())
+        first = _Descent(dz, 3.0, 1.0)
         built = {}
         for sigma in (1.0, 8.0):
             assert first.shift_to(-sigma)
@@ -499,7 +507,7 @@ class TestShiftFactors:
 
         monkeypatch.setattr(hexnls.solver, "factorized", refuse)
         monkeypatch.setattr(hexnls.solver, "_condensed_solver", refuse)
-        second = _Descent(dz, 5.0, 2.0, SolverConfig())
+        second = _Descent(dz, 5.0, 2.0)
         for sigma in (8.0, 1.0):
             # Still a rebuild, so CG restarts, but on the very same object.
             assert second.shift_to(-sigma) and second.precondition is built[sigma]
@@ -534,7 +542,7 @@ class TestShiftFactors:
         gc.disable()
         try:
             graph = build_honeycomb(2, 1.0)
-            d = _Descent(make_discretization(graph, 5), 3.0, 1.0, SolverConfig())
+            d = _Descent(make_discretization(graph, 5), 3.0, 1.0)
             for sigma in (1.0, 8.0):
                 d.shift_to(-sigma)
             kept = [weakref.ref(d.dz)] + [weakref.ref(solve) for solve in
@@ -646,7 +654,7 @@ class TestCondensedNewton:
         # n = 3: each chain is the single sample with diagonal 2/h - c.
         dz = make_discretization(build_line(2.5), 3)
         v = np.ones(dz.n_dofs)
-        d = _Descent(dz, 3.0, dz.mass(v), SolverConfig())
+        d = _Descent(dz, 3.0, dz.mass(v))
         r, _, _ = d.tangent_gradient(d.evaluate(v))
         V = dz.num_vertices
         # c = (p - 1) M |v| + lam M = 2/h on the first chain's sample.
@@ -665,7 +673,7 @@ class TestCondensedNewton:
     ], ids=["singular-vertex-factor", "zero-border-pivot"])
     def test_degenerate_system_raises(self, graph, n, v0, lam, message):
         dz = make_discretization(graph, n)
-        d = _Descent(dz, 3.0, 1.0, SolverConfig())
+        d = _Descent(dz, 3.0, 1.0)
         r = np.random.default_rng(0).standard_normal(dz.n_dofs)
         with pytest.raises(RuntimeError, match=message):
             d.newton_direction(np.full(dz.n_dofs, v0), lam, r)
@@ -712,7 +720,7 @@ class _CountingK:
 class TestWorkPerIteration:
     def test_one_stiffness_product_per_candidate(self, monkeypatch):
         lat = build_honeycomb(4, 1.0)
-        d = _Descent(make_discretization(lat, 9), 5.0, 20.0, SolverConfig())
+        d = _Descent(make_discretization(lat, 9), 5.0, 20.0)
         d.K = counting = _CountingK(d.K)
         evaluated, polishes, in_gradient, points = [], [], [], []
         evaluate, gradient, polish = (_Descent.evaluate, _Descent.tangent_gradient,
@@ -750,17 +758,17 @@ class TestWorkPerIteration:
 
 class TestMultiStartRanking:
     def test_lower_energy_wins(self):
-        assert _beats(-2.0, 1e-3, -1.0, 1e-9, 1.0, 1e-6)
-        assert not _beats(-1.0, 1e-12, -2.0, 1e-3, 1.0, 1e-6)
+        assert _beats(-2.0, 1e-3, -1.0, 1e-9, 1.0)
+        assert not _beats(-1.0, 1e-12, -2.0, 1e-3, 1.0)
 
     def test_converged_tie_keeps_earlier_start(self):
-        assert not _beats(-1.0 - 1e-12, 1e-9, -1.0, 5e-7, 1.0, 1e-6)
+        assert not _beats(-1.0 - 1e-12, 1e-9, -1.0, 5e-7, 1.0)
 
     def test_unconverged_tie_ranked_by_residual(self):
-        assert _beats(-1.0, 1e-7, -1.0 - 1e-12, 1e-5, 1.0, 1e-6)
-        assert _beats(-1.0, 2e-5, -1.0, 3e-5, 1.0, 1e-6)
-        assert not _beats(-1.0, 2e-5, -1.0, 1e-5, 1.0, 1e-6)
-        assert not _beats(-1.0, 2e-5, -1.0, 1e-7, 1.0, 1e-6)
+        assert _beats(-1.0, 1e-7, -1.0 - 1e-12, 1e-5, 1.0)
+        assert _beats(-1.0, 2e-5, -1.0, 3e-5, 1.0)
+        assert not _beats(-1.0, 2e-5, -1.0, 1e-5, 1.0)
+        assert not _beats(-1.0, 2e-5, -1.0, 1e-7, 1.0)
 
 
 class TestEulerLagrangeResidual:
@@ -848,7 +856,7 @@ class TestClassification:
         assert out.classification == "SpreadToZero"
         assert out.init_used == "uniform" == INITIALIZERS[0]
         assert out.iterations == 1 and out.residual <= 1e-12
-        d = _Descent(make_discretization(lat, 9), 5.0, 1.0, SolverConfig())
+        d = _Descent(make_discretization(lat, 9), 5.0, 1.0)
         v0 = initial_function(lat, "uniform", 5.0, 1.0, 9).dofs
         assert out.final_energy == d.evaluate(d.project(v0)).E
 
@@ -875,7 +883,7 @@ class TestClassification:
         # On R = 40 the constant's boundary share is under spread_threshold,
         # so only its being constant shows that it is the flat state.
         graph = build_honeycomb(40, 1.0)
-        out = minimize(graph, 3.5, 0.1, SolverConfig(samples_per_edge=3), init="uniform")
+        out = minimize(graph, 3.5, 0.1, samples_per_edge=3, init="uniform")
         assert out.classification == "SpreadToZero" and out.minimizer is None
         assert out.iterations == 1
         dz = make_discretization(graph, 3)
