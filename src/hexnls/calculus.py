@@ -1,9 +1,13 @@
 """Functions on metric graphs: DOF storage, per-edge sample views, norms.
 
-A GraphFunction is its DOF vector: vertex values, then each edge's interior
-samples at arclength k * l_e / (n - 1), so continuity at vertices is
-structural.  ``values`` is a read-only per-edge view; from_edge_samples is the
-one checked way back.  Functions on the same (graph, n) share one
+A GraphFunction is a read-only value: its DOF vector (vertex values, then
+each edge's interior samples at arclength k * l_e / (n - 1), so continuity at
+vertices is structural) cannot be written, and a caller's writeable array is
+copied, so no alias can change it.  Its ``norms`` cache keeps the ratio
+terms that do not depend on p (mass, gradient norms, the constant test, the
+peak), measured once per function as Python scalars; int |u|^p is computed on
+every call.  ``values`` is a read-only per-edge view; from_edge_samples is
+the one checked way back.  Functions on the same (graph, n) share one
 Discretization, which the solver uses too; its lumped (trapezoid) mass vector
 is the quadrature, and forward differences on the sample intervals pair with
 it exactly, keeping norms orientation independent.
@@ -25,18 +29,26 @@ from .graph_core import MetricGraph
 
 
 class GraphFunction:
-    """A function on a metric graph, stored as its DOF vector."""
+    """A function on a metric graph, stored as its read-only DOF vector.
 
-    __slots__ = ("graph", "dofs", "layout")
+    A read-only array that owns its memory is kept as is; any other array is
+    copied first.  norms maps the p-independent ratio terms measured so far
+    (filled by inequality_ratio) to Python scalars.
+    """
+
+    __slots__ = ("graph", "dofs", "layout", "norms")
 
     def __init__(self, graph: MetricGraph, dofs: np.ndarray):
         dofs = np.asarray(dofs, dtype=float)
         interior, rest = divmod(dofs.size - graph.num_vertices, max(graph.num_edges, 1))
         if dofs.ndim != 1 or rest or interior < 0:
             raise ValueError(f"{dofs.shape} DOFs fit no sample count on this graph")
+        if dofs.flags.writeable or dofs.base is not None:
+            dofs = _frozen(dofs.copy())
         self.graph = graph
         self.dofs = dofs
         self.layout = _layout(graph, interior + 2)
+        self.norms = {}
 
     @property
     def samples_per_edge(self) -> int:
@@ -50,13 +62,18 @@ class GraphFunction:
         return vals
 
     def scaled(self, c: float) -> "GraphFunction":
-        return GraphFunction(self.graph, c * self.dofs)
+        return GraphFunction(self.graph, _frozen(c * self.dofs))
 
     def vertex_values(self) -> np.ndarray:
         """Read-only view of the vertex values."""
-        vals = self.dofs[:self.graph.num_vertices]
-        vals.flags.writeable = False
-        return vals
+        return self.dofs[:self.graph.num_vertices]
+
+
+def _frozen(dofs: np.ndarray) -> np.ndarray:
+    """dofs made read-only: a new array no one else holds becomes a
+    GraphFunction's own without a copy."""
+    dofs.flags.writeable = False
+    return dofs
 
 
 def _layout(graph: MetricGraph, samples_per_edge: int) -> "Discretization":
@@ -79,7 +96,7 @@ def from_edge_samples(graph: MetricGraph, values: np.ndarray) -> GraphFunction:
     bad = ends[~np.isclose(dofs[ends], values[:, [0, -1]], rtol=0, atol=0, equal_nan=True)]
     if bad.size:
         raise ValueError(f"vertex {bad[0]}: endpoint samples of its edges disagree")
-    return GraphFunction(graph, dofs)
+    return GraphFunction(graph, _frozen(dofs))
 
 
 def _abs_power(v: np.ndarray, e: float, sq: np.ndarray | None = None) -> np.ndarray:
@@ -107,7 +124,8 @@ def _abs_power(v: np.ndarray, e: float, sq: np.ndarray | None = None) -> np.ndar
 
 
 def constant_function(graph: MetricGraph, value: float, samples_per_edge: int = 33) -> GraphFunction:
-    return GraphFunction(graph, np.full(_layout(graph, samples_per_edge).n_dofs, float(value)))
+    return GraphFunction(graph, _frozen(np.full(_layout(graph, samples_per_edge).n_dofs,
+                                                float(value))))
 
 
 def from_vertex_values(graph: MetricGraph, vertex_vals: np.ndarray,
@@ -116,10 +134,7 @@ def from_vertex_values(graph: MetricGraph, vertex_vals: np.ndarray,
     vertex_vals = np.asarray(vertex_vals, dtype=float)
     if vertex_vals.shape != (graph.num_vertices,):
         raise ValueError(f"need one value per vertex, got shape {vertex_vals.shape}")
-    ends = _layout(graph, samples_per_edge).dof_of[:, [0, -1]]
-    t = np.linspace(0.0, 1.0, samples_per_edge)[1:-1]
-    interior = np.outer(vertex_vals[ends[:, 0]], 1.0 - t) + np.outer(vertex_vals[ends[:, 1]], t)
-    return GraphFunction(graph, np.concatenate([vertex_vals, interior.ravel()]))
+    return GraphFunction(graph, _frozen(_layout(graph, samples_per_edge).interpolate(vertex_vals)))
 
 
 def integrate_power(u: GraphFunction, p: float) -> float:
@@ -174,6 +189,25 @@ class Discretization:
         self.preconditioners = {}
 
     @cached_property
+    def hat_weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """(1 - t, t) at the interior samples t = k / (n - 1): the weights of
+        an edge's tail and head values in its linear interpolant."""
+        t = np.linspace(0.0, 1.0, self.n)[1:-1]
+        return 1.0 - t, t
+
+    def interpolate(self, vertex_vals: np.ndarray) -> np.ndarray:
+        """A new DOF vector, linear on every edge between these vertex
+        values, written in place: tail value * (1 - t) + head value * t."""
+        V = self.num_vertices
+        dofs = np.empty(self.n_dofs)
+        dofs[:V] = vertex_vals
+        interior = dofs[V:].reshape(self.num_edges, self.n - 2)
+        down, up = self.hat_weights
+        np.multiply(vertex_vals[self.dof_of[:, 0]][:, None], down, out=interior)
+        interior += vertex_vals[self.dof_of[:, -1]][:, None] * up
+        return dofs
+
+    @cached_property
     def cells(self) -> tuple[np.ndarray, np.ndarray]:
         """The (left, right) DOF of every sample cell, edge by edge."""
         return self.dof_of[:, :-1].ravel(), self.dof_of[:, 1:].ravel()
@@ -208,8 +242,9 @@ class Discretization:
         return self._lumped_mass(ring[tails] | ring[heads])
 
     def to_dofs(self, u: GraphFunction) -> np.ndarray:
-        """u's DOF vector, once u's layout is known to number the same DOFs:
-        the same edges between the same vertices, lengths and sampling."""
+        """u's (read-only) DOF vector, once u's layout is known to number the
+        same DOFs: the same edges between the same vertices, lengths and
+        sampling."""
         lay = u.layout
         if lay is not self and not (np.array_equal(lay.dof_of, self.dof_of)
                                     and np.array_equal(lay.h, self.h)):

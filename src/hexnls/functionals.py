@@ -1,4 +1,11 @@
-"""NLS energy and the functional inequalities as computable ratios."""
+"""NLS energy and the functional inequalities as computable ratios.
+
+inequality_ratio and the sharp-constant ascent share one evaluator of the
+ratio table, _RatioObjective.terms.  A GraphFunction is a read-only value,
+so the terms that do not depend on p (mass, the gradient norms, the
+constant test and the peak) are measured once per function and kept in its
+norms; int |u|^p is computed on every call.
+"""
 
 from __future__ import annotations
 
@@ -9,7 +16,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import dijkstra
 
 from .analytic import build_trial_function
-from .calculus import Discretization, GraphFunction, _layout, from_vertex_values
+from .calculus import Discretization, GraphFunction, _frozen, _layout
 from .graph_core import MetricGraph
 from .honeycomb import HoneycombLattice
 
@@ -25,6 +32,8 @@ _EXPONENTS = {
     "gn_interp": lambda p: {"lp": 1.0, "grad_l2sq": -1.0, "mass": -(p / 2 - 1)},
 }
 RATIO_NAMES = tuple(_EXPONENTS)
+# The table's terms measured on the whole function that do not depend on p.
+_P_FREE = ("mass", "grad_l1", "grad_l2sq")
 _ENVELOPE_GAMMAS = (0.05, 0.2, 1.0)
 
 
@@ -83,21 +92,28 @@ def _ratio_exponents(name: str, p: float) -> dict[str, float]:
 def inequality_ratio(u: GraphFunction, name: str, p: float = 2.0) -> InequalityRatio:
     """Ratio LHS / (RHS without its constant) for one of the inequalities: the
     exponential of the ascent's log-ratio.  The witness holds the ratio's norm
-    terms, the peak |u| and its first (edge, sample) in the per-edge view."""
+    terms, the peak |u| and its first (edge, sample) in the per-edge view.
+    The terms that do not depend on p are measured on u's first call and
+    read from u.norms after it; int |u|^p is computed on every call."""
     obj = _RatioObjective(u.layout, name, p)
-    t = obj.terms(u.dofs)
+    norms = u.norms
+    if "linf" not in norms:
+        # The peak's first place in the per-edge view, as argmax has it (a
+        # nan sample, the first, when there is one).
+        a = u.dofs[u.layout.dof_of]
+        np.abs(a, out=a)
+        eid, k = divmod(int(a.argmax()), u.layout.n)
+        norms.update(linf=float(a[eid, k]), argmax_edge=eid, argmax_sample=k)
+    t = obj.terms(u.dofs, norms)
+    if "constant" not in norms:
+        norms["constant"] = u.layout.cells_constant(u.dofs)
     # Every ratio divides by a gradient norm.  The cell differences of a
     # constant are exactly zero; its v.Kv is rounding noise, not always zero.
-    if u.layout.cells_constant(u.dofs) or \
-            any(t[term] <= 0 for term, e in obj.exponents.items() if e < 0):
+    if norms["constant"] or any(t[term] <= 0 for term, e in obj.exponents.items() if e < 0):
         raise ZeroDivisionError(f"{name} ratio undefined (zero denominator)")
-    # The peak's first place in the per-edge view, as argmax has it (a nan
-    # sample, the first, when there is one).
-    a = u.dofs[u.layout.dof_of]
-    np.abs(a, out=a)
-    eid, k = divmod(int(a.argmax()), u.layout.n)
     witness = {term: float(t[term]) for term in obj.exponents}
-    witness.update(linf=float(a[eid, k]), argmax_edge=eid, argmax_sample=k)
+    witness.update(linf=norms["linf"], argmax_edge=norms["argmax_edge"],
+                   argmax_sample=norms["argmax_sample"])
     return InequalityRatio(name=name, value=float(np.exp(obj.log_ratio(t))), witness=witness)
 
 
@@ -115,23 +131,31 @@ def _center_vertex(bare: MetricGraph) -> int:
     return int(np.argmin((bare.xy ** 2).sum(axis=1)))
 
 
-def _random_envelope(graph: MetricGraph, dist: np.ndarray, rng: np.random.Generator,
-                     gamma: float, samples_per_edge: int) -> GraphFunction:
-    """I.i.d. uniform vertex values times exp(-gamma * dist), linear on edges."""
-    vv = rng.uniform(-1.0, 1.0, graph.num_vertices) * np.exp(-gamma * dist)
-    return from_vertex_values(graph, vv, samples_per_edge)
+def _envelopes(dist: np.ndarray) -> list[np.ndarray]:
+    """exp(-gamma * dist) for each of _ENVELOPE_GAMMAS."""
+    return [np.exp(-gamma * dist) for gamma in _ENVELOPE_GAMMAS]
+
+
+def _random_envelope(dz: Discretization, envelope: np.ndarray,
+                     rng: np.random.Generator) -> np.ndarray:
+    """A new DOF vector: i.i.d. uniform vertex values times the envelope,
+    linear on edges."""
+    return dz.interpolate(rng.uniform(-1.0, 1.0, dz.num_vertices) * envelope)
 
 
 def random_corpus(lat: HoneycombLattice, count: int, seed: int) -> list[GraphFunction]:
     """Randomized test functions: i.i.d. uniform vertex values modulated by an
     exponential envelope around the origin, piecewise linear on edges with 9
-    samples each.  The envelope rates cycle through _ENVELOPE_GAMMAS."""
+    samples each.  The envelope rates cycle through _ENVELOPE_GAMMAS; the
+    envelopes and the hat weights are computed once per corpus, and each
+    function's DOF vector is its own."""
     if count < 0:
         raise ValueError(f"corpus size must be >= 0, got {count}")
-    dist = vertex_distances(lat.graph, lat.origin_vertex)
+    dz = make_discretization(lat, 9)
+    envelopes = _envelopes(vertex_distances(lat.graph, lat.origin_vertex))
     streams = np.random.SeedSequence(seed).spawn(count)
-    return [_random_envelope(lat.graph, dist, np.random.default_rng(stream),
-                             _ENVELOPE_GAMMAS[idx % len(_ENVELOPE_GAMMAS)], 9)
+    return [GraphFunction(lat.graph, _frozen(_random_envelope(
+                dz, envelopes[idx % len(envelopes)], np.random.default_rng(stream))))
             for idx, stream in enumerate(streams)]
 
 
@@ -147,27 +171,34 @@ class _RatioObjective:
         self.p = p
         self.exponents = _ratio_exponents(name, p)
 
-    def terms(self, v: np.ndarray) -> dict:
+    def terms(self, v: np.ndarray, known: dict | None = None) -> dict:
         """The table's norm terms at v, plus what grad reuses: |v|^(p-2) ("w"),
         K v, the cell differences and the peak's index.  The mass and
-        int |v|^p come from Discretization.potential, as the energy's do."""
+        int |v|^p come from Discretization.potential, as the energy's do.
+
+        known, when given, holds terms already measured at v that do not
+        depend on p (a function's norms): those are not measured again (and
+        grad cannot run on them), and the _P_FREE terms measured here are
+        added to it as Python floats.  The ascent passes none."""
         dz, ex = self.dz, self.exponents
-        t = {}
+        t = dict(known) if known else {}
         if "lp" in ex:
             t["w"], t["mass"], t["lp"] = dz.potential(v, self.p)
-        elif "mass" in ex:
+        elif "mass" in ex and "mass" not in t:
             t["mass"] = dz.mass(v)
-        if "linf" in ex:
+        if "linf" in ex and "linf" not in t:
             a = np.abs(v)
             t["argmax"] = int(a.argmax())
             t["linf"] = a[t["argmax"]]
-        if "grad_l1" in ex:
+        if "grad_l1" in ex and "grad_l1" not in t:
             d0, d1 = dz.cells
             t["diffs"] = v[d1] - v[d0]
             t["grad_l1"] = np.abs(t["diffs"]).sum()
-        if "grad_l2sq" in ex:
+        if "grad_l2sq" in ex and "grad_l2sq" not in t:
             t["Kv"] = dz.stiffness @ v
             t["grad_l2sq"] = float(v @ t["Kv"])
+        if known is not None:
+            known.update((term, float(t[term])) for term in _P_FREE if term in t)
         return t
 
     def log_ratio(self, terms: dict) -> float:
@@ -203,23 +234,24 @@ class _RatioObjective:
 
 def _ascent_starts(graph, dz: Discretization, num_starts: int, seed: int):
     """Mixed start vectors: random envelopes, exponential trial profiles,
-    centered bumps.  All normalized later; boundary DOFs zeroed by caller."""
+    centered bumps, each a new array the caller owns.  All normalized later;
+    boundary DOFs zeroed by caller."""
     bare, lat = _bare_graph(graph)
     dist = vertex_distances(bare, _center_vertex(bare))
+    envelopes = _envelopes(dist)
     streams = np.random.SeedSequence(seed).spawn(num_starts)
     starts = []
     for idx in range(num_starts):
         rng = np.random.default_rng(streams[idx])
         mode = idx % 3
         if mode == 0:
-            gamma = _ENVELOPE_GAMMAS[(idx // 3) % 3]
-            u = _random_envelope(bare, dist, rng, gamma, dz.n)
+            starts.append(_random_envelope(dz, envelopes[(idx // 3) % 3], rng))
         elif mode == 1 and lat is not None:
             u = build_trial_function(lat, float(rng.uniform(0.1, 0.8)), dz.n)
+            starts.append(dz.to_dofs(u).copy())
         else:
             width = float(rng.uniform(0.5, 4.0))
-            u = from_vertex_values(bare, 1.0 / np.cosh(dist / width), dz.n)
-        starts.append(dz.to_dofs(u))
+            starts.append(dz.interpolate(1.0 / np.cosh(dist / width)))
     return starts
 
 
@@ -287,4 +319,4 @@ def estimate_sharp_constant(name: str, p: float, graph, budget: int, seed: int,
             best_val, best_v = val, v
     if best_v is None:
         raise ValueError("every ascent start vanishes once the truncation boundary is zeroed")
-    return float(np.exp(best_val)), GraphFunction(_bare_graph(graph)[0], best_v)
+    return float(np.exp(best_val)), GraphFunction(_bare_graph(graph)[0], _frozen(best_v))

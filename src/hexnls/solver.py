@@ -124,13 +124,14 @@ def _path_profile(lat: HoneycombLattice, f, n: int) -> GraphFunction:
     on_path, i, coord = lat.edge_coordinates
     path = np.flatnonzero(on_path & (i == 0))
     profiles = f(lat.edge_length * (coord[path, None] + np.linspace(0.0, 1.0, n)))
-    dof_of = make_discretization(lat, n).dof_of[path]
+    dz = make_discretization(lat, n)
+    dof_of = dz.dof_of[path]
     vertex_val = np.zeros(lat.graph.num_vertices)
     # Adjacent path edges give their shared vertex the same value.
     vertex_val[dof_of[:, [0, -1]]] = profiles[:, [0, -1]]
-    u = from_vertex_values(lat.graph, vertex_val, n)
-    u.dofs[dof_of[:, 1:-1]] = profiles[:, 1:-1]
-    return u
+    dofs = dz.interpolate(vertex_val)
+    dofs[dof_of[:, 1:-1]] = profiles[:, 1:-1]
+    return GraphFunction(lat.graph, dofs)
 
 
 def soliton_bump(graph, p: float, mu: float, samples_per_edge: int) -> GraphFunction:

@@ -266,6 +266,67 @@ class TestContinuity:
             from_edge_samples(g, vals)
 
 
+class TestReadOnlyValue:
+    """A GraphFunction's DOF vector cannot change once it is built."""
+
+    @staticmethod
+    def _functions():
+        lat = build_honeycomb(2, 1.0)
+        g = lat.graph
+        vv = np.random.default_rng(1).normal(size=g.num_vertices)
+        u = from_vertex_values(g, vv, 9)
+        return [u, u.scaled(2.0), GraphFunction(g, u.dofs.copy()),
+                constant_function(g, 1.0, 5), from_edge_samples(g, u.values),
+                rescale_mass(u, 2.0), build_trial_function(lat, 0.5, 9),
+                random_corpus(lat, 1, seed=0)[0]]
+
+    def test_dofs_cannot_be_written(self):
+        for u in self._functions():
+            before = u.dofs.copy()
+            with pytest.raises(ValueError):
+                u.dofs[0] = 1.0
+            with pytest.raises(ValueError):
+                u.dofs *= 2.0
+            assert np.array_equal(u.dofs, before)
+
+    def test_caller_array_is_copied(self):
+        g = build_line(2)  # 5 vertices, 4 edges
+        dofs = np.linspace(0.0, 1.0, 5 + 4 * 3)
+        u = GraphFunction(g, dofs)
+        dofs[0] = 7.0
+        assert u.dofs[0] == 0.0 and dofs.flags.writeable
+        # A read-only view of a writeable array could still change: copied too.
+        view = dofs[:]
+        view.flags.writeable = False
+        w = GraphFunction(g, view)
+        dofs[1] = 7.0
+        assert w.dofs[1] == u.dofs[1] != 7.0
+        # So are the vertex values and per-edge samples a function is built from.
+        vv = np.arange(5.0)
+        v = from_vertex_values(g, vv, 5)
+        vv[2] = -1.0
+        assert v.vertex_values()[2] == 2.0
+        vals = v.values.copy()
+        e = from_edge_samples(g, vals)
+        vals[:] = 0.0
+        assert np.array_equal(e.dofs, v.dofs)
+
+    def test_read_only_value_is_shared_not_copied(self):
+        u = from_vertex_values(build_line(2), np.arange(5.0), 5)
+        assert GraphFunction(u.graph, u.dofs).dofs is u.dofs
+
+    @pytest.mark.parametrize("n", [2, 3, 9, 33])
+    def test_interpolation_matches_outer_products(self, n):
+        # Built in place from the layout's hat weights, bit for bit the
+        # tail * (1 - t) + head * t of the two outer products.
+        g = build_star(3, 2.5)
+        vv = np.random.default_rng(n).normal(size=g.num_vertices)
+        t = np.linspace(0.0, 1.0, n)[1:-1]
+        interior = np.outer(vv[g.tails], 1.0 - t) + np.outer(vv[g.heads], t)
+        want = np.concatenate([vv, interior.ravel()])
+        assert np.array_equal(from_vertex_values(g, vv, n).dofs, want)
+
+
 class TestFromVertexValues:
     def test_vertex_array_length_checked(self):
         g = build_line(2)

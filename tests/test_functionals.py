@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hexnls.analytic import build_trial_function, trial_energy, trial_truncation_radius
-from hexnls.calculus import (GraphFunction, constant_function, from_edge_samples,
+from hexnls.calculus import (Discretization, GraphFunction, constant_function, from_edge_samples,
                              from_vertex_values, gradient_norms, integrate_power,
                              rescale_mass)
 from hexnls.functionals import (RATIO_NAMES, _ascent_starts, _RatioObjective, energy,
@@ -255,6 +255,89 @@ class TestCorpusBounds:
             K = 2.0 * rep.kinetic
             bound = 0.5 * K - (1.01 / p) * rep.mass ** (p / 4 + 0.5) * K ** (p / 4 - 0.5)
             assert rep.total >= bound - 1e-12
+
+
+# Every ratio at every valid power of {2.5, 3, 4, 4.5, 6}: the sobolev ratios
+# take p = 2 whatever p is passed, the GN ratios need p > 2.
+ALL_RATIO_CASES = [(name, p) for p in (2.5, 3.0, 4.0, 4.5, 6.0) for name in RATIO_NAMES]
+
+# The p-independent terms a function's norms may hold.
+P_FREE_NORMS = {"mass", "grad_l1", "grad_l2sq", "constant", "linf", "argmax_edge",
+                "argmax_sample"}
+
+
+def _cache_functions():
+    """Corpus functions at R = 3 and R = 6, and functions on a line, a star
+    and a square grid."""
+    out = random_corpus(build_honeycomb(3, 1.0), 3, seed=5)
+    out += random_corpus(build_honeycomb(6, 1.0), 3, seed=6)
+    rng = np.random.default_rng(8)
+    for g in (build_line(4.5), build_star(5, 2.0), build_square_grid(3, 1.0)):
+        out.append(from_vertex_values(g, rng.uniform(-1.0, 1.0, g.num_vertices), 9))
+    return out
+
+
+def _fresh(u: GraphFunction) -> GraphFunction:
+    """The same value with nothing measured yet."""
+    fresh = GraphFunction(u.graph, u.dofs)
+    assert not fresh.norms
+    return fresh
+
+
+def _same(a, b) -> bool:
+    """Two ratios equal bit for bit, value and witness."""
+    return (a.value.hex() == b.value.hex() and a.witness.keys() == b.witness.keys() and
+            all(repr(a.witness[k]) == repr(b.witness[k]) for k in a.witness))
+
+
+class TestNormsCache:
+    """Repeat ratios on one function read its p-independent norms."""
+
+    @pytest.mark.parametrize("u", _cache_functions(),
+                             ids=["R3-0", "R3-1", "R3-2", "R6-0", "R6-1", "R6-2",
+                                  "line", "star", "square-grid"])
+    def test_repeat_calls_match_cold_calls(self, u):
+        cold = {case: inequality_ratio(_fresh(u), *case) for case in ALL_RATIO_CASES}
+        for order in (ALL_RATIO_CASES, ALL_RATIO_CASES[::-1]):
+            warm = _fresh(u)
+            for case in order + order:
+                assert _same(inequality_ratio(warm, *case), cold[case]), case
+            assert set(warm.norms) == P_FREE_NORMS
+
+    def test_norms_hold_only_p_free_scalars(self):
+        u = _fresh(random_corpus(build_honeycomb(3, 1.0), 1, seed=2)[0])
+        inequality_ratio(u, "gn1d", 3.0)
+        after_one_power = dict(u.norms)
+        for case in ALL_RATIO_CASES:
+            inequality_ratio(u, *case)
+        assert set(u.norms) == P_FREE_NORMS
+        assert all(type(v) in (float, int, bool) for v in u.norms.values())
+        # Calls at other powers and ratios change nothing already measured.
+        assert {k: u.norms[k] for k in after_one_power} == after_one_power
+        # Every rescaled copy measures its own.
+        assert not u.scaled(2.0).norms
+
+    @pytest.mark.parametrize("p", [3.0, 4.5])
+    def test_one_stiffness_product_per_function(self, monkeypatch, lat, p):
+        # The three GN ratios at one p: v.Kv once per function, int |u|^p
+        # (Discretization.potential) on every call.
+        dz = make_discretization(lat, 9)
+        counting = _CountingK(dz.stiffness)
+        monkeypatch.setitem(vars(dz), "stiffness", counting)
+        potentials = []
+        potential = Discretization.potential
+
+        def counting_potential(self, v, q):
+            potentials.append(q)
+            return potential(self, v, q)
+
+        monkeypatch.setattr(Discretization, "potential", counting_potential)
+        functions = random_corpus(lat, 4, seed=9)
+        for u in functions:
+            for name in ("gn1d", "gn2d", "gn_interp"):
+                inequality_ratio(u, name, p)
+        assert counting.products == len(functions)
+        assert potentials == [p] * (3 * len(functions))
 
 
 class TestRandomCorpus:

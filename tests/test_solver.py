@@ -805,8 +805,9 @@ class TestEulerLagrangeResidual:
 
     @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
     def test_non_finite_mass_rejected(self, lat, bad):
-        u = constant_function(lat.graph, 1.0, 9)
-        u.dofs[5] = bad
+        dofs = constant_function(lat.graph, 1.0, 9).dofs.copy()
+        dofs[5] = bad
+        u = GraphFunction(lat.graph, dofs)
         with pytest.raises(ValueError, match="finite"):
             euler_lagrange_residual(u, 3.0)
 
