@@ -16,14 +16,13 @@ from hexnls import (bridge_line_index, build_honeycomb, decompose_bridges,
 def main() -> None:
     R = 2
     lat = build_honeycomb(R, edge_length=1.0)
-    g = lat.graph
     print(f"Truncated hexagonal grid, radius R={R}, edge length 1")
-    print(f"  vertices: {g.num_vertices}  (formula 2(2R+1)(2R+2) = "
+    print(f"  vertices: {lat.num_vertices}  (formula 2(2R+1)(2R+2) = "
           f"{2 * (2 * R + 1) * (2 * R + 2)})")
-    print(f"  edges:    {g.num_edges}  (formula 3(2R+1)^2 = {3 * (2 * R + 1) ** 2})")
-    print(f"  total length: {g.total_length():g}")
-    print(f"  validation issues: {validate(g) or 'none'}")
-    hist = np.bincount(g.degrees())
+    print(f"  edges:    {lat.num_edges}  (formula 3(2R+1)^2 = {3 * (2 * R + 1) ** 2})")
+    print(f"  total length: {lat.total_length():g}")
+    print(f"  validation issues: {validate(lat) or 'none'}")
+    hist = np.bincount(lat.degrees())
     print(f"  degree histogram: " + ", ".join(
         f"{d}: {n}" for d, n in enumerate(hist) if n))
 
@@ -35,7 +34,7 @@ def main() -> None:
 
     # Every edge is covered; horizontal edges belong to exactly one path of
     # each family, slanted edges to exactly one path in total.
-    counts = [0] * g.num_edges
+    counts = [0] * lat.num_edges
     for path in list(fam.L_paths.values()) + list(fam.R_paths.values()):
         for eid in path:
             counts[eid] += 1

@@ -140,7 +140,7 @@ def build_trial_function(lat: HoneycombLattice, eps: float,
     offsets = np.where(on_path, np.abs(a), np.abs(coord) + np.where(a >= 0, a, -a - 1))
     arg = np.where(on_path[:, None], np.abs(coord[:, None] + t) + offsets[:, None],
                    t + offsets[:, None])
-    return from_edge_samples(lat.graph, np.exp(-eps * lat.edge_length * arg))
+    return from_edge_samples(lat, np.exp(-eps * lat.edge_length * arg))
 
 
 def trial_truncation_radius(eps: float) -> int:

@@ -47,7 +47,7 @@ class GraphFunction:
             dofs = _frozen(dofs.copy())
         self.graph = graph
         self.dofs = dofs
-        self.layout = _layout(graph, interior + 2)
+        self.layout = make_discretization(graph, interior + 2)
         self.norms = {}
 
     @property
@@ -76,7 +76,7 @@ def _frozen(dofs: np.ndarray) -> np.ndarray:
     return dofs
 
 
-def _layout(graph: MetricGraph, samples_per_edge: int) -> "Discretization":
+def make_discretization(graph: MetricGraph, samples_per_edge: int) -> "Discretization":
     """The Discretization shared by all functions with this sampling on graph."""
     if samples_per_edge not in graph._layouts:
         graph._layouts[samples_per_edge] = Discretization(graph, samples_per_edge)
@@ -89,7 +89,7 @@ def from_edge_samples(graph: MetricGraph, values: np.ndarray) -> GraphFunction:
     values = np.asarray(values, dtype=float)
     if values.ndim != 2 or values.shape[0] != graph.num_edges or values.shape[1] < 2:
         raise ValueError(f"values shape {values.shape} does not match graph")
-    lay = _layout(graph, values.shape[1])
+    lay = make_discretization(graph, values.shape[1])
     dofs = np.empty(lay.n_dofs)
     dofs[lay.dof_of] = values
     ends = lay.dof_of[:, [0, -1]]
@@ -124,8 +124,8 @@ def _abs_power(v: np.ndarray, e: float, sq: np.ndarray | None = None) -> np.ndar
 
 
 def constant_function(graph: MetricGraph, value: float, samples_per_edge: int = 33) -> GraphFunction:
-    return GraphFunction(graph, _frozen(np.full(_layout(graph, samples_per_edge).n_dofs,
-                                                float(value))))
+    n_dofs = make_discretization(graph, samples_per_edge).n_dofs
+    return GraphFunction(graph, _frozen(np.full(n_dofs, float(value))))
 
 
 def from_vertex_values(graph: MetricGraph, vertex_vals: np.ndarray,
@@ -134,7 +134,8 @@ def from_vertex_values(graph: MetricGraph, vertex_vals: np.ndarray,
     vertex_vals = np.asarray(vertex_vals, dtype=float)
     if vertex_vals.shape != (graph.num_vertices,):
         raise ValueError(f"need one value per vertex, got shape {vertex_vals.shape}")
-    return GraphFunction(graph, _frozen(_layout(graph, samples_per_edge).interpolate(vertex_vals)))
+    dz = make_discretization(graph, samples_per_edge)
+    return GraphFunction(graph, _frozen(dz.interpolate(vertex_vals)))
 
 
 def integrate_power(u: GraphFunction, p: float) -> float:

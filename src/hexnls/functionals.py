@@ -16,7 +16,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import dijkstra
 
 from .analytic import build_trial_function
-from .calculus import Discretization, GraphFunction, _frozen, _layout
+from .calculus import Discretization, GraphFunction, _frozen, make_discretization
 from .graph_core import MetricGraph
 from .honeycomb import HoneycombLattice
 
@@ -35,23 +35,6 @@ RATIO_NAMES = tuple(_EXPONENTS)
 # The table's terms measured on the whole function that do not depend on p.
 _P_FREE = ("mass", "grad_l1", "grad_l2sq")
 _ENVELOPE_GAMMAS = (0.05, 0.2, 1.0)
-
-
-def _bare_graph(graph) -> tuple[MetricGraph, HoneycombLattice | None]:
-    if isinstance(graph, HoneycombLattice):
-        return graph.graph, graph
-    return graph, None
-
-
-def make_discretization(graph, samples_per_edge: int) -> Discretization:
-    """The layout shared by a lattice's or bare graph's functions at this sampling."""
-    return _layout(_bare_graph(graph)[0], samples_per_edge)
-
-
-def truncation_boundary(graph) -> np.ndarray:
-    """The truncation boundary of a lattice, the leaves of a bare graph."""
-    bare, lat = _bare_graph(graph)
-    return lat.boundary_vertices() if lat is not None else bare.leaves()
 
 
 @dataclass(slots=True)
@@ -126,9 +109,9 @@ def vertex_distances(graph: MetricGraph, source: int) -> np.ndarray:
     return dijkstra((adj + adj.T).tocsr(), indices=source)
 
 
-def _center_vertex(bare: MetricGraph) -> int:
+def _center_vertex(graph: MetricGraph) -> int:
     # Builders place the natural center at the coordinate origin.
-    return int(np.argmin((bare.xy ** 2).sum(axis=1)))
+    return int(np.argmin((graph.xy ** 2).sum(axis=1)))
 
 
 def _envelopes(dist: np.ndarray) -> list[np.ndarray]:
@@ -152,9 +135,9 @@ def random_corpus(lat: HoneycombLattice, count: int, seed: int) -> list[GraphFun
     if count < 0:
         raise ValueError(f"corpus size must be >= 0, got {count}")
     dz = make_discretization(lat, 9)
-    envelopes = _envelopes(vertex_distances(lat.graph, lat.origin_vertex))
+    envelopes = _envelopes(vertex_distances(lat, lat.origin_vertex))
     streams = np.random.SeedSequence(seed).spawn(count)
-    return [GraphFunction(lat.graph, _frozen(_random_envelope(
+    return [GraphFunction(lat, _frozen(_random_envelope(
                 dz, envelopes[idx % len(envelopes)], np.random.default_rng(stream))))
             for idx, stream in enumerate(streams)]
 
@@ -232,12 +215,12 @@ class _RatioObjective:
         return g
 
 
-def _ascent_starts(graph, dz: Discretization, num_starts: int, seed: int):
-    """Mixed start vectors: random envelopes, exponential trial profiles,
-    centered bumps, each a new array the caller owns.  All normalized later;
-    boundary DOFs zeroed by caller."""
-    bare, lat = _bare_graph(graph)
-    dist = vertex_distances(bare, _center_vertex(bare))
+def _ascent_starts(graph: MetricGraph, dz: Discretization, num_starts: int, seed: int):
+    """Mixed start vectors: random envelopes, exponential trial profiles (on
+    a lattice; a centered bump on any other graph), centered bumps, each a
+    new array the caller owns.  All normalized later; boundary DOFs zeroed
+    by caller."""
+    dist = vertex_distances(graph, _center_vertex(graph))
     envelopes = _envelopes(dist)
     streams = np.random.SeedSequence(seed).spawn(num_starts)
     starts = []
@@ -246,8 +229,8 @@ def _ascent_starts(graph, dz: Discretization, num_starts: int, seed: int):
         mode = idx % 3
         if mode == 0:
             starts.append(_random_envelope(dz, envelopes[(idx // 3) % 3], rng))
-        elif mode == 1 and lat is not None:
-            u = build_trial_function(lat, float(rng.uniform(0.1, 0.8)), dz.n)
+        elif mode == 1 and isinstance(graph, HoneycombLattice):
+            u = build_trial_function(graph, float(rng.uniform(0.1, 0.8)), dz.n)
             starts.append(dz.to_dofs(u).copy())
         else:
             width = float(rng.uniform(0.5, 4.0))
@@ -255,7 +238,7 @@ def _ascent_starts(graph, dz: Discretization, num_starts: int, seed: int):
     return starts
 
 
-def estimate_sharp_constant(name: str, p: float, graph, budget: int, seed: int,
+def estimate_sharp_constant(name: str, p: float, graph: MetricGraph, budget: int, seed: int,
                             samples_per_edge: int = 9, num_starts: int = 50
                             ) -> tuple[float, GraphFunction]:
     """Lower bound on the lumped discrete sharp constant of an inequality:
@@ -263,9 +246,9 @@ def estimate_sharp_constant(name: str, p: float, graph, budget: int, seed: int,
     exact P1 norms, nor the continuum's).
 
     Projected (sub)gradient ascent on the log-ratio from multiple starts;
-    iterates vanish on the truncation boundary, so on a lattice every
-    witness extends by zero to the infinite grid.  The truncation boundary
-    of a bare graph is its leaves, and build_square_grid has none: there the
+    iterates vanish on graph.boundary_vertices(), so on a lattice every
+    witness extends by zero to the infinite grid.  On any other graph that
+    boundary is the leaves, and build_square_grid has none: there the
     witness is not zero on the grid's edge (at R = 3, gn1d at p = 4, budget
     20 and 5 starts, max |w| = 9.1e-6 on the vertices of degree < 4).
     Deterministic given the seed; the bound is monotone in the budget.
@@ -276,7 +259,7 @@ def estimate_sharp_constant(name: str, p: float, graph, budget: int, seed: int,
         raise ValueError(f"num_starts must be >= 1, got {num_starts}")
     dz = make_discretization(graph, samples_per_edge)
     obj = _RatioObjective(dz, name, p)
-    boundary = truncation_boundary(graph)
+    boundary = graph.boundary_vertices()
 
     def normalize(v):
         """v scaled in place to unit mass, unless it has none."""
@@ -319,4 +302,4 @@ def estimate_sharp_constant(name: str, p: float, graph, budget: int, seed: int,
             best_val, best_v = val, v
     if best_v is None:
         raise ValueError("every ascent start vanishes once the truncation boundary is zeroed")
-    return float(np.exp(best_val)), GraphFunction(_bare_graph(graph)[0], _frozen(best_v))
+    return float(np.exp(best_val)), GraphFunction(graph, _frozen(best_v))

@@ -64,6 +64,10 @@ class MetricGraph:
     def leaves(self) -> np.ndarray:
         return np.flatnonzero(self.degrees() == 1)
 
+    def boundary_vertices(self) -> np.ndarray:
+        """The truncation boundary: the leaves, unless a subclass says otherwise."""
+        return self.leaves()
+
 
 class GraphBuilder:
     """Vertex-by-vertex, edge-by-edge construction of a hand-built graph."""
@@ -97,7 +101,11 @@ class GraphBuilder:
 
 def build_graph(tails, heads, lengths, xy) -> MetricGraph:
     """The graph with these arrays, refused with every problem validate finds."""
-    g = MetricGraph(tails, heads, lengths, xy)
+    return checked(MetricGraph(tails, heads, lengths, xy))
+
+
+def checked(g: MetricGraph) -> MetricGraph:
+    """g itself, refused with every problem validate finds."""
     problems = validate(g)
     if problems:
         raise ValueError("builder produced invalid graph: " + "; ".join(problems))

@@ -10,9 +10,12 @@ the slanted edges between them, so every stored path is complete across the
 window.  Stub edges (to degree-1 vertices) are kept where a path segment
 exits the window.
 
-Every edge has a role (kind, i, j), and ``HoneycombLattice.roles`` is the
-one table of them, as arrays (``edge_roles`` lists it, ``edge_id`` inverts
-it); paths, bridge lines and coordinates are read from it:
+A ``HoneycombLattice`` is the truncation's MetricGraph itself, with the
+edge length, the origin vertex, the radius and the edge roles added; its
+truncation boundary is every vertex of degree below 3.  Every edge has a
+role (kind, i, j), and ``HoneycombLattice.roles`` is the one table of them,
+as arrays (``edge_roles`` lists it, ``edge_id`` inverts it); paths, bridge
+lines and coordinates are read from it:
 
 - ("horizontal", i, j) is the edge shared by L_i and R_j, from its left end
   A(i, j) to its right end B(i, j);
@@ -35,7 +38,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graph_core import MetricGraph, build_graph
+from .graph_core import MetricGraph, build_graph, checked
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
 
@@ -43,9 +46,8 @@ SQRT3_2 = math.sqrt(3.0) / 2.0
 EDGE_KINDS = ("horizontal", "up", "down")
 
 
-@dataclass(eq=False)
-class HoneycombLattice:
-    graph: MetricGraph
+@dataclass(frozen=True, eq=False)
+class HoneycombLattice(MetricGraph):
     edge_length: float
     origin_vertex: int
     truncation_radius: int
@@ -54,8 +56,14 @@ class HoneycombLattice:
     # lower of the two L paths the edge joins.
     roles: tuple[np.ndarray, np.ndarray, np.ndarray]
 
+    @property
+    def graph(self) -> "HoneycombLattice":
+        """The lattice itself: it is its graph."""
+        return self
+
     def boundary_vertices(self) -> np.ndarray:
-        return np.flatnonzero(self.graph.degrees() < 3)
+        """The truncation boundary: the vertices of degree below 3."""
+        return np.flatnonzero(self.degrees() < 3)
 
     @cached_property
     def edge_roles(self) -> list[tuple[str, int, int]]:
@@ -150,12 +158,13 @@ def build_honeycomb(truncation_radius: int, edge_length: float) -> HoneycombLatt
     stub_bx, stub_by = pos(R + 1, j[:N])           # A(R + 1, j), l left of B(R + 1, j)
     x = np.concatenate([np.column_stack([ax, ax + l]).ravel(), stub_ax, stub_bx + l])
     y = np.concatenate([np.repeat(ay, 2), stub_ay, stub_by])
-    graph = build_graph(tails, heads, np.full(3 * N * N, float(l)), np.column_stack([x, y]))
     roles = np.repeat(np.arange(len(EDGE_KINDS)), N * N), np.tile(i, 3), np.tile(j, 3)
     for r in roles:
         r.flags.writeable = False
-    return HoneycombLattice(graph=graph, edge_length=l, origin_vertex=int(A[(N * N) // 2]),
-                            truncation_radius=R, roles=roles)
+    return checked(HoneycombLattice(tails, heads, np.full(3 * N * N, float(l)),
+                                    np.column_stack([x, y]), edge_length=l,
+                                    origin_vertex=int(A[(N * N) // 2]), truncation_radius=R,
+                                    roles=roles))
 
 
 def path_coordinate(lat: HoneycombLattice, edge_id: int, t: float) -> tuple[int, float]:

@@ -67,9 +67,9 @@ from scipy.sparse.linalg import splu
 
 from .analytic import build_trial_function, soliton_params, soliton_profile
 from .calculus import (Discretization, GraphFunction, constant_function, from_vertex_values,
-                       rescale_mass)
-from .functionals import (_bare_graph, _center_vertex, energy, make_discretization,
-                          truncation_boundary, vertex_distances)
+                       make_discretization, rescale_mass)
+from .functionals import _center_vertex, energy, vertex_distances
+from .graph_core import MetricGraph
 from .honeycomb import HoneycombLattice
 
 INITIALIZERS = ("uniform", "soliton-bump", "trial-eps")
@@ -126,40 +126,48 @@ def _path_profile(lat: HoneycombLattice, f, n: int) -> GraphFunction:
     profiles = f(lat.edge_length * (coord[path, None] + np.linspace(0.0, 1.0, n)))
     dz = make_discretization(lat, n)
     dof_of = dz.dof_of[path]
-    vertex_val = np.zeros(lat.graph.num_vertices)
+    vertex_val = np.zeros(lat.num_vertices)
     # Adjacent path edges give their shared vertex the same value.
     vertex_val[dof_of[:, [0, -1]]] = profiles[:, [0, -1]]
     dofs = dz.interpolate(vertex_val)
     dofs[dof_of[:, 1:-1]] = profiles[:, 1:-1]
-    return GraphFunction(lat.graph, dofs)
+    return GraphFunction(lat, dofs)
 
 
-def soliton_bump(graph, p: float, mu: float, samples_per_edge: int) -> GraphFunction:
+def _check_problem(p: float, mu: float) -> None:
+    """Refuse a power outside (2, 6] and a mass that is not positive and finite."""
+    if not (2 < p <= 6):
+        raise ValueError(f"nonlinearity power must be in (2, 6], got {p}")
+    if not 0 < mu < np.inf:
+        raise ValueError(f"mass must be positive and finite, got {mu}")
+
+
+def soliton_bump(graph: MetricGraph, p: float, mu: float, samples_per_edge: int) -> GraphFunction:
     """Discretized line soliton transplanted along a path through the center:
     L_0 on a honeycomb lattice, the whole graph otherwise (by arc distance)."""
-    bare, lat = _bare_graph(graph)
+    _check_problem(p, mu)
     params = soliton_params(min(p, 5.9), mu)
-    if lat is None:
-        dist = vertex_distances(bare, _center_vertex(bare))
-        vv = soliton_profile(params, dist)
-        u = from_vertex_values(bare, vv, samples_per_edge)
-        return rescale_mass(u, mu)
-    return rescale_mass(_path_profile(lat, partial(soliton_profile, params),
-                                      samples_per_edge), mu)
+    if isinstance(graph, HoneycombLattice):
+        return rescale_mass(_path_profile(graph, partial(soliton_profile, params),
+                                          samples_per_edge), mu)
+    dist = vertex_distances(graph, _center_vertex(graph))
+    return rescale_mass(from_vertex_values(graph, soliton_profile(params, dist),
+                                           samples_per_edge), mu)
 
 
-def initial_function(graph, tag: str, p: float, mu: float,
+def initial_function(graph: MetricGraph, tag: str, p: float, mu: float,
                      samples_per_edge: int) -> GraphFunction:
-    bare, lat = _bare_graph(graph)
+    """The start named tag, of mass mu, for the problem at power p."""
+    _check_problem(p, mu)
     if tag == "soliton-bump":
         return soliton_bump(graph, p, mu, samples_per_edge)
     if tag == "trial-eps":
-        if lat is not None:
-            return rescale_mass(build_trial_function(lat, 0.3, samples_per_edge), mu)
-        dist = vertex_distances(bare, _center_vertex(bare))
-        return rescale_mass(from_vertex_values(bare, np.exp(-0.3 * dist), samples_per_edge), mu)
+        if isinstance(graph, HoneycombLattice):
+            return rescale_mass(build_trial_function(graph, 0.3, samples_per_edge), mu)
+        dist = vertex_distances(graph, _center_vertex(graph))
+        return rescale_mass(from_vertex_values(graph, np.exp(-0.3 * dist), samples_per_edge), mu)
     if tag == "uniform":
-        return constant_function(bare, np.sqrt(mu / bare.total_length()), samples_per_edge)
+        return constant_function(graph, np.sqrt(mu / graph.total_length()), samples_per_edge)
     raise ValueError(f"unknown initializer {tag!r}")
 
 
@@ -402,10 +410,10 @@ class _Descent:
 
 def euler_lagrange_residual(u: GraphFunction, p: float) -> tuple[float, float]:
     """Rayleigh-type multiplier and relative stationarity residual of the
-    constrained problem at u."""
+    constrained problem at u, for a power p in (2, 6] and u of positive,
+    finite mass."""
     mu = u.layout.mass(u.dofs)
-    if not 0 < mu < np.inf:
-        raise ValueError(f"Euler-Lagrange residual needs a positive, finite mass, got {mu}")
+    _check_problem(p, mu)
     d = _Descent(u.layout, p, mu)
     _, lam, res = d.tangent_gradient(d.evaluate(u.dofs))
     return lam, res
@@ -477,7 +485,8 @@ def _descend(d: _Descent, v0: np.ndarray,
     return pt.v, pt.E, lam, res, it
 
 
-def _classify(d: _Descent, v: np.ndarray, E: float, res: float, p: float, graph) -> str:
+def _classify(d: _Descent, v: np.ndarray, E: float, res: float, p: float,
+              graph: MetricGraph) -> str:
     dz = d.dz
     if E < SolverConfig.divergence_floor:
         return "UnboundedBelow"
@@ -494,7 +503,7 @@ def _classify(d: _Descent, v: np.ndarray, E: float, res: float, p: float, graph)
     # which on a large window falls below spread_threshold.
     flat_like = E >= 2.0 * flat_energy
     if near_zero or dz.cells_constant(v) or (flat_like and dz.boundary_mass_fraction(
-            v, dz.boundary_weights(truncation_boundary(graph))) >= SolverConfig.spread_threshold):
+            v, dz.boundary_weights(graph.boundary_vertices())) >= SolverConfig.spread_threshold):
         return "SpreadToZero"
     if p == 6:
         # Ground states never exist at the 1D-critical power; a localized
@@ -519,7 +528,7 @@ def _beats(E: float, res: float, best_E: float, best_res: float, mu: float) -> b
     return res < best_res
 
 
-def minimize(graph, p: float, mu: float, *, samples_per_edge: int = 9,
+def minimize(graph: MetricGraph, p: float, mu: float, *, samples_per_edge: int = 9,
              init: GraphFunction | str = "multi") -> SolveOutcome:
     """Minimize the mass-mu NLS energy on a truncated graph.
 
@@ -527,19 +536,8 @@ def minimize(graph, p: float, mu: float, *, samples_per_edge: int = 9,
     (run all named initializers, keep the best final energy).
     samples_per_edge is the sampling and the one setting; each start runs at
     most MAX_ITERS iterations.
-
-    Pass the lattice, not its bare graph: the two are solved differently.  A
-    lattice's truncation boundary, which the classification weighs, is its
-    vertices of degree below 3, a bare graph's only its leaves, and the
-    soliton-bump and trial-eps starts follow the path L_0 on a lattice but
-    the arc distance from the center on a bare graph.  On R = 7 at
-    (p, mu) = (2.5, 1), the lattice ends SpreadToZero after 254 iterations
-    and its bare graph GroundState after 491, energies 2e-12 apart relative.
     """
-    if not (2 < p <= 6):
-        raise ValueError(f"nonlinearity power must be in (2, 6], got {p}")
-    if not 0 < mu < np.inf:
-        raise ValueError(f"mass must be positive and finite, got {mu}")
+    _check_problem(p, mu)
     dz = make_discretization(graph, samples_per_edge)
     d = _Descent(dz, p, mu)
 
@@ -557,7 +555,7 @@ def minimize(graph, p: float, mu: float, *, samples_per_edge: int = 9,
             best = (tag, E, v, lam, res, it, trace)
     tag, E, v, lam, res, it, trace = best
     classification = _classify(d, v, E, res, p, graph)
-    minimizer = GraphFunction(_bare_graph(graph)[0], v) if classification == "GroundState" else None
+    minimizer = GraphFunction(graph, v) if classification == "GroundState" else None
     return SolveOutcome(classification=classification, final_energy=E, minimizer=minimizer,
                         lagrange_multiplier=lam, iterations=it, residual=res,
                         init_used=tag, trace=trace)

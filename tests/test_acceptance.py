@@ -19,7 +19,7 @@ from hexnls.analytic import (build_trial_function, critical_mass_from_constant,
 from hexnls.calculus import from_edge_samples, gradient_norms, integrate_power
 from hexnls.cli import main as cli_main
 from hexnls.functionals import (energy, estimate_sharp_constant, inequality_ratio,
-                                random_corpus, truncation_boundary)
+                                random_corpus)
 from hexnls.graph_core import build_line
 from hexnls.honeycomb import build_honeycomb, decompose_bridges, decompose_paths
 from hexnls.solver import bisect_critical_mass, demonstrate_unbounded, minimize
@@ -172,7 +172,7 @@ class TestSubcriticalWitness:
         u = solves_r20[0.1].minimizer
         eid = int(np.argmax(np.abs(u.values)) // u.samples_per_edge)
         tail, head = int(lat20.graph.tails[eid]), int(lat20.graph.heads[eid])
-        interior = not {tail, head} & set(truncation_boundary(lat20).tolist())
+        interior = not {tail, head} & set(lat20.boundary_vertices().tolist())
         acceptance("criterion 6 (mu=0.1 peak away from the truncation boundary)", interior,
                    f"expected failure: peak on edge {tail}-{head}, "
                    f"{'interior' if interior else 'touching the truncation boundary'}")

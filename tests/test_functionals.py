@@ -406,6 +406,16 @@ class TestSharpConstantAscent:
         vv = witness.vertex_values()
         assert np.abs(vv[lat.boundary_vertices()]).max() == 0.0
 
+    def test_graph_of_a_lattice_is_ascended_as_the_lattice(self):
+        lat = build_honeycomb(4, 1.0)
+        c_hat, witness = estimate_sharp_constant("gn_interp", 5.0, lat.graph, budget=20,
+                                                 seed=1, num_starts=6)
+        assert witness.graph is lat
+        assert np.abs(witness.vertex_values()[lat.degrees() < 3]).max() == 0.0
+        same, twin = estimate_sharp_constant("gn_interp", 5.0, lat, budget=20, seed=1,
+                                             num_starts=6)
+        assert c_hat == same and np.array_equal(witness.dofs, twin.dofs)
+
     def test_deterministic_given_seed(self, lat):
         a, wa = estimate_sharp_constant("gn1d", 4.0, lat, budget=15, seed=5, num_starts=6)
         b, wb = estimate_sharp_constant("gn1d", 4.0, lat, budget=15, seed=5, num_starts=6)

@@ -1,12 +1,14 @@
 """Hexagonal-grid truncations and their path/bridge decompositions."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import hexnls.graph_core
 from hexnls.analytic import build_trial_function
-from hexnls.graph_core import GraphBuilder, validate
+from hexnls.graph_core import GraphBuilder, MetricGraph, validate
 from hexnls.honeycomb import (SQRT3_2, bridge_line_index, build_honeycomb, build_square_grid,
                               decompose_bridges, decompose_paths, path_coordinate)
 from hexnls.solver import minimize
@@ -85,6 +87,16 @@ class TestBuildHoneycomb:
         assert lat.origin_vertex == origin
         assert lat.edge_roles == roles
         assert lat.edge_id == ids
+
+    def test_lattice_is_its_graph(self, monkeypatch):
+        # One validate per build, on the lattice itself.
+        checked = []
+        monkeypatch.setattr(hexnls.graph_core, "validate", lambda g: checked.append(g) or [])
+        lat = build_honeycomb(2, 1.0)
+        assert isinstance(lat, MetricGraph) and lat.graph is lat
+        assert len(checked) == 1 and checked[0] is lat
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            lat.truncation_radius = 3
 
     def test_role_tables_built_on_first_use(self):
         # The solver and the trial functions read the role arrays only, so

@@ -14,7 +14,6 @@ import hexnls.solver
 from hexnls.analytic import build_trial_function, soliton_params, soliton_profile
 from hexnls.calculus import (Discretization, GraphFunction, constant_function,
                              from_edge_samples, integrate_power, rescale_mass)
-from hexnls.functionals import truncation_boundary
 from hexnls.solver import (INITIALIZERS, BracketError, ResolutionError, SolverConfig,
                            _beats, _descend, _Descent, bisect_critical_mass,
                            demonstrate_unbounded, euler_lagrange_residual,
@@ -79,6 +78,16 @@ class TestConfigAndInputs:
             minimize(lat, 3.0, mu)
         with pytest.raises(ValueError, match="finite"):
             demonstrate_unbounded(lat, mu, [1.0, 0.5])
+
+    @pytest.mark.parametrize("p,mu", [(2.0, 1.0), (1.5, 1.0), (7.0, 1.0), (float("nan"), 1.0),
+                                      (3.0, -1.0), (3.0, 0.0), (3.0, float("nan")),
+                                      (3.0, float("inf"))])
+    @pytest.mark.parametrize("tag", INITIALIZERS)
+    def test_initializers_refuse_what_minimize_refuses(self, lat, tag, p, mu):
+        for call in (lambda: initial_function(lat, tag, p, mu, 9),
+                     lambda: minimize(lat, p, mu, init=tag)):
+            with pytest.raises(ValueError, match=r"\(2, 6\]|positive and finite"):
+                call()
 
     @pytest.mark.parametrize("tag", INITIALIZERS)
     def test_initializers_have_exact_mass(self, lat, tag):
@@ -798,6 +807,12 @@ class TestEulerLagrangeResidual:
         _, res = euler_lagrange_residual(u, 3.0)
         assert res > 0.1
 
+    @pytest.mark.parametrize("p", [1.5, 2.0, 7.0, float("nan"), float("inf")])
+    def test_power_outside_range_rejected(self, lat, p):
+        u = initial_function(lat, "trial-eps", 3.0, 1.0, 9)
+        with pytest.raises(ValueError, match=r"\(2, 6\]"):
+            euler_lagrange_residual(u, p)
+
     def test_zero_mass_rejected(self, lat):
         u = constant_function(lat.graph, 0.0, 9)
         with pytest.raises(ValueError):
@@ -889,8 +904,22 @@ class TestClassification:
         assert out.iterations == 1
         dz = make_discretization(graph, 3)
         v = initial_function(graph, "uniform", 3.5, 0.1, 3).dofs
-        weights = dz.boundary_weights(truncation_boundary(graph))
+        weights = dz.boundary_weights(graph.boundary_vertices())
         assert dz.boundary_mass_fraction(v, weights) < SolverConfig.spread_threshold
+
+    def test_graph_of_a_lattice_is_solved_as_the_lattice(self):
+        # Its truncation boundary and its L_0 starts are the lattice's.
+        lat = build_honeycomb(7, 1.0)
+        a, b = minimize(lat.graph, 2.5, 1.0), minimize(lat, 2.5, 1.0)
+        assert ((a.classification, a.final_energy, a.lagrange_multiplier, a.iterations,
+                 a.residual, a.init_used, a.trace)
+                == (b.classification, b.final_energy, b.lagrange_multiplier, b.iterations,
+                    b.residual, b.init_used, b.trace))
+        assert a.minimizer is b.minimizer is None
+
+    def test_lattice_minimizer_lives_on_the_lattice(self, lat):
+        out = minimize(lat, 3.0, 10.0, init="trial-eps")
+        assert out.classification == "GroundState" and out.minimizer.graph is lat
 
     @pytest.mark.parametrize("mu", [0.1, 10.0])
     def test_p6_never_ground_state(self, lat, mu):
@@ -973,5 +1002,5 @@ class TestCriticalPowerProbes:
 
 class TestArtifacts:
     def test_discretization_helper_uses_free_boundary(self, lat):
-        assert truncation_boundary(lat).tolist() == lat.boundary_vertices().tolist()
-        assert truncation_boundary(build_line(2)).tolist() == [0, 4]
+        assert lat.boundary_vertices().tolist() == np.flatnonzero(lat.degrees() < 3).tolist()
+        assert build_line(2).boundary_vertices().tolist() == [0, 4]
