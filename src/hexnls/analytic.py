@@ -65,27 +65,32 @@ def soliton_profile(params: SolitonParams, x):
 
 # --- exponential trial family on the hexagonal grid (unit edge length) ------
 
+def _check_rate(eps: float) -> None:
+    """Refuse a trial rate that is not positive and finite."""
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
+
+
 def trial_lp_integral(eps: float, p: float) -> float:
     """Integral of |u_eps|^p over the grid: 3(e^{p eps}+1) / (p eps (e^{p eps}-1))."""
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    if p < 2:
-        raise ValueError(f"p must be >= 2, got {p}")
+    _check_rate(eps)
+    if not 2 <= p < math.inf:
+        raise ValueError(f"p must be >= 2 and finite, got {p}")
     # (e^x+1)/(e^x-1) = 1/tanh(x/2); stable as eps -> 0.
     return 3.0 / (p * eps * math.tanh(p * eps / 2.0))
 
 
 def trial_kinetic_integral(eps: float) -> float:
     """Integral of |u_eps'|^2: 3 eps (e^{2 eps}+1) / (2 (e^{2 eps}-1))."""
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    _check_rate(eps)
     return 3.0 * eps / (2.0 * math.tanh(eps))
 
 
 def trial_normalization(eps: float, mu: float) -> float:
     """Factor k_eps with k_eps^2 * integral(u_eps^2) = mu, algebraically."""
-    if eps <= 0 or not 0 < mu < math.inf:
-        raise ValueError(f"eps and mu must be positive (mu finite), got {eps}, {mu}")
+    _check_rate(eps)
+    if not 0 < mu < math.inf:
+        raise ValueError(f"mu must be positive and finite, got {mu}")
     return math.sqrt(2.0 * eps * math.tanh(eps) / 3.0 * mu)
 
 
@@ -112,8 +117,8 @@ def critical_mass_from_constant(p: float, C_interp: float) -> float:
     """Mass below which the interpolated GN bound forces nonnegative energy."""
     if not (4 <= p <= 6):
         raise ValueError(f"formula applies for p in [4, 6], got {p}")
-    if C_interp <= 0:
-        raise ValueError(f"constant must be positive, got {C_interp}")
+    if not 0 < C_interp < math.inf:
+        raise ValueError(f"constant must be positive and finite, got {C_interp}")
     return (p / (2.0 * C_interp)) ** (2.0 / (p - 2.0))
 
 
@@ -131,8 +136,7 @@ def build_trial_function(lat: HoneycombLattice, eps: float,
     coordinates, so t is the arclength fraction tail -> head.  Closed forms
     match the infinite grid verbatim only for edge_length 1.
     """
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    _check_rate(eps)
     on_path, a, coord = lat.edge_coordinates
     t = np.linspace(0.0, 1.0, samples_per_edge)
     # Constant part of the exponent: |a| on L_a; on a bridge a = m joining
@@ -145,6 +149,5 @@ def build_trial_function(lat: HoneycombLattice, eps: float,
 
 def trial_truncation_radius(eps: float) -> int:
     """Radius making the neglected exponential tail negligible at 1e-3 scale."""
-    if not 0 < eps < math.inf:
-        raise ValueError(f"eps must be positive and finite, got {eps}")
+    _check_rate(eps)
     return max(2, math.ceil(10.0 / eps))

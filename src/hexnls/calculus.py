@@ -204,9 +204,20 @@ class Discretization:
         dofs[:V] = vertex_vals
         interior = dofs[V:].reshape(self.num_edges, self.n - 2)
         down, up = self.hat_weights
-        np.multiply(vertex_vals[self.dof_of[:, 0]][:, None], down, out=interior)
-        interior += vertex_vals[self.dof_of[:, -1]][:, None] * up
+        tails, heads = self.edge_ends
+        np.multiply(vertex_vals[tails][:, None], down, out=interior)
+        interior += vertex_vals[heads][:, None] * up
         return dofs
+
+    @cached_property
+    def inv_h(self) -> np.ndarray:
+        """1 / h per edge: the stiffness weight of each of the edge's cells."""
+        return 1.0 / self.h
+
+    @cached_property
+    def edge_ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each edge's tail and head DOF as two contiguous arrays, for gathers."""
+        return self.dof_of[:, 0].copy(), self.dof_of[:, -1].copy()
 
     @cached_property
     def cells(self) -> tuple[np.ndarray, np.ndarray]:
@@ -216,7 +227,7 @@ class Discretization:
     @cached_property
     def stiffness(self) -> sp.csr_matrix:
         d0, d1 = self.cells
-        w = np.repeat(1.0 / self.h, self.n - 1)
+        w = np.repeat(self.inv_h, self.n - 1)
         rows = np.concatenate([d0, d1, d0, d1])
         cols = np.concatenate([d0, d1, d1, d0])
         vals = np.concatenate([w, w, -w, -w])
@@ -234,7 +245,7 @@ class Discretization:
         """Lumped mass of the edges within two steps of the boundary vertices
         (zero without any): the edges with an end in the ring of vertices at
         most one step from the boundary, found in one pass each way."""
-        tails, heads = self.dof_of[:, 0], self.dof_of[:, -1]
+        tails, heads = self.edge_ends
         on = np.zeros(self.num_vertices, dtype=bool)
         on[boundary_vertices] = True
         ring = on.copy()
@@ -256,8 +267,9 @@ class Discretization:
         """Whether every cell difference is exactly zero: each edge's interior
         samples and head equal its tail, compared on the DOF vector's
         contiguous (edge, interior sample) block without gathering the cells."""
-        tails = dofs[self.dof_of[:, 0]]
-        return bool(np.array_equal(dofs[self.dof_of[:, -1]], tails) and
+        tail_dofs, head_dofs = self.edge_ends
+        tails = dofs[tail_dofs]
+        return bool(np.array_equal(dofs[head_dofs], tails) and
                     (dofs[self.num_vertices:].reshape(self.num_edges, self.n - 2)
                      == tails[:, None]).all())
 
@@ -281,7 +293,7 @@ class Discretization:
     def kinetic(self, dofs: np.ndarray) -> float:
         """v.(K v) without K, sum_e h_e^-1 sum (cell difference)^2: 0 on a constant."""
         dv = np.diff(dofs[self.dof_of], axis=1)
-        return float((dv ** 2).sum(axis=1) @ (1.0 / self.h))
+        return float((dv ** 2).sum(axis=1) @ self.inv_h)
 
     def boundary_mass_fraction(self, dofs: np.ndarray, weights: np.ndarray) -> float:
         """Share of the mass that boundary_weights puts near the boundary."""

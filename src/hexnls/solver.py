@@ -28,25 +28,27 @@ damped Newton on the stationarity system is the fallback, and descent then
 resumes, up to MAX_POLISHES times.  Every iteration of either kind is one
 trace row.
 
-Each line-search candidate is evaluated once: one product K v and
-Discretization.potential give its energy, and the accepted candidate hands
-them on to the next gradient and trace row, which form none of them.
+Each line-search candidate is evaluated once: one product K v, its dot
+v.Kv and Discretization.potential give its energy, and the accepted
+candidate hands them on to the next gradient and trace row, which form none
+of them.
 
 (sigma*M + K)^{-1} and Newton's bordered system are both solved by one
 static condensation, _condensed_solver of K + diag(s).  The interior samples
 of an edge form a tridiagonal chain coupled only to the edge's two end
 vertices; every chain is factored once by batched tridiagonal (Thomas)
-elimination, all edges at once, and eliminating them leaves a vertex-only
-Schur complement (a weighted graph Laplacian plus a diagonal), formed by
-sparse products, the one matrix that is factorized, by SuperLU in its
-multiple minimum degree order.  The Discretization keeps the finished
-preconditioner of every shift sigma met (Discretization.preconditioners),
-so each sigma is built once per Discretization: a multi-start or a mass
-sweep on one graph returns to the same few powers of two.  A kept
-preconditioner holds its chain pivots, A_VI, X's values and its vertex
-factor (sizes in _Descent.shift_to).  They live as long as the graph, and
-every function on the graph, a returned minimizer too, keeps the graph
-alive.
+elimination, all edges at once, and solved on sample-major rows, edges
+innermost, for one right-hand side or a block.  Eliminating the chains
+leaves a vertex-only Schur complement (a weighted graph Laplacian plus a
+diagonal), formed by sparse products, the one matrix that is factorized, by
+SuperLU in its multiple minimum degree order.  The Discretization keeps the
+finished preconditioner of every shift sigma met
+(Discretization.preconditioners), so each sigma is built once per
+Discretization: a multi-start or a mass sweep on one graph returns to the
+same few powers of two.  A kept preconditioner holds its chain pivots, X's
+values, the 2E-entry coupling A_VI and its vertex factor (sizes in
+_Descent.shift_to).  They live as long as the graph, and every function on
+the graph, a returned minimizer too, keeps the graph alive.
 Newton's one mass constraint row is eliminated by a second right-hand side:
 K - diag(c) is solved for r and M v as one 2-column block, and the
 multiplier follows from the constraint (the range-space method for
@@ -188,62 +190,86 @@ def _condensed_solver(dz: Discretization, s: np.ndarray, factor):
     The m = n - 2 interior samples of edge e form a tridiagonal chain A_II
     with the constant off-diagonal -1/h_e, coupled to the edge's tail and
     head vertices through -1/h_e at its first and last sample.  Every chain
-    is factored once, all edges at once, by elimination (Thomas) stored
-    sample-major, (m, E), so each step reads contiguous rows.  There is no
-    pivoting, so a zero or non-finite pivot raises RuntimeError.  Eliminating
-    the chains leaves the vertex Schur complement S = A_VV - A_VI X with
-    X = A_II^{-1} A_IV (two columns per edge, tail and head), formed by
-    sparse products on K's blocks, sliced here.  factor(S), S in CSC,
-    returns the solve function of S.  With no interior samples (n = 2)
-    S = A.
+    is factored once, all edges at once, by elimination (Thomas).  There is
+    no pivoting, so a zero or non-finite pivot raises RuntimeError.
+    Eliminating the chains leaves the vertex Schur complement
+    S = A_VV - A_VI X with X = A_II^{-1} A_IV (two columns per edge, tail
+    and head), formed by sparse products on K's blocks, sliced here.
+    factor(S), S in CSC, returns the solve function of S.  With no interior
+    samples (n = 2) S = A.
 
-    The returned solve holds the chain pivots, A_VI, X's two values per
-    interior sample and the vertex solve; its back-substitution gathers
-    x at each edge's tail and head through dz.dof_of, so it keeps no
-    pattern of X and no reference to dz.
+    A solve keeps its chain samples sample-major, (m, k, E) with the edges
+    innermost, from one transposed copy in to one transposed write out:
+    both sweeps run in place on whole (k, E) rows, A_VI reads the first and
+    the last row alone (its entries in K's stored order, each column
+    renumbered to the row it reads), and the back-substitution
+    y -= X_tail x[tail] + X_head x[head] runs on (m, E) rows of X.  The
+    returned solve holds the chain pivots, X's two values per interior
+    sample, A_VI's 2E entries and the vertex solve; the off-diagonals and
+    the tail and head of each edge it reads from dz's own arrays, so it
+    keeps no per-shift copy of them and no reference to dz.
     """
     V, E, m = dz.num_vertices, dz.num_edges, dz.n - 2
     K = dz.stiffness
-    off = -1.0 / dz.h
+    # The chain's off-diagonal is -inv_h, and every product with it below is
+    # written with inv_h and the opposite sign, which is exact.
+    inv_h = dz.inv_h
     piv = (K.diagonal()[V:] + s[V:]).reshape(E, m).T.copy()
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for i in range(1, m):
-            piv[i] -= off / piv[i - 1] * off
+            piv[i] -= inv_h / piv[i - 1] * inv_h
     if not np.all(np.isfinite(piv) & (piv != 0)):
         raise RuntimeError("zero or non-finite pivot in an edge chain")
 
-    def chain_solve(rhs: np.ndarray) -> np.ndarray:
-        # Sample-major (m, E, k) copy of the (E, m, k) right-hand sides.  The
-        # multipliers off / piv[i - 1] are formed again at each solve rather
-        # than kept, one (m, E) array less per kept preconditioner.
-        x = rhs.reshape(E, m, math.prod(rhs.shape[1:])).transpose(1, 0, 2).copy()
-        for i in range(1, m):
-            x[i] -= (off / piv[i - 1])[:, None] * x[i - 1]
-        for i in reversed(range(m)):
-            if i < m - 1:
-                x[i] -= off[:, None] * x[i + 1]
-            x[i] /= piv[i, :, None]
-        return x.transpose(1, 0, 2).reshape(rhs.shape)
+    def chain_solve(y: np.ndarray) -> np.ndarray:
+        # A_II^{-1} in place on (m, k, E), down the rows and back up.  The
+        # multipliers -inv_h / piv[i - 1] are formed again at each solve
+        # rather than kept, one (m, E) array less per kept preconditioner.
+        for row, prev, p in zip(y[1:], y, piv):
+            row += (inv_h / p) * prev
+        if m:
+            y[-1] /= piv[-1]
+        for row, nxt, p in zip(y[-2::-1], y[::-1], piv[-2::-1]):
+            row += inv_h * nxt
+            row /= p
+        return y
 
     # A_IV's two columns per edge are -1/h at the first and the last sample.
-    sample = np.arange(m)
-    X = chain_solve(np.stack([off[:, None] * (sample == 0), off[:, None] * (sample == m - 1)],
-                             axis=-1).reshape(E * m, 2))
+    sample = np.arange(m)[:, None, None]
+    X = chain_solve(-inv_h * np.concatenate([sample == 0, sample == m - 1], axis=1))
     # X's CSR pattern: the tail and the head column in every interior row.
     ends = np.repeat(dz.dof_of[:, [0, -1]].astype(np.intc), m, axis=0).ravel()
     A_VI = K[:V, V:]
     S = K[:V, :V] + sp.diags(s[:V]) - A_VI @ sp.csr_matrix(
-        (X.ravel(), ends, np.arange(0, 2 * E * m + 1, 2, dtype=np.intc)), shape=(E * m, V))
+        (X.transpose(2, 0, 1).ravel(), ends, np.arange(0, 2 * E * m + 1, 2, dtype=np.intc)),
+        shape=(E * m, V))
     solve_vertices = factor(S.tocsc())
-    X = X.reshape(E, m, 2, 1)
-    tail, head = dz.dof_of[:, 0], dz.dof_of[:, -1]
+    X_tail, X_head = X[:, 0].copy(), X[:, 1].copy()     # contiguous (m, E) rows
+    tail, head = dz.edge_ends
+    # A_VI's columns, sample i of edge e, renumbered into the stacked end rows
+    # [y[0]; y[m - 1]]: e for the first sample, E + e for the last.  At m = 1
+    # the one row is both ends; at n = 2 there is no row and no entry.
+    edge, at = np.divmod(A_VI.indices, max(m, 1))
+    coupling = sp.csr_matrix(
+        (A_VI.data, np.where(at == 0, edge, E + edge).astype(A_VI.indices.dtype), A_VI.indptr),
+        shape=(V, min(m, 2) * E))
+    end_rows = slice(None, None, max(m - 1, 1))     # rows 0 and m - 1, as many as exist
 
     def solve(r: np.ndarray) -> np.ndarray:
-        y = chain_solve(r[V:])                  # A_II^{-1} r_I
-        x = solve_vertices(r[:V] - A_VI @ y)
-        xk = x.reshape(V, 1, -1)
-        Xx = X[:, :, 0] * xk[tail] + X[:, :, 1] * xk[head]      # X x, (E, m, k)
-        return np.concatenate([x, y - Xx.reshape(y.shape)])
+        k = math.prod(r.shape[1:])
+        y = chain_solve(r[V:].reshape(E, m, k).transpose(1, 2, 0).copy())    # A_II^{-1} r_I
+        y_ends = y[end_rows].transpose(0, 2, 1).reshape(-1, *r.shape[1:])
+        x = solve_vertices(r[:V] - coupling @ y_ends)
+        xk = x.reshape(V, k).T
+        x_tail, x_head = np.take(xk, tail, axis=1), np.take(xk, head, axis=1)
+        # y - X x one column at a time, on (m, E) temporaries: at k = 2 about
+        # half the time of one (m, k, E) broadcast.
+        for y_j, x_tail_j, x_head_j in zip(y.transpose(1, 0, 2), x_tail, x_head):
+            y_j -= X_tail * x_tail_j + X_head * x_head_j
+        out = np.empty(r.shape)
+        out[:V] = x
+        out[V:].reshape(E, m, k)[...] = y.transpose(2, 0, 1)
+        return out
 
     return solve
 
@@ -253,6 +279,7 @@ class _Point(NamedTuple):
     v: np.ndarray
     E: float
     Kv: np.ndarray       # K v
+    vKv: float           # v . K v
     w: np.ndarray        # |v|^{p-2}
 
 
@@ -284,11 +311,11 @@ class _Descent:
         through _condensed_solver and factorized, when it was not: each sigma
         is built once while its graph lives, and later starts and masses
         reuse the same object.  A rebuild returns True, restarting CG, either
-        way.  Each kept preconditioner holds its edge-chain pivots, A_VI,
-        X's values and the L and U of its vertex factor: about 1.9 MB on
-        R = 20 at n = 9 and 41.5 MB on R = 100 at n = 3 (0.9 and 34 MB of it
-        the factor), one per distinct sigma, for as long as the graph or any
-        function on it is kept.
+        way.  Each kept preconditioner holds its edge-chain pivots, X's
+        values, the coupling A_VI and the L and U of its vertex factor:
+        about 1.9 MB on R = 20 at n = 9 and 40 MB on R = 100 at n = 3 (0.9
+        and 34 MB of it the factor), one per distinct sigma, for as long as
+        the graph or any function on it is kept.
         """
         target = max(SolverConfig.shift_floor, -lam)
         if self.precondition is not None and self.sigma / 2 <= target <= 2 * self.sigma:
@@ -311,8 +338,9 @@ class _Descent:
     def evaluate(self, v: np.ndarray) -> _Point:
         """v with its energy; the one place an iterate meets K and the power."""
         Kv = self.K @ v
+        vKv = float(v @ Kv)
         w, _, lp = self.dz.potential(v, self.p)
-        return _Point(v, 0.5 * float(v @ Kv) - lp / self.p, Kv, w)
+        return _Point(v, 0.5 * vKv - lp / self.p, Kv, vKv, w)
 
     def tangent_gradient(self, pt: _Point) -> tuple[np.ndarray, float, float]:
         """Projected gradient r = grad E - lambda*M*v, its multiplier, and the
@@ -320,7 +348,7 @@ class _Descent:
         v = pt.v
         mv = self.dz.mass_vec * v
         nonlinear = mv * pt.w                       # M |v|^{p-2} v
-        lam = (float(v @ pt.Kv) - float(nonlinear @ v)) / self.mu
+        lam = (pt.vKv - float(nonlinear @ v)) / self.mu
         r = pt.Kv - nonlinear - lam * mv
         res = float(np.sqrt(float(r ** 2 @ self.inv_mass)) / np.sqrt(self.mu))
         return r, lam, res

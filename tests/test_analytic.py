@@ -118,6 +118,30 @@ class TestTrialClosedForms:
         with pytest.raises(ValueError, match="eps"):
             trial_truncation_radius(eps)
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_rate_refused(self, bad):
+        for closed_form in (lambda: trial_lp_integral(bad, 3.0),
+                            lambda: trial_kinetic_integral(bad),
+                            lambda: trial_normalization(bad, 1.0),
+                            lambda: trial_energy_terms(bad, 3.0, 1.0),
+                            lambda: trial_energy(bad, 3.0, 1.0),
+                            lambda: build_trial_function(build_honeycomb(2, 1.0), bad, 5)):
+            with pytest.raises(ValueError, match="eps must be positive and finite"):
+                closed_form()
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_power_or_mass_refused(self, bad):
+        for closed_form in (lambda: trial_lp_integral(0.1, bad),
+                            lambda: trial_energy_terms(0.1, bad, 1.0),
+                            lambda: trial_energy(0.1, bad, 1.0)):
+            with pytest.raises(ValueError, match="p must be"):
+                closed_form()
+        for closed_form in (lambda: trial_normalization(0.1, bad),
+                            lambda: trial_energy_terms(0.1, 3.0, bad),
+                            lambda: trial_energy(0.1, 3.0, bad)):
+            with pytest.raises(ValueError, match="mu must be positive and finite"):
+                closed_form()
+
 
 class TestTrialEnergy:
     def test_kinetic_term_is_exact_half_mu_eps_sq(self):
@@ -183,3 +207,11 @@ class TestCriticalMassFormula:
             critical_mass_from_constant(3.0, 1.0)
         with pytest.raises(ValueError):
             critical_mass_from_constant(5.0, 0.0)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_input_refused(self, bad):
+        # (5, inf) was a critical mass of 0.0, and a nan constant a nan mass.
+        with pytest.raises(ValueError, match="constant must be positive and finite"):
+            critical_mass_from_constant(5.0, bad)
+        with pytest.raises(ValueError, match="formula applies"):
+            critical_mass_from_constant(bad, 1.0)

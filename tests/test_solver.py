@@ -2,6 +2,7 @@
 
 import gc
 import math
+import types
 import weakref
 
 import numpy as np
@@ -393,6 +394,27 @@ def _newton_point(dz, p):
     return d, v, lam, r, -c
 
 
+def _kept_arrays(solve):
+    """The arrays a solve function references, each by the array that owns
+    its memory: through the closures of the functions it calls and the
+    arrays of its sparse matrices (a SuperLU factor is not followed)."""
+    owners, seen, todo = {}, set(), [solve]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            while isinstance(obj.base, np.ndarray):
+                obj = obj.base
+            owners[id(obj)] = obj
+        elif isinstance(obj, types.FunctionType):
+            todo += [cell.cell_contents for cell in obj.__closure__ or ()]
+        elif sp.issparse(obj):
+            todo += [obj.data, obj.indices, obj.indptr]
+    return list(owners.values())
+
+
 CONDENSED_GRAPHS = pytest.mark.parametrize("graph", [build_honeycomb(3, 1.0), build_line(2.5)],
                                        ids=["honeycomb", "unequal-line"])
 SHIFTS = (2.0 ** -10, 1.0, 2.0 ** 14)
@@ -432,6 +454,41 @@ class TestCondensation:
                           lambda dz, s, factor: _sparse_product_condensation(dz, s)[1])
                 ref = d.newton_direction(v, lam, r)
             assert np.array_equal(d.newton_direction(v, lam, r), ref)
+
+    @pytest.mark.parametrize("n", [2, 3, 9, 33])
+    @CONDENSED_GRAPHS
+    def test_any_block_width_equals_its_columns(self, graph, n):
+        # k = 3, a width no caller uses: the block solved at once equals each
+        # of its columns solved alone, bit for bit.
+        dz = make_discretization(graph, n)
+        shifts = [sigma * dz.mass_vec for sigma in SHIFTS] + [_newton_point(dz, 2.5)[4]]
+        block = np.random.default_rng(n).standard_normal((dz.n_dofs, 3))
+        for s in shifts:
+            solve = hexnls.solver._condensed_solver(
+                dz, s, lambda S: splu(S, permc_spec="MMD_AT_PLUS_A").solve)
+            x = solve(block)
+            assert x.shape == block.shape
+            for j in range(3):
+                assert np.array_equal(x[:, j], solve(block[:, j].copy()))
+
+    @pytest.mark.parametrize("n", [2, 3, 9, 33])
+    @CONDENSED_GRAPHS
+    def test_kept_solve_holds_no_per_shift_copies(self, graph, n):
+        # What a kept preconditioner references beyond its layout's own arrays
+        # and its vertex factor: the chain pivots, X's two values per interior
+        # sample and the 2E-entry coupling A_VI, nothing more.
+        dz = make_discretization(graph, n)
+        d = _Descent(dz, 3.0, 1.0)
+        assert d.shift_to(-1.0)
+        V, E, m = dz.num_vertices, dz.num_edges, n - 2
+        layout = {id(a) for value in vars(dz).values()
+                  for a in (value if isinstance(value, tuple) else (value,))
+                  if isinstance(a, np.ndarray)}
+        kept = [a for a in _kept_arrays(d.precondition) if id(a) not in layout]
+        entries = 2 * E if m else 0
+        index = dz.stiffness.indices.itemsize
+        coupling = entries * (8 + index) + (V + 1) * index
+        assert sum(a.nbytes for a in kept) <= 8 * m * E + 16 * m * E + coupling
 
     def test_newton_pivot_tie_on_unit_edges(self, monkeypatch):
         # On unit edges at n = 2 every off-diagonal of K - diag(c) is exactly
@@ -761,7 +818,7 @@ class TestWorkPerIteration:
         # The last gradient is the returned iterate's, with the K v it carried.
         last = points[-1]
         assert last.v is v and last.E == E
-        assert np.array_equal(last.Kv, d.K.K @ v)
+        assert np.array_equal(last.Kv, d.K.K @ v) and last.vKv == float(v @ last.Kv)
         assert res <= SolverConfig().residual_tol
 
 
