@@ -3,14 +3,12 @@
 A GraphFunction is a read-only value: its DOF vector (vertex values, then
 each edge's interior samples at arclength k * l_e / (n - 1), so continuity at
 vertices is structural) cannot be written, and a caller's writeable array is
-copied, so no alias can change it.  Its ``norms`` cache keeps the ratio
-terms that do not depend on p (mass, gradient norms, the constant test, the
-peak), measured once per function as Python scalars; int |u|^p is computed on
-every call.  ``values`` is a read-only per-edge view; from_edge_samples is
-the one checked way back.  Functions on the same (graph, n) share one
-Discretization, which the solver uses too; its lumped (trapezoid) mass vector
-is the quadrature, and forward differences on the sample intervals pair with
-it exactly, keeping norms orientation independent.
+copied, so no alias can change it.  ``values`` is a read-only per-edge view;
+from_edge_samples is the one checked way back.  Functions on the same
+(graph, n) share one Discretization, which the solver uses too; its lumped
+(trapezoid) mass vector is the quadrature, and forward differences on the
+sample intervals pair with it exactly, keeping norms orientation
+independent.
 
 One evaluator per energy term: Discretization.potential (mass and int |v|^p)
 for the descent, the ratios and energy(); Discretization.kinetic, the cell
@@ -32,11 +30,11 @@ class GraphFunction:
     """A function on a metric graph, stored as its read-only DOF vector.
 
     A read-only array that owns its memory is kept as is; any other array is
-    copied first.  norms maps the p-independent ratio terms measured so far
-    (filled by inequality_ratio) to Python scalars.
+    copied first.  A function can be weakly referenced, so a cache keyed by
+    it goes with it.
     """
 
-    __slots__ = ("graph", "dofs", "layout", "norms")
+    __slots__ = ("graph", "dofs", "layout", "__weakref__")
 
     def __init__(self, graph: MetricGraph, dofs: np.ndarray):
         dofs = np.asarray(dofs, dtype=float)
@@ -48,7 +46,6 @@ class GraphFunction:
         self.graph = graph
         self.dofs = dofs
         self.layout = make_discretization(graph, interior + 2)
-        self.norms = {}
 
     @property
     def samples_per_edge(self) -> int:

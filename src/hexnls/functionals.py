@@ -3,12 +3,13 @@
 inequality_ratio and the sharp-constant ascent share one evaluator of the
 ratio table, _RatioObjective.terms.  A GraphFunction is a read-only value,
 so the terms that do not depend on p (mass, the gradient norms, the
-constant test and the peak) are measured once per function and kept in its
-norms; int |u|^p is computed on every call.
+constant test and the peak) are measured once per function and kept in
+_NORMS, keyed weakly by the function; int |u|^p is computed on every call.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +17,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import dijkstra
 
 from .analytic import build_trial_function
-from .calculus import Discretization, GraphFunction, _frozen, make_discretization
+from .calculus import Discretization, GraphFunction, from_vertex_values, make_discretization
 from .graph_core import MetricGraph
 from .honeycomb import HoneycombLattice
 
@@ -34,6 +35,9 @@ _EXPONENTS = {
 RATIO_NAMES = tuple(_EXPONENTS)
 # The table's terms measured on the whole function that do not depend on p.
 _P_FREE = ("mass", "grad_l1", "grad_l2sq")
+# Each function's _P_FREE terms, constant test and peak, as Python scalars;
+# an entry goes with its function, and nothing on the function can change it.
+_NORMS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 _ENVELOPE_GAMMAS = (0.05, 0.2, 1.0)
 
 
@@ -77,9 +81,12 @@ def inequality_ratio(u: GraphFunction, name: str, p: float = 2.0) -> InequalityR
     exponential of the ascent's log-ratio.  The witness holds the ratio's norm
     terms, the peak |u| and its first (edge, sample) in the per-edge view.
     The terms that do not depend on p are measured on u's first call and
-    read from u.norms after it; int |u|^p is computed on every call."""
+    read from u's entry in _NORMS after it, which no attribute of u holds;
+    int |u|^p is computed on every call."""
     obj = _RatioObjective(u.layout, name, p)
-    norms = u.norms
+    norms = _NORMS.get(u)
+    if norms is None:
+        norms = _NORMS[u] = {}
     if "linf" not in norms:
         # The peak's first place in the per-edge view, as argmax has it (a
         # nan sample, the first, when there is one).
@@ -109,36 +116,28 @@ def vertex_distances(graph: MetricGraph, source: int) -> np.ndarray:
     return dijkstra((adj + adj.T).tocsr(), indices=source)
 
 
-def _center_vertex(graph: MetricGraph) -> int:
-    # Builders place the natural center at the coordinate origin.
-    return int(np.argmin((graph.xy ** 2).sum(axis=1)))
-
-
 def _envelopes(dist: np.ndarray) -> list[np.ndarray]:
     """exp(-gamma * dist) for each of _ENVELOPE_GAMMAS."""
     return [np.exp(-gamma * dist) for gamma in _ENVELOPE_GAMMAS]
 
 
-def _random_envelope(dz: Discretization, envelope: np.ndarray,
-                     rng: np.random.Generator) -> np.ndarray:
-    """A new DOF vector: i.i.d. uniform vertex values times the envelope,
-    linear on edges."""
-    return dz.interpolate(rng.uniform(-1.0, 1.0, dz.num_vertices) * envelope)
+def _random_envelope(envelope: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """i.i.d. uniform vertex values times the envelope."""
+    return rng.uniform(-1.0, 1.0, envelope.size) * envelope
 
 
 def random_corpus(lat: HoneycombLattice, count: int, seed: int) -> list[GraphFunction]:
     """Randomized test functions: i.i.d. uniform vertex values modulated by an
-    exponential envelope around the origin, piecewise linear on edges with 9
-    samples each.  The envelope rates cycle through _ENVELOPE_GAMMAS; the
-    envelopes and the hat weights are computed once per corpus, and each
-    function's DOF vector is its own."""
+    exponential envelope around the center vertex, piecewise linear on edges
+    with 9 samples each.  The envelope rates cycle through _ENVELOPE_GAMMAS;
+    the envelopes are computed once per corpus, and each function's DOF
+    vector is its own."""
     if count < 0:
         raise ValueError(f"corpus size must be >= 0, got {count}")
-    dz = make_discretization(lat, 9)
-    envelopes = _envelopes(vertex_distances(lat, lat.origin_vertex))
+    envelopes = _envelopes(vertex_distances(lat, lat.center_vertex()))
     streams = np.random.SeedSequence(seed).spawn(count)
-    return [GraphFunction(lat, _frozen(_random_envelope(
-                dz, envelopes[idx % len(envelopes)], np.random.default_rng(stream))))
+    return [from_vertex_values(lat, _random_envelope(envelopes[idx % len(envelopes)],
+                                                     np.random.default_rng(stream)), 9)
             for idx, stream in enumerate(streams)]
 
 
@@ -160,9 +159,9 @@ class _RatioObjective:
         int |v|^p come from Discretization.potential, as the energy's do.
 
         known, when given, holds terms already measured at v that do not
-        depend on p (a function's norms): those are not measured again (and
-        grad cannot run on them), and the _P_FREE terms measured here are
-        added to it as Python floats.  The ascent passes none."""
+        depend on p (a function's _NORMS entry): those are not measured
+        again (and grad cannot run on them), and the _P_FREE terms measured
+        here are added to it as Python floats.  The ascent passes none."""
         dz, ex = self.dz, self.exponents
         t = dict(known) if known else {}
         if "lp" in ex:
@@ -220,7 +219,7 @@ def _ascent_starts(graph: MetricGraph, dz: Discretization, num_starts: int, seed
     a lattice; a centered bump on any other graph), centered bumps, each a
     new array the caller owns.  All normalized later; boundary DOFs zeroed
     by caller."""
-    dist = vertex_distances(graph, _center_vertex(graph))
+    dist = vertex_distances(graph, graph.center_vertex())
     envelopes = _envelopes(dist)
     streams = np.random.SeedSequence(seed).spawn(num_starts)
     starts = []
@@ -228,7 +227,7 @@ def _ascent_starts(graph: MetricGraph, dz: Discretization, num_starts: int, seed
         rng = np.random.default_rng(streams[idx])
         mode = idx % 3
         if mode == 0:
-            starts.append(_random_envelope(dz, envelopes[(idx // 3) % 3], rng))
+            starts.append(dz.interpolate(_random_envelope(envelopes[(idx // 3) % 3], rng)))
         elif mode == 1 and isinstance(graph, HoneycombLattice):
             u = build_trial_function(graph, float(rng.uniform(0.1, 0.8)), dz.n)
             starts.append(dz.to_dofs(u).copy())
@@ -246,12 +245,11 @@ def estimate_sharp_constant(name: str, p: float, graph: MetricGraph, budget: int
     exact P1 norms, nor the continuum's).
 
     Projected (sub)gradient ascent on the log-ratio from multiple starts;
-    iterates vanish on graph.boundary_vertices(), so on a lattice every
-    witness extends by zero to the infinite grid.  On any other graph that
-    boundary is the leaves, and build_square_grid has none: there the
-    witness is not zero on the grid's edge (at R = 3, gn1d at p = 4, budget
-    20 and 5 starts, max |w| = 9.1e-6 on the vertices of degree < 4).
-    Deterministic given the seed; the bound is monotone in the budget.
+    iterates vanish on graph.boundary_vertices(), so on a lattice or a
+    square grid (its vertices of degree below 3 or 4) every witness extends
+    by zero to the infinite grid; on any other graph they vanish on the
+    leaves.  Deterministic given the seed; the bound is monotone in the
+    budget.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
@@ -302,4 +300,5 @@ def estimate_sharp_constant(name: str, p: float, graph: MetricGraph, budget: int
             best_val, best_v = val, v
     if best_v is None:
         raise ValueError("every ascent start vanishes once the truncation boundary is zeroed")
-    return float(np.exp(best_val)), GraphFunction(graph, _frozen(best_v))
+    best_v.flags.writeable = False      # the witness's own: kept without a copy
+    return float(np.exp(best_val)), GraphFunction(graph, best_v)

@@ -68,6 +68,11 @@ class MetricGraph:
         """The truncation boundary: the leaves, unless a subclass says otherwise."""
         return self.leaves()
 
+    def center_vertex(self) -> int:
+        """The vertex nearest the coordinate origin, the lowest id on a tie:
+        every builder places the graph's natural center there."""
+        return int(np.argmin((self.xy ** 2).sum(axis=1)))
+
 
 class GraphBuilder:
     """Vertex-by-vertex, edge-by-edge construction of a hand-built graph."""

@@ -11,11 +11,11 @@ window.  Stub edges (to degree-1 vertices) are kept where a path segment
 exits the window.
 
 A ``HoneycombLattice`` is the truncation's MetricGraph itself, with the
-edge length, the origin vertex, the radius and the edge roles added; its
-truncation boundary is every vertex of degree below 3.  Every edge has a
-role (kind, i, j), and ``HoneycombLattice.roles`` is the one table of them,
-as arrays (``edge_roles`` lists it, ``edge_id`` inverts it); paths, bridge
-lines and coordinates are read from it:
+edge length, the radius and the edge roles added; its truncation boundary
+is every vertex of degree below 3.  Every edge has a role (kind, i, j), and
+``HoneycombLattice.roles`` is the one table of them, as arrays
+(``edge_roles`` lists it, ``edge_id`` inverts it); paths, bridge lines and
+coordinates are read from it:
 
 - ("horizontal", i, j) is the edge shared by L_i and R_j, from its left end
   A(i, j) to its right end B(i, j);
@@ -25,9 +25,12 @@ lines and coordinates are read from it:
 
 Integer layout units: x in halves of the edge length, y in sqrt(3)/2 times
 the edge length.  A(i, j) sits at (3(j - i), i + j) and B(i, j) = A(i, j) +
-(2, 0); the origin vertex o is A(0, 0).  Combinatorial path coordinates:
-A(i, j) has coordinate 2j - i along L_i, and each edge advances the
-coordinate by 1.
+(2, 0); the origin vertex o, the graph's center_vertex(), is A(0, 0).
+Combinatorial path coordinates: A(i, j) has coordinate 2j - i along L_i,
+and each edge advances the coordinate by 1.
+
+The comparison square grid is a ``SquareGrid``, a MetricGraph whose
+truncation boundary is every vertex of degree below 4.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graph_core import MetricGraph, build_graph, checked
+from .graph_core import MetricGraph, checked
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
 
@@ -49,7 +52,6 @@ EDGE_KINDS = ("horizontal", "up", "down")
 @dataclass(frozen=True, eq=False)
 class HoneycombLattice(MetricGraph):
     edge_length: float
-    origin_vertex: int
     truncation_radius: int
     # The role table as read-only (kind, i, j) arrays: edge e has role
     # (EDGE_KINDS[kind[e]], i[e], j[e]); for "down" the first index is the
@@ -163,8 +165,7 @@ def build_honeycomb(truncation_radius: int, edge_length: float) -> HoneycombLatt
         r.flags.writeable = False
     return checked(HoneycombLattice(tails, heads, np.full(3 * N * N, float(l)),
                                     np.column_stack([x, y]), edge_length=l,
-                                    origin_vertex=int(A[(N * N) // 2]), truncation_radius=R,
-                                    roles=roles))
+                                    truncation_radius=R, roles=roles))
 
 
 def path_coordinate(lat: HoneycombLattice, edge_id: int, t: float) -> tuple[int, float]:
@@ -204,7 +205,16 @@ def decompose_bridges(lat: HoneycombLattice) -> BridgeFamily:
     return BridgeFamily(dict(sorted(lines.items())))
 
 
-def build_square_grid(truncation_radius: int, edge_length: float) -> MetricGraph:
+@dataclass(frozen=True, eq=False)
+class SquareGrid(MetricGraph):
+    """The square-grid comparison graph, whose truncation boundary is every
+    vertex of degree below 4, as a lattice's is every one below 3."""
+
+    def boundary_vertices(self) -> np.ndarray:
+        return np.flatnonzero(self.degrees() < 4)
+
+
+def build_square_grid(truncation_radius: int, edge_length: float) -> SquareGrid:
     """(2R+1) x (2R+1) square grid with 4-regular interior (comparison graph).
 
     Vertex (ix, iy) is ix * n + iy; each vertex in turn adds its edge to
@@ -221,5 +231,5 @@ def build_square_grid(truncation_radius: int, edge_length: float) -> MetricGraph
     keep = np.column_stack([ix + 1 < n, iy + 1 < n]).ravel()
     tails = np.repeat(v, 2)[keep]
     heads = np.column_stack([v + n, v + 1]).ravel()[keep]
-    return build_graph(tails, heads, np.full(len(tails), float(l)),
-                       np.column_stack([l * (ix - R), l * (iy - R)]))
+    return checked(SquareGrid(tails, heads, np.full(len(tails), float(l)),
+                              np.column_stack([l * (ix - R), l * (iy - R)])))

@@ -70,7 +70,7 @@ from scipy.sparse.linalg import splu
 from .analytic import build_trial_function, soliton_params, soliton_profile
 from .calculus import (Discretization, GraphFunction, constant_function, from_vertex_values,
                        make_discretization, rescale_mass)
-from .functionals import _center_vertex, energy, vertex_distances
+from .functionals import energy, vertex_distances
 from .graph_core import MetricGraph
 from .honeycomb import HoneycombLattice
 
@@ -144,33 +144,30 @@ def _check_problem(p: float, mu: float) -> None:
         raise ValueError(f"mass must be positive and finite, got {mu}")
 
 
-def soliton_bump(graph: MetricGraph, p: float, mu: float, samples_per_edge: int) -> GraphFunction:
-    """Discretized line soliton transplanted along a path through the center:
-    L_0 on a honeycomb lattice, the whole graph otherwise (by arc distance)."""
-    _check_problem(p, mu)
-    params = soliton_params(min(p, 5.9), mu)
-    if isinstance(graph, HoneycombLattice):
-        return rescale_mass(_path_profile(graph, partial(soliton_profile, params),
-                                          samples_per_edge), mu)
-    dist = vertex_distances(graph, _center_vertex(graph))
-    return rescale_mass(from_vertex_values(graph, soliton_profile(params, dist),
-                                           samples_per_edge), mu)
-
-
 def initial_function(graph: MetricGraph, tag: str, p: float, mu: float,
                      samples_per_edge: int) -> GraphFunction:
-    """The start named tag, of mass mu, for the problem at power p."""
+    """The start named tag, of mass mu, for the problem at power p.  On a
+    lattice the line soliton ("soliton-bump") runs along the path L_0 through
+    the center, and the eps = 0.3 trial profile ("trial-eps") is
+    build_trial_function's; on any other graph each is a profile of the arc
+    distance from center_vertex(), linear between vertices."""
     _check_problem(p, mu)
-    if tag == "soliton-bump":
-        return soliton_bump(graph, p, mu, samples_per_edge)
-    if tag == "trial-eps":
-        if isinstance(graph, HoneycombLattice):
-            return rescale_mass(build_trial_function(graph, 0.3, samples_per_edge), mu)
-        dist = vertex_distances(graph, _center_vertex(graph))
-        return rescale_mass(from_vertex_values(graph, np.exp(-0.3 * dist), samples_per_edge), mu)
     if tag == "uniform":
         return constant_function(graph, np.sqrt(mu / graph.total_length()), samples_per_edge)
-    raise ValueError(f"unknown initializer {tag!r}")
+    if tag == "soliton-bump":
+        profile = partial(soliton_profile, soliton_params(min(p, 5.9), mu))
+    elif tag == "trial-eps":
+        profile = lambda dist: np.exp(-0.3 * dist)
+    else:
+        raise ValueError(f"unknown initializer {tag!r}")
+    if not isinstance(graph, HoneycombLattice):
+        dist = vertex_distances(graph, graph.center_vertex())
+        u = from_vertex_values(graph, profile(dist), samples_per_edge)
+    elif tag == "soliton-bump":
+        u = _path_profile(graph, profile, samples_per_edge)
+    else:
+        u = build_trial_function(graph, 0.3, samples_per_edge)
+    return rescale_mass(u, mu)
 
 
 # --- descent core -----------------------------------------------------------
@@ -518,7 +515,7 @@ def _classify(d: _Descent, v: np.ndarray, E: float, res: float, p: float,
     dz = d.dz
     if E < SolverConfig.divergence_floor:
         return "UnboundedBelow"
-    total_len = float(np.sum(dz.h) * (dz.n - 1))
+    total_len = graph.total_length()
     flat_energy = -(d.mu / total_len) ** (p / 2.0) * total_len / p
     near_zero = E >= -max(10.0 * SolverConfig.energy_tol * d.mu, 1e-12)
     # A spreading run ends at (or near) the mass-mu constant function, whose

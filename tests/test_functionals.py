@@ -1,15 +1,18 @@
 """Energy functional and functional-inequality ratios."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+import hexnls.functionals
 from hexnls.analytic import build_trial_function, trial_energy, trial_truncation_radius
 from hexnls.calculus import (Discretization, GraphFunction, constant_function, from_edge_samples,
                              from_vertex_values, gradient_norms, integrate_power,
                              rescale_mass)
-from hexnls.functionals import (RATIO_NAMES, _ascent_starts, _RatioObjective, energy,
+from hexnls.functionals import (_NORMS, RATIO_NAMES, _ascent_starts, _RatioObjective, energy,
                                 estimate_sharp_constant, inequality_ratio, make_discretization,
                                 random_corpus, vertex_distances)
 from hexnls.graph_core import GraphBuilder, MetricGraph, build_line, build_star
@@ -156,7 +159,7 @@ class TestInequalityRatio:
         v[dz.dof_of[-1, 0]], v[dz.dof_of[0, 1]] = P, -P
         pm = GraphFunction(g, v)
         # The peak at a vertex where several edges meet.
-        hub = from_vertex_values(g, np.exp(-vertex_distances(g, lat.origin_vertex)), 9)
+        hub = from_vertex_values(g, np.exp(-vertex_distances(g, lat.center_vertex())), 9)
         assert np.count_nonzero(np.abs(hub.values) == 1.0) >= 3
         # nan samples: the first nan in the view, as argmax has it.
         v = corpus[1].dofs.copy()
@@ -261,7 +264,7 @@ class TestCorpusBounds:
 # take p = 2 whatever p is passed, the GN ratios need p > 2.
 ALL_RATIO_CASES = [(name, p) for p in (2.5, 3.0, 4.0, 4.5, 6.0) for name in RATIO_NAMES]
 
-# The p-independent terms a function's norms may hold.
+# The p-independent terms a function's entry in the norms cache may hold.
 P_FREE_NORMS = {"mass", "grad_l1", "grad_l2sq", "constant", "linf", "argmax_edge",
                 "argmax_sample"}
 
@@ -280,7 +283,7 @@ def _cache_functions():
 def _fresh(u: GraphFunction) -> GraphFunction:
     """The same value with nothing measured yet."""
     fresh = GraphFunction(u.graph, u.dofs)
-    assert not fresh.norms
+    assert fresh not in _NORMS
     return fresh
 
 
@@ -291,7 +294,8 @@ def _same(a, b) -> bool:
 
 
 class TestNormsCache:
-    """Repeat ratios on one function read its p-independent norms."""
+    """Repeat ratios on one function read its p-independent norms, which
+    functionals keeps in _NORMS."""
 
     @pytest.mark.parametrize("u", _cache_functions(),
                              ids=["R3-0", "R3-1", "R3-2", "R6-0", "R6-1", "R6-2",
@@ -302,20 +306,51 @@ class TestNormsCache:
             warm = _fresh(u)
             for case in order + order:
                 assert _same(inequality_ratio(warm, *case), cold[case]), case
-            assert set(warm.norms) == P_FREE_NORMS
+            assert set(_NORMS[warm]) == P_FREE_NORMS
 
     def test_norms_hold_only_p_free_scalars(self):
         u = _fresh(random_corpus(build_honeycomb(3, 1.0), 1, seed=2)[0])
         inequality_ratio(u, "gn1d", 3.0)
-        after_one_power = dict(u.norms)
+        after_one_power = dict(_NORMS[u])
         for case in ALL_RATIO_CASES:
             inequality_ratio(u, *case)
-        assert set(u.norms) == P_FREE_NORMS
-        assert all(type(v) in (float, int, bool) for v in u.norms.values())
+        assert set(_NORMS[u]) == P_FREE_NORMS
+        assert all(type(v) in (float, int, bool) for v in _NORMS[u].values())
         # Calls at other powers and ratios change nothing already measured.
-        assert {k: u.norms[k] for k in after_one_power} == after_one_power
+        assert {k: _NORMS[u][k] for k in after_one_power} == after_one_power
         # Every rescaled copy measures its own.
-        assert not u.scaled(2.0).norms
+        assert u.scaled(2.0) not in _NORMS
+
+    def test_entry_goes_with_its_function(self, monkeypatch):
+        cache = weakref.WeakKeyDictionary()
+        monkeypatch.setattr(hexnls.functionals, "_NORMS", cache)
+        u = _fresh(random_corpus(build_honeycomb(3, 1.0), 1, seed=2)[0])
+        inequality_ratio(u, "gn1d", 3.0)
+        assert list(cache.keys()) == [u]
+        del u
+        gc.collect()
+        assert len(cache) == 0
+
+    @pytest.mark.parametrize("u", _cache_functions()[::3],
+                             ids=["R3", "R6", "line"])
+    def test_writing_into_a_function_cannot_change_a_later_ratio(self, u):
+        # Every public attribute is read-only, an object the function does not
+        # own (its graph and layout), or not there to be written.
+        u = _fresh(u)
+        before = {case: inequality_ratio(u, *case) for case in ALL_RATIO_CASES}
+        for name in dir(u):
+            attr = getattr(u, name)
+            if name.startswith("_") or callable(attr):
+                continue
+            if isinstance(attr, dict):
+                attr.update(grad_l1=1e-3, grad_l2sq=1e-3, mass=1e3, linf=1e3)
+            elif isinstance(attr, np.ndarray):
+                with pytest.raises(ValueError, match="read-only"):
+                    attr[0] = 1e3
+        with pytest.raises(AttributeError):
+            u.norms = {"grad_l1": 1e-3}
+        for case, ratio in before.items():
+            assert _same(inequality_ratio(u, *case), ratio), case
 
     @pytest.mark.parametrize("p", [3.0, 4.5])
     def test_one_stiffness_product_per_function(self, monkeypatch, lat, p):
@@ -362,7 +397,7 @@ class TestRandomCorpus:
 
     def test_envelope_localizes(self, lat):
         # The gamma = 1 members decay away from the origin.
-        dist = vertex_distances(lat.graph, lat.origin_vertex)
+        dist = vertex_distances(lat.graph, lat.center_vertex())
         far = dist >= dist.max() - 1e-9
         for u in random_corpus(lat, 9, seed=1)[2::3]:
             vv = np.abs(u.vertex_values())
@@ -422,6 +457,15 @@ class TestSharpConstantAscent:
         assert a == b
         assert np.array_equal(wa.values, wb.values)
 
+    def test_square_grid_witness_vanishes_on_its_rim(self):
+        g = build_square_grid(3, 1.0)
+        c_hat, witness = estimate_sharp_constant("gn1d", 4.0, g, budget=20, seed=0,
+                                                 num_starts=5)
+        rim = g.degrees() < 4
+        assert rim.sum() == 24
+        assert np.abs(witness.vertex_values()[rim]).max() == 0.0
+        assert inequality_ratio(witness, "gn1d", 4.0).value == c_hat
+
     def test_works_on_bare_graph(self):
         g = build_star(3, 5.0)
         c_hat, witness = estimate_sharp_constant("gn1d", 4.0, g, budget=20, seed=2,
@@ -433,9 +477,8 @@ class TestSharpConstantAscent:
                              ids=["line", "square-grid"])
     def test_bare_graph_starts_centered_at_origin(self, graph):
         # The centered bump (every third start) peaks at the vertex at (0, 0),
-        # not at vertex 0: the line's leaf, which the zero boundary removes,
-        # or the grid's corner, which it keeps (a bare graph's truncation
-        # boundary is its leaves, and the square grid has none).
+        # not at vertex 0: the line's leaf or the grid's corner, both on the
+        # truncation boundary that the ascent zeroes.
         dz = make_discretization(graph, 9)
         bump = _ascent_starts(graph, dz, 3, seed=0)[2]
         peak = graph.xy[int(np.argmax(bump[:graph.num_vertices]))]

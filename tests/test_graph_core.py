@@ -5,6 +5,7 @@ import pytest
 
 from hexnls.graph_core import (GraphBuilder, MetricGraph, build_graph, build_line, build_star,
                                validate)
+from hexnls.honeycomb import build_square_grid
 
 
 class TestBuildLine:
@@ -175,3 +176,18 @@ class TestArrays:
             MetricGraph([0, 1], [1], [1.0], np.zeros((2, 2)))
         with pytest.raises(ValueError, match=r"\(V, 2\)"):
             MetricGraph([0], [1], [1.0], np.zeros((2, 3)))
+
+
+class TestCenterVertex:
+    @pytest.mark.parametrize("graph", [build_line(4.5), build_line(3), build_star(5, 2.5),
+                                       build_square_grid(3, 0.7)],
+                             ids=["line", "integer-line", "star", "square-grid"])
+    def test_vertex_at_coordinate_origin(self, graph):
+        assert graph.xy[graph.center_vertex()].tolist() == [0.0, 0.0]
+
+    def test_lowest_id_on_a_tie(self):
+        b = GraphBuilder()
+        v = [b.add_vertex(x, 0.0) for x in (2.0, 1.0, -1.0, 0.5, -0.5)]
+        for tail, head in zip(v, v[1:]):
+            b.add_edge(tail, head, 1.0)
+        assert b.build().center_vertex() == 3

@@ -84,7 +84,7 @@ class TestBuildHoneycomb:
         for name in ("tails", "heads", "lengths", "xy"):
             a, b = getattr(lat.graph, name), getattr(g, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), name
-        assert lat.origin_vertex == origin
+        assert lat.center_vertex() == origin
         assert lat.edge_roles == roles
         assert lat.edge_id == ids
 
@@ -136,7 +136,7 @@ class TestBuildHoneycomb:
 
     def test_origin_at_coordinate_origin(self):
         lat = build_honeycomb(2, 1.0)
-        assert lat.graph.xy[lat.origin_vertex].tolist() == [0.0, 0.0]
+        assert lat.graph.xy[lat.center_vertex()].tolist() == [0.0, 0.0]
 
     def test_edge_length_scales_metric_only(self):
         lat1 = build_honeycomb(2, 1.0)
@@ -349,3 +349,12 @@ class TestSquareGrid:
 
     def test_valid(self):
         assert validate(build_square_grid(3, 0.5)) == []
+
+    def test_boundary_is_degree_below_four(self):
+        g = build_square_grid(3, 1.0)
+        assert isinstance(g, MetricGraph) and not g.leaves().size
+        rim = (np.abs(g.xy) == 3).any(axis=1)
+        assert np.array_equal(g.boundary_vertices(), np.flatnonzero(rim))
+        assert g.boundary_vertices().size == 24
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g.xy = None

@@ -18,7 +18,7 @@ from hexnls.calculus import (Discretization, GraphFunction, constant_function,
 from hexnls.solver import (INITIALIZERS, BracketError, ResolutionError, SolverConfig,
                            _beats, _descend, _Descent, bisect_critical_mass,
                            demonstrate_unbounded, euler_lagrange_residual,
-                           initial_function, make_discretization, minimize, soliton_bump,
+                           initial_function, make_discretization, minimize,
                            squeezed_profile)
 from hexnls.graph_core import build_line
 from hexnls.honeycomb import bridge_line_index, build_honeycomb, path_coordinate
@@ -267,7 +267,7 @@ class TestPathProfiles:
         for p in (3.0, 6.0):
             params = soliton_params(min(p, 5.9), 1.5)
             ref = _two_pass_path_profile(lat, lambda x: soliton_profile(params, x), n, 1.5)
-            assert np.array_equal(soliton_bump(lat, p, 1.5, n).values, ref)
+            assert np.array_equal(initial_function(lat, "soliton-bump", p, 1.5, n).values, ref)
         ref = _two_pass_path_profile(lat, lambda x: 1.0 / np.cosh(x / 0.5), n, 2.0)
         assert np.array_equal(squeezed_profile(lat, 2.0, 0.5, n).values, ref)
 
