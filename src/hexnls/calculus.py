@@ -8,7 +8,8 @@ from_edge_samples is the one checked way back.  Functions on the same
 (graph, n) share one Discretization, which the solver uses too; its lumped
 (trapezoid) mass vector is the quadrature, and forward differences on the
 sample intervals pair with it exactly, keeping norms orientation
-independent.
+independent.  A layout is a read-only value too, kept in _LAYOUTS, keyed
+weakly by its graph, so it goes with the graph.
 
 One evaluator per energy term: Discretization.potential (mass and int |v|^p)
 for the descent, the ratios and energy(); Discretization.kinetic, the cell
@@ -18,12 +19,16 @@ gradient_norms.  v.(K v) stays where a gradient needs K v anyway.
 
 from __future__ import annotations
 
+import weakref
 from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
 from .graph_core import MetricGraph
+
+# Each graph's layouts by samples per edge; an entry goes with its graph.
+_LAYOUTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 class GraphFunction:
@@ -66,18 +71,23 @@ class GraphFunction:
         return self.dofs[:self.graph.num_vertices]
 
 
-def _frozen(dofs: np.ndarray) -> np.ndarray:
-    """dofs made read-only: a new array no one else holds becomes a
-    GraphFunction's own without a copy."""
-    dofs.flags.writeable = False
-    return dofs
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """a made read-only: a new array no one else holds becomes a
+    GraphFunction's or a layout's own without a copy."""
+    a.flags.writeable = False
+    return a
 
 
 def make_discretization(graph: MetricGraph, samples_per_edge: int) -> "Discretization":
-    """The Discretization shared by all functions with this sampling on graph."""
-    if samples_per_edge not in graph._layouts:
-        graph._layouts[samples_per_edge] = Discretization(graph, samples_per_edge)
-    return graph._layouts[samples_per_edge]
+    """The Discretization shared by all functions with this sampling on graph,
+    built on the first call and read from _LAYOUTS after it."""
+    layouts = _LAYOUTS.get(graph)
+    if layouts is None:
+        layouts = _LAYOUTS[graph] = {}
+    lay = layouts.get(samples_per_edge)
+    if lay is None:
+        lay = layouts[samples_per_edge] = Discretization(graph, samples_per_edge)
+    return lay
 
 
 def from_edge_samples(graph: MetricGraph, values: np.ndarray) -> GraphFunction:
@@ -162,11 +172,11 @@ class Discretization:
     Vertex samples shared between edges collapse to one DOF; interior samples
     are their own DOFs.  The lumped (trapezoid) mass vector and the chain
     stiffness matrix give integrate_power(u, 2) and the squared L2 gradient
-    norm.  The cells and the stiffness are built on first use.
-    preconditioners maps each shift sigma that the solver has met on this
-    layout to its ready (sigma*M + K)^{-1} (filled by _Descent.shift_to).  A
-    layout keeps the graph's vertex and edge counts, not the graph, which
-    caches it.
+    norm.  The cells and the stiffness are built on first use.  Every array
+    a layout exposes is read-only (tails and heads are the graph's own), so
+    no holder can change what another function or solve on it reads.  A
+    layout keeps the graph's vertex and edge counts and edge ends, not the
+    graph, so _LAYOUTS, keyed weakly by the graph, lets it go with the graph.
     """
 
     def __init__(self, graph: MetricGraph, samples_per_edge: int = 33):
@@ -175,23 +185,23 @@ class Discretization:
         self.n = samples_per_edge
         E, n, V = graph.num_edges, samples_per_edge, graph.num_vertices
         self.num_vertices, self.num_edges = V, E
+        self.tails, self.heads = graph.tails, graph.heads
         dof_of = np.empty((E, n), dtype=np.int64)
         interior = V + (n - 2) * np.arange(E)[:, None] + np.arange(n - 2)[None, :]
         dof_of[:, 1:-1] = interior
         dof_of[:, 0] = graph.tails
         dof_of[:, -1] = graph.heads
-        self.dof_of = dof_of
+        self.dof_of = _frozen(dof_of)
         self.n_dofs = V + E * (n - 2)
-        self.h = graph.lengths / (n - 1)
-        self.mass_vec = self._lumped_mass(np.ones(E, dtype=bool))
-        self.preconditioners = {}
+        self.h = _frozen(graph.lengths / (n - 1))
+        self.mass_vec = _frozen(self._lumped_mass(np.ones(E, dtype=bool)))
 
     @cached_property
     def hat_weights(self) -> tuple[np.ndarray, np.ndarray]:
         """(1 - t, t) at the interior samples t = k / (n - 1): the weights of
         an edge's tail and head values in its linear interpolant."""
-        t = np.linspace(0.0, 1.0, self.n)[1:-1]
-        return 1.0 - t, t
+        t = _frozen(np.linspace(0.0, 1.0, self.n)[1:-1])
+        return _frozen(1.0 - t), t
 
     def interpolate(self, vertex_vals: np.ndarray) -> np.ndarray:
         """A new DOF vector, linear on every edge between these vertex
@@ -201,25 +211,19 @@ class Discretization:
         dofs[:V] = vertex_vals
         interior = dofs[V:].reshape(self.num_edges, self.n - 2)
         down, up = self.hat_weights
-        tails, heads = self.edge_ends
-        np.multiply(vertex_vals[tails][:, None], down, out=interior)
-        interior += vertex_vals[heads][:, None] * up
+        np.multiply(vertex_vals[self.tails][:, None], down, out=interior)
+        interior += vertex_vals[self.heads][:, None] * up
         return dofs
 
     @cached_property
     def inv_h(self) -> np.ndarray:
         """1 / h per edge: the stiffness weight of each of the edge's cells."""
-        return 1.0 / self.h
-
-    @cached_property
-    def edge_ends(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each edge's tail and head DOF as two contiguous arrays, for gathers."""
-        return self.dof_of[:, 0].copy(), self.dof_of[:, -1].copy()
+        return _frozen(1.0 / self.h)
 
     @cached_property
     def cells(self) -> tuple[np.ndarray, np.ndarray]:
         """The (left, right) DOF of every sample cell, edge by edge."""
-        return self.dof_of[:, :-1].ravel(), self.dof_of[:, 1:].ravel()
+        return _frozen(self.dof_of[:, :-1].ravel()), _frozen(self.dof_of[:, 1:].ravel())
 
     @cached_property
     def stiffness(self) -> sp.csr_matrix:
@@ -228,7 +232,10 @@ class Discretization:
         rows = np.concatenate([d0, d1, d0, d1])
         cols = np.concatenate([d0, d1, d1, d0])
         vals = np.concatenate([w, w, -w, -w])
-        return sp.coo_matrix((vals, (rows, cols)), shape=(self.n_dofs, self.n_dofs)).tocsr()
+        K = sp.coo_matrix((vals, (rows, cols)), shape=(self.n_dofs, self.n_dofs)).tocsr()
+        for a in (K.data, K.indices, K.indptr):
+            _frozen(a)
+        return K
 
     def _lumped_mass(self, edges: np.ndarray) -> np.ndarray:
         """Trapezoid weights of the sample cells on the masked edges, per DOF."""
@@ -242,7 +249,7 @@ class Discretization:
         """Lumped mass of the edges within two steps of the boundary vertices
         (zero without any): the edges with an end in the ring of vertices at
         most one step from the boundary, found in one pass each way."""
-        tails, heads = self.edge_ends
+        tails, heads = self.tails, self.heads
         on = np.zeros(self.num_vertices, dtype=bool)
         on[boundary_vertices] = True
         ring = on.copy()
@@ -264,9 +271,8 @@ class Discretization:
         """Whether every cell difference is exactly zero: each edge's interior
         samples and head equal its tail, compared on the DOF vector's
         contiguous (edge, interior sample) block without gathering the cells."""
-        tail_dofs, head_dofs = self.edge_ends
-        tails = dofs[tail_dofs]
-        return bool(np.array_equal(dofs[head_dofs], tails) and
+        tails = dofs[self.tails]
+        return bool(np.array_equal(dofs[self.heads], tails) and
                     (dofs[self.num_vertices:].reshape(self.num_edges, self.n - 2)
                      == tails[:, None]).all())
 

@@ -110,10 +110,19 @@ def inequality_ratio(u: GraphFunction, name: str, p: float = 2.0) -> InequalityR
 # --- randomized corpus ------------------------------------------------------
 
 def vertex_distances(graph: MetricGraph, source: int) -> np.ndarray:
-    """Arclength graph distance from source to every vertex."""
-    adj = sp.coo_matrix((graph.lengths, (graph.tails, graph.heads)),
-                        shape=(graph.num_vertices,) * 2)
-    return dijkstra((adj + adj.T).tocsr(), indices=source)
+    """Arclength graph distance from source to every vertex.  Of parallel
+    edges only the shortest is a step (a sparse matrix would sum them)."""
+    V = graph.num_vertices
+    lo, hi = np.minimum(graph.tails, graph.heads), np.maximum(graph.tails, graph.heads)
+    pair = lo * V + hi
+    order = np.lexsort((graph.lengths, pair))
+    # The first, shortest, edge of each vertex pair in pair order.
+    keep = order[np.diff(pair[order], prepend=-1) != 0]
+    w = graph.lengths[keep]
+    adj = sp.coo_matrix((np.concatenate([w, w]), (np.concatenate([lo[keep], hi[keep]]),
+                                                  np.concatenate([hi[keep], lo[keep]]))),
+                        shape=(V, V))
+    return dijkstra(adj.tocsr(), indices=source)
 
 
 def _envelopes(dist: np.ndarray) -> list[np.ndarray]:

@@ -1,13 +1,15 @@
 """Finite metric graphs as arrays: edge ends, edge lengths, vertex positions.
 
-A graph is its arrays.  Builders write them whole; validate checks them
-vectorized.  Vertex and edge ids are array positions.
+A graph is its four read-only arrays and nothing more; a cache keyed by a
+graph is kept weakly in the module that fills it.  Builders write the arrays
+whole; validate checks them vectorized.  Vertex and edge ids are array
+positions.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -21,16 +23,16 @@ class MetricGraph:
 
     Edges carry an orientation (tail -> head) fixing the sign of the per-edge
     arclength coordinate; all functionals built on top are orientation
-    independent.  The arrays are copied and made read-only, since
-    ``_layouts`` caches the graph's layouts.  The constructor checks only the
-    array shapes; validate checks the contents.
+    independent.  The arrays are copied and made read-only, and they are
+    all a graph holds: caches keyed by it (the layouts of calculus) live in
+    the module that fills them, and go with the graph.  The constructor
+    checks only the array shapes; validate checks the contents.
     """
 
     tails: np.ndarray
     heads: np.ndarray
     lengths: np.ndarray
     xy: np.ndarray
-    _layouts: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         for name, dtype in (("tails", np.int64), ("heads", np.int64),

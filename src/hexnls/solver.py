@@ -41,14 +41,15 @@ elimination, all edges at once, and solved on sample-major rows, edges
 innermost, for one right-hand side or a block.  Eliminating the chains
 leaves a vertex-only Schur complement (a weighted graph Laplacian plus a
 diagonal), formed by sparse products, the one matrix that is factorized, by
-SuperLU in its multiple minimum degree order.  The Discretization keeps the
-finished preconditioner of every shift sigma met
-(Discretization.preconditioners), so each sigma is built once per
-Discretization: a multi-start or a mass sweep on one graph returns to the
-same few powers of two.  A kept preconditioner holds its chain pivots, X's
-values, the 2E-entry coupling A_VI and its vertex factor (sizes in
-_Descent.shift_to).  They live as long as the graph, and every function on
-the graph, a returned minimizer too, keeps the graph alive.
+SuperLU in its multiple minimum degree order.  _PRECONDITIONERS, keyed
+weakly by the Discretization, keeps the finished preconditioner of every
+shift sigma met on it, so each sigma is built once per Discretization: a
+multi-start or a mass sweep on one graph returns to the same few powers of
+two.  A kept preconditioner holds its chain pivots, X's values, the
+2E-entry coupling A_VI and its vertex factor (sizes in _Descent.shift_to),
+and no reference to its layout.  They live as long as the layout, the
+layout as long as its graph, and every function on the graph, a returned
+minimizer too, keeps the graph alive.
 Newton's one mass constraint row is eliminated by a second right-hand side:
 K - diag(c) is solved for r and M v as one 2-column block, and the
 multiplier follows from the constraint (the range-space method for
@@ -58,6 +59,7 @@ saddle-point systems; Benzi, Golub & Liesen, Acta Numer. 2005).
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from functools import partial
 from typing import NamedTuple
@@ -78,6 +80,8 @@ INITIALIZERS = ("uniform", "soliton-bump", "trial-eps")
 MAX_ITERS = 4000         # iterations per start
 MAX_POLISHES = 8         # Newton polishes per descent
 MAX_NEWTON_STEPS = 40    # accepted Newton steps per polish
+# Each layout's kept (sigma*M + K)^{-1} by sigma; an entry goes with its layout.
+_PRECONDITIONERS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 class ResolutionError(ValueError):
@@ -242,7 +246,7 @@ def _condensed_solver(dz: Discretization, s: np.ndarray, factor):
         shape=(E * m, V))
     solve_vertices = factor(S.tocsc())
     X_tail, X_head = X[:, 0].copy(), X[:, 1].copy()     # contiguous (m, E) rows
-    tail, head = dz.edge_ends
+    tail, head = dz.tails, dz.heads
     # A_VI's columns, sample i of edge e, renumbered into the stacked end rows
     # [y[0]; y[m - 1]]: e for the first sample, E + e for the last.  At m = 1
     # the one row is both ends; at n = 2 there is no row and no entry.
@@ -303,10 +307,10 @@ class _Descent:
         first use, so residual-only callers never factorize, and rebuilt only
         when the target leaves [sigma/2, 2*sigma].
 
-        A rebuild takes the preconditioner of sigma from the Discretization's
-        preconditioners when sigma was met before, and builds it there once,
+        A rebuild takes the preconditioner of sigma from the layout's entry in
+        _PRECONDITIONERS when sigma was met before, and builds it there once,
         through _condensed_solver and factorized, when it was not: each sigma
-        is built once while its graph lives, and later starts and masses
+        is built once while its layout lives, and later starts and masses
         reuse the same object.  A rebuild returns True, restarting CG, either
         way.  Each kept preconditioner holds its edge-chain pivots, X's
         values, the coupling A_VI and the L and U of its vertex factor:
@@ -321,7 +325,9 @@ class _Descent:
         # A power of two, so every product by sigma is exact and sigma is an
         # exact key: the preconditioner, built from K and sigma alone, is the
         # same each time.
-        kept = self.dz.preconditioners
+        kept = _PRECONDITIONERS.get(self.dz)
+        if kept is None:
+            kept = _PRECONDITIONERS[self.dz] = {}
         if sigma not in kept:
             # factorized is looked up here, at call time, so a wrapper
             # installed on the module sees every factorization.
@@ -590,14 +596,15 @@ def bisect_critical_mass(graph, p: float, mu_lo: float, mu_hi: float, tol: float
                          ) -> tuple[float, tuple[float, float]]:
     """Bisect the SpreadToZero -> GroundState transition mass.
 
-    tol is the relative bracket width.  Requires mu_lo to spread and mu_hi to
+    tol is the relative bracket width, at least 2 eps: a bracket of adjacent
+    doubles then ends the bisection.  Requires mu_lo to spread and mu_hi to
     produce a ground state; the classification is assumed monotone in mass.
     """
     if not (4 <= p < 6):
         raise ValueError(f"critical-mass bisection applies for p in [4, 6), got {p}")
-    # A zero or negative width would bisect forever.
-    if not tol > 0:
-        raise ValueError(f"relative bracket width must be positive, got {tol}")
+    # A finer width would bisect forever: no double lies between two adjacent ones.
+    if not tol >= 2 * np.finfo(float).eps:
+        raise ValueError(f"relative bracket width must be positive, at least 2 eps, got {tol}")
     if not 0 < mu_lo < mu_hi < np.inf:
         raise ValueError(f"need 0 < mu_lo < mu_hi < inf, got {mu_lo} and {mu_hi}")
 
@@ -632,6 +639,8 @@ def squeezed_profile(lat: HoneycombLattice, mu: float, width: float,
     if samples_per_edge is None:
         samples_per_edge = max(17, int(np.ceil(8.0 / width)) + 1)
     n = samples_per_edge
+    if n < 2:
+        raise ValueError(f"need at least 2 samples per edge, got {n}")
     h = lat.edge_length / (n - 1)
     if h > width / 4:
         raise ResolutionError(

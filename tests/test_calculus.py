@@ -1,5 +1,6 @@
 """Functions on metric graphs: DOF storage, quadrature, norms, DOF mapping."""
 
+import dataclasses
 import gc
 import weakref
 
@@ -13,8 +14,8 @@ from hexnls.analytic import build_trial_function, trial_kinetic_integral, trial_
 from hexnls.calculus import (Discretization, GraphFunction, _abs_power, constant_function,
                              from_edge_samples, from_vertex_values, gradient_norms,
                              integrate_power, rescale_mass)
-from hexnls.functionals import make_discretization, random_corpus
-from hexnls.graph_core import GraphBuilder, build_graph, build_line, build_star
+from hexnls.functionals import inequality_ratio, make_discretization, random_corpus
+from hexnls.graph_core import GraphBuilder, MetricGraph, build_graph, build_line, build_star
 from hexnls.honeycomb import build_honeycomb, build_square_grid
 from hexnls.solver import minimize
 
@@ -377,6 +378,82 @@ class TestSharedLayout:
         gc.collect()
         assert made[0][0]() is None
         assert integrate_power(out.minimizer, 2) == pytest.approx(10.0, rel=1e-12)
+
+
+class TestReadOnlyLayout:
+    """A layout is a value that every function and solve on its (graph, n)
+    shares, so no holder can write into it; its caches are its modules'."""
+
+    @staticmethod
+    def _arrays(dz: Discretization) -> dict[str, np.ndarray]:
+        """Every array the layout holds once each lazy one is built, the
+        stiffness's three among them."""
+        for name in ("hat_weights", "inv_h", "cells", "stiffness"):
+            getattr(dz, name)
+        arrays = {}
+        for name, value in vars(dz).items():
+            if isinstance(value, sp.csr_matrix):
+                value = {"data": value.data, "indices": value.indices, "indptr": value.indptr}
+            elif isinstance(value, tuple):
+                value = dict(enumerate(value))
+            else:
+                value = {"": value}
+            arrays.update({f"{name}.{key}": a for key, a in value.items()
+                           if isinstance(a, np.ndarray)})
+        return arrays
+
+    @pytest.mark.parametrize("n", [2, 3, 9])
+    def test_every_layout_array_is_read_only(self, n):
+        dz = make_discretization(build_honeycomb(2, 1.0), n)
+        arrays = self._arrays(dz)
+        assert {name.split(".")[0] for name in arrays} == {
+            "tails", "heads", "dof_of", "h", "mass_vec", "hat_weights", "inv_h", "cells",
+            "stiffness"}
+        assert {"stiffness.data", "stiffness.indices", "stiffness.indptr"} <= set(arrays)
+        for name, a in arrays.items():
+            before = a.copy()
+            assert not a.flags.writeable, name
+            with pytest.raises(ValueError):
+                a[...] = 0
+            with pytest.raises(ValueError):
+                a *= 2
+            assert np.array_equal(a, before), name
+
+    def test_edge_ends_are_the_graphs(self):
+        g = build_star(3, 2.5)
+        dz = make_discretization(g, 5)
+        assert dz.tails is g.tails and dz.heads is g.heads
+        assert np.array_equal(dz.dof_of[:, 0], g.tails)
+        assert np.array_equal(dz.dof_of[:, -1], g.heads)
+
+    def test_a_ratio_cannot_be_moved_through_the_layout(self):
+        u = random_corpus(build_honeycomb(3, 1.0), 1, seed=0)[0]
+        before = inequality_ratio(u, "gn1d", 4.0).value
+        with pytest.raises(ValueError):
+            u.layout.mass_vec[:] *= 2
+        fresh = GraphFunction(u.graph, u.dofs)
+        assert inequality_ratio(fresh, "gn1d", 4.0).value == before
+
+    def test_graph_holds_no_cache(self):
+        assert [f.name for f in dataclasses.fields(MetricGraph)] == [
+            "tails", "heads", "lengths", "xy"]
+        for g in (build_line(2.5), build_honeycomb(2, 1.0), build_square_grid(2, 1.0)):
+            before = dict(vars(g))
+            for n in (2, 9, 9):     # two layouts built, then one read back
+                make_discretization(g, n)
+            assert vars(g).keys() == before.keys()
+            assert all(vars(g)[k] is v for k, v in before.items())
+
+    def test_layouts_die_with_their_graph(self):
+        gc.disable()
+        try:
+            g = build_honeycomb(2, 1.0)
+            layouts = [weakref.ref(make_discretization(g, n)) for n in (2, 5, 9)]
+            assert make_discretization(g, 5) is layouts[1]()
+            del g
+            assert all(ref() is None for ref in layouts)
+        finally:
+            gc.enable()
 
 
 class TestDiscretization:

@@ -87,6 +87,8 @@ class TestUsageErrors:
     @pytest.mark.parametrize("kind, spec, message", [
         ("trial-forms", {"eps_list": [0.0]}, "eps must be positive"),
         ("inequalities", {"radius": 2, "corpus_size": -1}, "corpus size"),
+        # No double lies between two adjacent ones: this bracket would never end.
+        ("critical-mass", {"radius": 3, "tolerance": 1e-20}, "at least 2 eps"),
     ])
     def test_out_of_range_setting_refused(self, tmp_path, capsys, kind, spec, message):
         cfg = write_config(tmp_path, "c.json", spec)

@@ -6,6 +6,8 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.csgraph import dijkstra
 
 import hexnls.functionals
 from hexnls.analytic import build_trial_function, trial_energy, trial_truncation_radius
@@ -402,6 +404,36 @@ class TestRandomCorpus:
         for u in random_corpus(lat, 9, seed=1)[2::3]:
             vv = np.abs(u.vertex_values())
             assert vv[far].max() < 0.05 * max(vv.max(), 1e-300)
+
+
+class TestVertexDistances:
+    @staticmethod
+    def _graph(ends_and_lengths, num_vertices):
+        b = GraphBuilder()
+        for x in range(num_vertices):
+            b.add_vertex(float(x), 0.0)
+        for tail, head, length in ends_and_lengths:
+            b.add_edge(tail, head, length)
+        return b.build()
+
+    def test_parallel_edges_take_the_shortest(self):
+        # Summed as sparse-matrix duplicates, these read [0, 3, 4] and [0, 4].
+        g = self._graph([(0, 1, 1.0), (1, 0, 2.0), (1, 2, 1.0)], 3)
+        assert vertex_distances(g, 0).tolist() == [0.0, 1.0, 2.0]
+        g = self._graph([(0, 1, 1.0), (0, 1, 3.0)], 2)
+        assert vertex_distances(g, 0).tolist() == [0.0, 1.0]
+        assert vertex_distances(g, 1).tolist() == [1.0, 0.0]
+
+    @pytest.mark.parametrize("graph", [build_honeycomb(6, 1.0), build_line(7.5),
+                                       build_star(5, 3.5), build_square_grid(6, 1.0)],
+                             ids=["honeycomb", "line", "star", "square"])
+    def test_simple_graphs_bit_identical_to_the_summed_matrix(self, graph):
+        # Without parallel edges the summed symmetric matrix is exact.
+        adj = sp.coo_matrix((graph.lengths, (graph.tails, graph.heads)),
+                            shape=(graph.num_vertices,) * 2)
+        for source in (0, graph.center_vertex(), graph.num_vertices - 1):
+            want = dijkstra((adj + adj.T).tocsr(), indices=source)
+            assert np.array_equal(vertex_distances(graph, source), want)
 
 
 class _CountingK:

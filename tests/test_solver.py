@@ -15,8 +15,8 @@ import hexnls.solver
 from hexnls.analytic import build_trial_function, soliton_params, soliton_profile
 from hexnls.calculus import (Discretization, GraphFunction, constant_function,
                              from_edge_samples, integrate_power, rescale_mass)
-from hexnls.solver import (INITIALIZERS, BracketError, ResolutionError, SolverConfig,
-                           _beats, _descend, _Descent, bisect_critical_mass,
+from hexnls.solver import (_PRECONDITIONERS, INITIALIZERS, BracketError, ResolutionError,
+                           SolverConfig, _beats, _descend, _Descent, bisect_critical_mass,
                            demonstrate_unbounded, euler_lagrange_residual,
                            initial_function, make_discretization, minimize,
                            squeezed_profile)
@@ -558,7 +558,7 @@ class TestShiftFactors:
                 for r in rs:
                     assert np.array_equal(d.precondition(r), fresh(r))
         assert len(factored) == len(set(sigmas)) == 3
-        assert sorted(dz.preconditioners) == sorted(set(sigmas))
+        assert sorted(_PRECONDITIONERS[dz]) == sorted(set(sigmas))
 
     def test_second_descent_takes_the_kept_preconditioner(self, monkeypatch):
         dz = make_discretization(build_honeycomb(3, 1.0), 9)
@@ -577,7 +577,7 @@ class TestShiftFactors:
         for sigma in (8.0, 1.0):
             # Still a rebuild, so CG restarts, but on the very same object.
             assert second.shift_to(-sigma) and second.precondition is built[sigma]
-        assert dz.preconditioners == built
+        assert _PRECONDITIONERS[dz] == built
 
     def test_mass_sweep_equals_fresh_lattices(self, monkeypatch):
         factored = []
@@ -590,7 +590,7 @@ class TestShiftFactors:
         reused = len(factored)
         factored.clear()
         fresh = [minimize(build_honeycomb(4, 1.0), 5.0, mu) for mu in masses]
-        assert reused == len(make_discretization(shared, 9).preconditioners)
+        assert reused == len(_PRECONDITIONERS[make_discretization(shared, 9)])
         assert reused < len(factored)
         assert {out.classification for out in swept} == {"SpreadToZero", "GroundState"}
         for a, b in zip(swept, fresh):
@@ -612,10 +612,11 @@ class TestShiftFactors:
             for sigma in (1.0, 8.0):
                 d.shift_to(-sigma)
             kept = [weakref.ref(d.dz)] + [weakref.ref(solve) for solve in
-                                          d.dz.preconditioners.values()]
+                                          _PRECONDITIONERS[d.dz].values()]
             assert len(kept) == 3
             del d
-            assert all(ref() is not None for ref in kept)      # the graph's layout holds them
+            # calculus keeps the layout while its graph lives, and the solver its solves.
+            assert all(ref() is not None for ref in kept)
             del graph
             assert all(ref() is None for ref in kept)
         finally:
@@ -629,7 +630,8 @@ class TestShiftFactors:
             lat = build_honeycomb(2, 1.0)
             out = minimize(lat, 3.0, 10.0, init="trial-eps")
             assert out.classification == "GroundState"
-            kept = [weakref.ref(solve) for solve in out.minimizer.layout.preconditioners.values()]
+            kept = [weakref.ref(solve)
+                    for solve in _PRECONDITIONERS[out.minimizer.layout].values()]
             assert kept
             del lat
             assert all(ref() is not None for ref in kept)
@@ -850,7 +852,7 @@ class TestEulerLagrangeResidual:
         u = initial_function(lat, "trial-eps", 3.0, 1.0, 9)
         lam, res = euler_lagrange_residual(u, 3.0)
         assert np.isfinite(lam) and res > 0
-        assert u.layout.preconditioners == {}
+        assert _PRECONDITIONERS.get(u.layout, {}) == {}
 
     def test_converged_minimizer_stationary(self, line_outcome):
         lam, res = euler_lagrange_residual(line_outcome.minimizer, 4.0)
@@ -1007,7 +1009,7 @@ class TestBisectCriticalMass:
 
     @pytest.mark.parametrize("mu_lo, mu_hi, tol", [
         (1e-3, 100.0, 0.0), (1e-3, 100.0, -0.1), (1e-3, 100.0, float("nan")),
-        (0.0, 100.0, 0.05), (100.0, 1e-3, 0.05), (5.0, 5.0, 0.05)])
+        (1e-3, 100.0, 1e-20), (0.0, 100.0, 0.05), (100.0, 1e-3, 0.05), (5.0, 5.0, 0.05)])
     def test_invalid_bracket_or_width_refused_before_solving(self, lat, monkeypatch,
                                                              mu_lo, mu_hi, tol):
         def no_solve(*args, **kwargs):
@@ -1016,6 +1018,23 @@ class TestBisectCriticalMass:
         monkeypatch.setattr(hexnls.solver, "minimize", no_solve)
         with pytest.raises(ValueError):
             bisect_critical_mass(lat, 5.0, mu_lo, mu_hi, tol=tol)
+
+
+    def test_finest_width_ends(self, lat, monkeypatch):
+        # A stub that flips at mu = 1.3: at tol = 2 eps the bracket closes to
+        # a few ulps of 1.3, one bisection step per bit, and stops.
+        solves = []
+
+        def stub(graph, p, mu):
+            solves.append(mu)
+            return types.SimpleNamespace(
+                classification="GroundState" if mu > 1.3 else "SpreadToZero")
+
+        monkeypatch.setattr(hexnls.solver, "minimize", stub)
+        tol = 2 * np.finfo(float).eps
+        _, (lo, hi) = bisect_critical_mass(lat, 5.0, 1e-3, 100.0, tol=tol)
+        assert lo <= 1.3 < hi and hi - lo <= tol * 0.5 * (hi + lo)
+        assert len(solves) < 70
 
 
 class TestCriticalPowerProbes:
@@ -1051,6 +1070,15 @@ class TestCriticalPowerProbes:
             squeezed_profile(lat, 1.0, width, samples_per_edge)
         with pytest.raises(ValueError, match="finite"):
             demonstrate_unbounded(lat, 1.0, [width], samples_per_edge)
+
+    @pytest.mark.parametrize("entry", [
+        lambda lat: squeezed_profile(lat, 1.0, 0.5, samples_per_edge=1),
+        lambda lat: demonstrate_unbounded(lat, 1.0, [0.5], samples_per_edge=1),
+        lambda lat: make_discretization(lat, 1)], ids=["squeezed", "unbounded", "layout"])
+    def test_one_sample_per_edge_refused(self, lat, entry):
+        # As minimize refuses it (TestConfigAndInputs), not by dividing by n - 1 = 0.
+        with pytest.raises(ValueError, match="at least 2 samples per edge"):
+            entry(lat)
 
     def test_squeezed_profile_mass(self, lat):
         u = squeezed_profile(lat, 3.0, 0.5)
